@@ -32,7 +32,8 @@ from .core import (
     load_config,
     validate_config,
 )
-from .engine import LossGateViolation, OutOfOrderObservation, WagerOutOfRange
+from .engine import (InvalidObservation, LossGateViolation, OutOfOrderObservation,
+                     WagerOutOfRange)
 from .metrics import TokenDivisionByZero
 from .records import (
     write_summary_json,
@@ -474,7 +475,8 @@ def main(argv=None) -> int:
         _emit_error("io", str(exc), key=str(exc.filename))
         return EXIT_INVALID
     except (StreamExhausted, NonStationarySpec, WagerOutOfRange,
-            OutOfOrderObservation, LossGateViolation, TokenDivisionByZero) as exc:
+            OutOfOrderObservation, InvalidObservation, LossGateViolation,
+            TokenDivisionByZero) as exc:
         _emit_error("runtime", str(exc))
         return EXIT_RUNTIME
     except ValueError as exc:

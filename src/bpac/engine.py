@@ -8,9 +8,21 @@ an account whose wealth clears the confidence bar is evidence that its
 threshold keeps the deployed risk under the budget, and the selection
 rules read the next deployed threshold off the wealth table.
 
-The account arithmetic is written once over numpy scalars-or-arrays, so
-the same functions settle a single account in tests and the whole grid
-inside ``step``.
+``ips_payoff``, ``adaptive_lambda`` and ``update_account`` are the
+reference account arithmetic over numpy scalars-or-arrays: they settle a
+single account in tests, replications in ``pinned_threshold_study``, and
+are what ``step`` must match bit for bit. ``step`` itself settles the grid
+with one fused in-place kernel that touches only live accounts.
+
+Live-prefix invariant. The grid is strictly increasing, and one step's
+payoff is epsilon below the score and epsilon minus a non-negative
+estimate at or above it, so payoffs never increase along the grid.
+Rounding is monotone, so the cumulative payoff ``sum_payoff`` never
+increases along the grid either. The adaptive wager
+``clip(sum_payoff / (sum_payoff_sq + 1), 0, cap / m_t)`` is therefore
+positive only on a prefix ``[0, a)`` and exactly 0 past it, where
+``log1p(0 * payoff)`` is a signed zero and leaves log-wealth bit-for-bit
+unchanged. Skipping those accounts changes no bit of the result.
 """
 
 from __future__ import annotations
@@ -22,11 +34,13 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    ConfigError,
     Prior,
     RouterConfig,
     SelectionMode,
     StreamObservation,
     ThresholdGrid,
+    Violation,
     rho_at,
 )
 
@@ -41,6 +55,15 @@ class WagerOutOfRange(RuntimeError):
 
 class OutOfOrderObservation(ValueError):
     """The stream handed the engine a step index it did not expect."""
+
+
+class InvalidObservation(ValueError):
+    """The stream handed the engine a score or a loss it cannot settle.
+
+    A non-finite score would compare false against every candidate and pay
+    every account epsilon; a loss outside [0, 1] breaks the payoff bound
+    the wager cap relies on. Either would let wealth grow without evidence.
+    """
 
 
 class LossGateViolation(RuntimeError):
@@ -133,7 +156,7 @@ def payoff_bound(epsilon: float, rho_min: float, rho_t: float) -> float:
 
 def ips_payoff(loss: float | None, coin: int, pi: float, uncertainty: float,
                threshold: float, rho_min: float, epsilon: float) -> float:
-    """Payoff credited to one threshold's account for one step.
+    """Payoff credited to one threshold's account for one step (reference).
 
     The loss estimate reweights the observed loss by the deployed
     propensity, so its conditional mean matches the would-be deployment
@@ -147,7 +170,7 @@ def ips_payoff(loss: float | None, coin: int, pi: float, uncertainty: float,
 
 
 def adaptive_lambda(account: ThresholdAccount, m_t: float, cap: float):
-    """Wager for the next payoff, from past payoffs only.
+    """Wager for the next payoff, from past payoffs only (reference).
 
     Follows the regularized ratio of cumulative payoff to cumulative
     squared payoff, clamped to [0, cap / m_t] so one step can lose at most
@@ -159,7 +182,7 @@ def adaptive_lambda(account: ThresholdAccount, m_t: float, cap: float):
 
 
 def update_account(account: ThresholdAccount, lam, payoff) -> ThresholdAccount:
-    """Settle one betting round in place; returns the same account.
+    """Settle one betting round; returns the same account (reference).
 
     Wealth multiplies by (1 + lam * payoff), tracked as log1p so long
     losing streaks underflow gracefully instead of hitting zero.
@@ -178,11 +201,10 @@ def update_account(account: ThresholdAccount, lam, payoff) -> ThresholdAccount:
 def _fixed_sequence_index(log_wealth: np.ndarray, log_bar: float) -> int:
     """Largest index whose entire prefix clears the bar; 0 when none do."""
     qualified = log_wealth >= log_bar
-    if not qualified[0]:
-        return 0
-    if qualified.all():
+    first_gap = int(qualified.argmin())
+    if qualified[first_gap]:
         return int(qualified.size) - 1
-    return int(np.argmin(qualified)) - 1
+    return max(first_gap - 1, 0)
 
 
 def _mixture_index(log_wealth: np.ndarray, log_bars: np.ndarray) -> int:
@@ -216,7 +238,13 @@ def select_mixture(accounts: ThresholdAccount, alpha: float, prior: Prior,
 
 @dataclass
 class RouterState:
-    """Mutable run state. Single writer: steps are strictly sequential."""
+    """Mutable run state. Single writer: steps are strictly sequential.
+
+    ``step`` settles the account arrays in place. The wager table is
+    written into a spare buffer and swapped with ``accounts.last_lambda``
+    once the step is known to be survivable, so an array read from
+    ``accounts`` is only valid until the next step; copy it to keep it.
+    """
 
     config: RouterConfig
     accounts: ThresholdAccount
@@ -225,6 +253,13 @@ class RouterState:
     deployed_index: int = 0
     fixed_wager: float | None = None
     _log_bars: float | np.ndarray = field(default=0.0, repr=False)
+    _spare: np.ndarray = field(init=False, repr=False)
+    _work: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n = self.config.grid.n
+        self._spare = np.zeros(n)
+        self._work = np.empty(n)
 
     @classmethod
     def fresh(cls, config: RouterConfig, *, rng=None,
@@ -241,6 +276,9 @@ class RouterState:
             rng = config.seed
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
+        if not np.all(np.diff(config.grid.values) > 0):
+            raise ConfigError([Violation("BadGrid", "grid",
+                                         "grid values must be strictly increasing")])
         if fixed_wager is not None:
             worst = max((1.0 - config.schedule.rho_min) / r - config.epsilon
                         for r in config.schedule.emitted_rates())
@@ -260,6 +298,52 @@ class RouterState:
         return float(self.config.grid.values[self.deployed_index])
 
 
+def _settle(state: RouterState, k: int, high: float, low: float, m_t: float) -> None:
+    """Settle every account in place: payoff ``high`` on ``[0, k)``, ``low`` on ``[k, n)``.
+
+    Matches ``adaptive_lambda`` followed by ``update_account`` bit for bit.
+    Under the live-prefix invariant (module docstring) the adaptive wager,
+    the ``log1p`` and the wealth update run on ``[0, a)`` only; accounts
+    past ``a`` bet exactly 0. Raises before any account changes.
+    """
+    acc = state.accounts
+    s1, s2, lw = acc.sum_payoff, acc.sum_payoff_sq, acc.log_wealth
+    lam, work = state._spare, state._work
+    n = s1.size
+    if state.fixed_wager is None:
+        # Accounts with sum_payoff <= 0 form a suffix: the reversed view is sorted.
+        a = n - int(s1[::-1].searchsorted(0.0, "right"))
+        live = work[:a]
+        np.add(s2[:a], 1.0, out=live)
+        np.divide(s1[:a], live, out=live)
+        # The ratio is >= 0 on the live prefix, so clip(., 0, cap) is a minimum.
+        np.minimum(live, state.config.betting_cap / m_t, out=lam[:a])
+        lam[a:] = 0.0
+    else:
+        a = n
+        lam.fill(state.fixed_wager)
+    # Smallest growth factor: low times the largest wager it meets, since
+    # rounding a product by a fixed scalar is monotone.
+    if low < 0.0 and k < a:
+        worst = low * float(np.maximum.reduce(lam[k:a]))
+        if worst <= -1.0:
+            raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
+    state._spare, acc.last_lambda = acc.last_lambda, lam
+
+    j = min(k, a)
+    growth = work[:a]
+    np.multiply(lam[:j], high, out=growth[:j])
+    if j < a:
+        np.multiply(lam[j:a], low, out=growth[j:])
+    np.log1p(growth, out=growth)
+    lw[:a] += growth
+    s1[:k] += high
+    s2[:k] += high * high
+    if k < n:
+        s1[k:] += low
+        s2[k:] += low * low
+
+
 def step(state: RouterState, obs: StreamObservation,
          gate: LossGate) -> tuple[Decision, RouterState]:
     """Advance the router by one query; returns the decision and the state.
@@ -269,11 +353,29 @@ def step(state: RouterState, obs: StreamObservation,
     the gate only if the coin escalated, settle every account with wagers
     computed from pre-step sums, then certify the next threshold. The
     state is mutated in place and returned for convenience.
+
+    Settlement is one fused in-place kernel. An escalated step charges
+    the candidates strictly above the score, ``grid[k:]`` with
+    ``k = searchsorted(grid, score, "right")``, and pays the rest
+    epsilon; the wager and wealth update run only on the live prefix of
+    accounts with positive cumulative payoff, which is exact by the
+    live-prefix invariant in the module docstring.
+
+    A score must be finite; any finite score is accepted. Above 1 it sits
+    at or above every candidate, so the query always escalates and every
+    account is paid epsilon. Below 0 it sits under every candidate, so the
+    query explores at the current rate and an observed loss charges every
+    account. A non-finite score raises ``InvalidObservation`` before any
+    coin is drawn or loss read; an observed loss outside [0, 1] raises it
+    after the gate and before any account is settled.
     """
     t = state.t + 1
     if obs.index != t:
         raise OutOfOrderObservation(
             f"expected observation index {t}, got {obs.index}")
+    if not math.isfinite(obs.uncertainty):
+        raise InvalidObservation(
+            f"uncertainty score {obs.uncertainty!r} at step {t} is not finite")
     cfg = state.config
     grid_values = cfg.grid.values
     rho_t = rho_at(cfg.schedule, t)
@@ -287,27 +389,24 @@ def step(state: RouterState, obs: StreamObservation,
     observed = gate.observe(obs, coin) if coin == 1 else None
 
     rho_min = cfg.schedule.rho_min
-    m_t = payoff_bound(cfg.epsilon, rho_min, rho_t)
-    acc = state.accounts
-    if state.fixed_wager is None:
-        lam = adaptive_lambda(acc, m_t, cfg.betting_cap)
-    else:
-        lam = np.full(grid_values.size, state.fixed_wager)
-
+    eps = cfg.epsilon
     if coin == 1:
+        if not 0.0 <= observed <= 1.0:
+            raise InvalidObservation(
+                f"observed loss {observed!r} at step {t} is outside [0, 1]")
         estimate = (1.0 - rho_min) * (observed / pi)
         # Payoff range check; estimate is shared by every account this step.
         if not 0.0 <= estimate <= (1.0 - rho_min) * (1.0 / rho_t):
             raise WagerOutOfRange(
                 f"loss estimate {estimate} escapes its propensity bound at step {t}")
-        payoff = np.where(grid_values > obs.uncertainty,
-                          cfg.epsilon - estimate, cfg.epsilon)
+        k = int(grid_values.searchsorted(obs.uncertainty, "right"))
+        low = eps - estimate
     else:
-        payoff = cfg.epsilon
+        k = grid_values.size
+        low = eps
+    _settle(state, k, eps, low, payoff_bound(eps, rho_min, rho_t))
 
-    update_account(acc, lam, payoff)
-
-    log_wealth = np.asarray(acc.log_wealth)
+    log_wealth = state.accounts.log_wealth
     if cfg.selection_mode is SelectionMode.MIXTURE:
         state.deployed_index = _mixture_index(log_wealth, state._log_bars)
     else:

@@ -5,12 +5,14 @@ redirected at the sys level so the tests read the same bytes a shell would.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
+import bpac.simulation
 from bpac.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 from bpac.simulation import generate_event, uniform_linear
 from bpac.traces import write_trace
@@ -163,6 +165,19 @@ class TestErrorPaths:
             "simulate", "--out", str(tmp_path / "x"),
             "--horizon", "10", "--fixed-wager", "0.9")
         assert code == EXIT_RUNTIME
+
+    def test_non_finite_score_is_runtime(self, tmp_path, monkeypatch):
+        def nan_event(spec, rng, t):
+            event = generate_event(spec, rng, t)
+            return dataclasses.replace(event, uncertainty=float("nan"))
+
+        monkeypatch.setattr(bpac.simulation, "generate_event", nan_event)
+        code, _, err = run_cli("simulate", "--out", str(tmp_path / "x"),
+                               "--horizon", "10")
+        assert code == EXIT_RUNTIME
+        error = stderr_error(err)
+        assert error["kind"] == "runtime"
+        assert "not finite" in error["message"]
 
 
 class TestReplay:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpac import (
+    ConfigError,
     ConstantSchedule,
+    InvalidObservation,
     LossGate,
     LossGateViolation,
     OutOfOrderObservation,
@@ -24,6 +26,7 @@ from bpac import (
     ips_payoff,
     payoff_bound,
     propensity,
+    rho_at,
     select_fixed_sequence,
     select_mixture,
     step,
@@ -308,6 +311,12 @@ class TestStep:
         _, state = step(state, make_obs(1, 0.9, 0.0), gate)
         assert np.allclose(np.asarray(state.accounts.last_lambda), 0.05)
 
+    def test_unsorted_grid_rejected(self):
+        # The live-prefix settlement relies on a strictly increasing grid.
+        grid = ThresholdGrid(values=np.array([0.0, 0.5, 0.5, 1.0]))
+        with pytest.raises(ConfigError):
+            RouterState.fresh(RouterConfig(grid=grid))
+
     def test_same_seed_same_path(self, default_config, uniform_spec):
         def run():
             state = RouterState.fresh(default_config)
@@ -320,3 +329,134 @@ class TestStep:
             return out
 
         assert run() == run()
+
+
+class TestInvalidObservation:
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected_before_the_coin(self, default_config, score):
+        # Regression: NaN compares false against every candidate, so 2000
+        # steps of NaN with loss 1 used to pay every account epsilon and
+        # certify threshold 1.0.
+        state = RouterState.fresh(default_config)
+        gate = LossGate()
+        coins = state.rng.bit_generator.state
+        for _ in range(2000):
+            with pytest.raises(InvalidObservation):
+                step(state, make_obs(1, score, 1.0), gate)
+        assert state.t == 0
+        assert state.deployed_threshold == 0.0
+        assert gate.access_count == 0
+        assert state.rng.bit_generator.state == coins
+        assert not np.any(state.accounts.log_wealth)
+        assert not np.any(state.accounts.sum_payoff)
+
+    @pytest.mark.parametrize("loss", [1.5, -0.1, math.nan])
+    def test_loss_outside_unit_interval_rejected_before_settling(self, default_config,
+                                                                 loss):
+        state = RouterState.fresh(default_config)
+        gate = LossGate()
+        # deployed threshold 0: the first query surely escalates
+        with pytest.raises(InvalidObservation):
+            step(state, make_obs(1, 0.5, loss), gate)
+        assert gate.access_count == 1
+        assert state.t == 0
+        assert not np.any(state.accounts.sum_payoff)
+        assert not np.any(state.accounts.log_wealth)
+
+    def test_score_above_one_always_escalates_and_pays_epsilon(self, constant_config):
+        state = RouterState.fresh(constant_config)
+        state.deployed_index = constant_config.grid.n - 1
+        gate = LossGate()
+        for t in range(1, 30):
+            decision, state = step(state, make_obs(t, 1.7, 1.0), gate)
+            assert decision.propensity == 1.0
+            assert decision.coin == 1
+        sums = state.accounts.sum_payoff
+        assert np.all(sums == sums[0])
+        assert sums[0] == pytest.approx(29 * EPS)
+        assert gate.access_count == 29
+
+    def test_score_below_zero_charges_every_account(self, constant_config):
+        state = RouterState.fresh(constant_config)
+        gate = LossGate()
+        escalated = 0
+        for t in range(1, 200):
+            before = state.accounts.sum_payoff.copy()
+            decision, state = step(state, make_obs(t, -0.3, 1.0), gate)
+            assert decision.propensity == 0.05
+            if decision.coin == 1:
+                escalated += 1
+                charge = ips_payoff(1.0, 1, 0.05, -0.3, 0.0, RHO_MIN, EPS)
+                assert charge < 0
+                assert np.all(state.accounts.sum_payoff == before + charge)
+        assert escalated > 0
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def parity_cases(draw):
+    interior = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6,
+                             unique=True))
+    values = np.array([0.0, *sorted(interior), 1.0])
+    mode = draw(st.sampled_from(list(SelectionMode)))
+    prior = None
+    if mode is SelectionMode.MIXTURE:
+        mass = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=values.size,
+                                      max_size=values.size)))
+        prior = Prior(mass=mass / mass.sum())
+    schedule = TwoStageSchedule(rho_warm=0.7,
+                                rho_deploy=draw(st.sampled_from([0.05, 0.3])),
+                                t_warm=draw(st.integers(0, 12)))
+    config = RouterConfig(epsilon=draw(st.sampled_from([0.05, 0.08, 0.25])),
+                          alpha=draw(st.sampled_from([0.1, 0.5])),
+                          selection_mode=mode, prior=prior,
+                          grid=ThresholdGrid(values=values), schedule=schedule)
+    fixed_wager = None
+    if draw(st.booleans()):
+        worst = max(payoff_bound(config.epsilon, schedule.rho_min, r)
+                    for r in schedule.emitted_rates())
+        fixed_wager = draw(st.floats(0.0, 0.99 / worst))
+    score = st.one_of(st.sampled_from(list(values)), st.floats(-0.5, 1.5))
+    loss = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    observations = draw(st.lists(st.tuples(score, loss), min_size=1, max_size=40))
+    return config, fixed_wager, observations, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSettlementParity:
+    @settings(deadline=None)
+    @given(case=parity_cases())
+    def test_table_matches_scalar_replay_every_step(self, case):
+        """The fused in-place kernel equals a per-account scalar replay bit for bit."""
+        config, fixed_wager, observations, seed = case
+        grid = config.grid.values
+        rho_min = config.schedule.rho_min
+        state = RouterState.fresh(config, rng=seed, fixed_wager=fixed_wager)
+        gate = LossGate()
+        shadows = [ThresholdAccount() for _ in grid]
+        for t, (score, loss) in enumerate(observations, start=1):
+            live = int(np.count_nonzero(state.accounts.sum_payoff > 0.0))
+            m_t = payoff_bound(config.epsilon, rho_min, rho_at(config.schedule, t))
+            decision, state = step(state, make_obs(t, score, loss), gate)
+            for i, shadow in enumerate(shadows):
+                lam = (adaptive_lambda(shadow, m_t, config.betting_cap)
+                       if fixed_wager is None else fixed_wager)
+                d = ips_payoff(decision.observed_loss, decision.coin,
+                               decision.propensity, score, grid[i], rho_min,
+                               config.epsilon)
+                update_account(shadow, lam, d)
+            acc = state.accounts
+            for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda"):
+                expected = [getattr(shadow, name) for shadow in shadows]
+                assert np.array_equal(bits(getattr(acc, name)), bits(expected)), name
+            assert np.all(np.diff(acc.sum_payoff) <= 0.0)
+            if fixed_wager is None:
+                assert np.array_equal(bits(acc.last_lambda[live:]),
+                                      bits(np.zeros(grid.size - live)))
+            if config.selection_mode is SelectionMode.MIXTURE:
+                certified = select_mixture(acc, config.alpha, config.prior, config.grid)
+            else:
+                certified = select_fixed_sequence(acc, config.alpha, config.grid)
+            assert state.deployed_threshold == certified
