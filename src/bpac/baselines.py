@@ -2,9 +2,11 @@
 
 Both baselines explore at a constant rate (the schedule's deployment
 rate), flip the same kind of coin, and see losses through the same gate
-as the betting engine. They differ only in how they turn observed losses
-into a deployed threshold: one trusts uncorrected means, the other pays
-for a per-step union bound.
+as the betting engine. Both deploy the largest threshold whose mean
+observed loss plus a slack fits the budget; they differ only in the mean
+and the slack. ``o_naive`` trusts uncorrected means and pays no slack.
+``ips_hoeff`` reweights each loss by its inverse propensity and pays a
+Hoeffding slack under a per-step union bound.
 """
 
 from __future__ import annotations
@@ -15,70 +17,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RouterConfig, StreamObservation, ThresholdGrid, deployment_rate
-from .engine import Decision, LossGate, Route, propensity
+from .engine import (Decision, InvalidObservation, LossGate, Route, coin_generator,
+                     propensity, require_increasing_grid)
 
 
 @dataclass
-class NaiveState:
-    """Per-grid sums of observed losses, no propensity correction."""
+class MeanState:
+    """Per-grid loss sums of one mean-threshold selector.
 
-    config: RouterConfig
-    rho: float
-    sums: np.ndarray
-    rng: np.random.Generator
-    t: int = 0
-    deployed_index: int = 0
-
-    @classmethod
-    def fresh(cls, config: RouterConfig, *, rng=None) -> "NaiveState":
-        if rng is None:
-            rng = config.seed
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        return cls(config=config, rho=deployment_rate(config.schedule),
-                   sums=np.zeros(config.grid.n), rng=rng)
-
-    @property
-    def deployed_threshold(self) -> float:
-        return float(self.config.grid.values[self.deployed_index])
-
-
-def naive_select(sums: np.ndarray, t: int, epsilon: float,
-                 grid: ThresholdGrid) -> float:
-    """Largest threshold whose raw mean observed loss fits the budget.
-
-    Greedy and uncorrected: unobserved losses count as zero, so once a
-    threshold deploys, the region below it starves and the means decay.
+    ``slack_count`` is how many simultaneous thresholds the Hoeffding slack
+    pays for. 0 is ``o_naive``: raw losses, no slack. Otherwise the state
+    is ``ips_hoeff``: propensity-weighted losses plus the slack.
     """
-    if t < 1:
-        raise ValueError("selection needs at least one settled step")
-    hits = np.flatnonzero(sums / t <= epsilon)
-    return float(grid.values[hits[-1]]) if hits.size else float(grid.values[0])
-
-
-@dataclass
-class HoeffState:
-    """Per-grid propensity-corrected loss sums plus a concentration bar."""
 
     config: RouterConfig
     rho: float
     sums: np.ndarray
     rng: np.random.Generator
+    slack_count: int = 0
     t: int = 0
     deployed_index: int = 0
-    variant: str = "per_point"  # or "union_over_grid"
 
     @classmethod
     def fresh(cls, config: RouterConfig, *, rng=None,
-              variant: str = "per_point") -> "HoeffState":
-        if variant not in ("per_point", "union_over_grid"):
+              variant: str | None = None) -> "MeanState":
+        """Start a selector at step 0; ``rng`` as in ``coin_generator``.
+
+        ``variant`` None gives ``o_naive``. "per_point" gives ``ips_hoeff``
+        pricing one threshold per step; "union_over_grid" prices the whole
+        grid, multiplying the bar by the grid size.
+        """
+        counts = {None: 0, "per_point": 1, "union_over_grid": config.grid.n}
+        if variant not in counts:
             raise ValueError(f"unknown confidence variant {variant!r}")
-        if rng is None:
-            rng = config.seed
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
+        require_increasing_grid(config.grid)
         return cls(config=config, rho=deployment_rate(config.schedule),
-                   sums=np.zeros(config.grid.n), rng=rng, variant=variant)
+                   sums=np.zeros(config.grid.n), rng=coin_generator(config, rng),
+                   slack_count=counts[variant])
 
     @property
     def deployed_threshold(self) -> float:
@@ -89,67 +64,66 @@ def hoeff_slack(t: int, alpha: float, rho: float, count: int) -> float:
     """Concentration slack after t steps, alpha spent as 6a/(pi^2 t^2).
 
     The worst importance weight (1 - rho) / rho scales the width; count
-    is how many simultaneous thresholds the bar pays for.
+    is how many simultaneous thresholds the bar pays for. The weight
+    factor is what makes ``ips_hoeff`` so conservative at small
+    exploration rates.
     """
     alpha_t = 6.0 * alpha / (math.pi ** 2 * t ** 2)
     weight_bound = (1.0 - rho) / rho
     return weight_bound * math.sqrt(math.log(count / alpha_t) / (2.0 * t))
 
 
-def hoeff_select(sums: np.ndarray, t: int, epsilon: float, alpha: float,
-                 grid: ThresholdGrid, rho: float,
-                 variant: str = "per_point") -> float:
-    """Largest threshold whose mean plus concentration slack fits the budget.
+def _mean_index(sums: np.ndarray, t: int, epsilon: float, slack: float) -> int:
+    """Largest index whose mean plus slack fits the budget; 0 when none does."""
+    hits = np.flatnonzero(sums / t + slack <= epsilon)
+    return int(hits[-1]) if hits.size else 0
 
-    The slack's importance-weight factor is what makes this baseline so
-    conservative at small exploration rates. The per-point variant prices
-    one threshold per step; union_over_grid additionally multiplies the
-    bar by the grid size.
+
+def mean_select(sums: np.ndarray, t: int, epsilon: float, slack: float,
+                grid: ThresholdGrid) -> float:
+    """Largest threshold whose mean loss plus ``slack`` fits the budget.
+
+    Greedy: unobserved losses count as zero, so without a slack wide
+    enough to cover that, once a threshold deploys the region below it
+    starves and the means decay.
     """
     if t < 1:
         raise ValueError("selection needs at least one settled step")
-    if variant not in ("per_point", "union_over_grid"):
-        raise ValueError(f"unknown confidence variant {variant!r}")
-    count = grid.n if variant == "union_over_grid" else 1
-    slack = hoeff_slack(t, alpha, rho, count)
-    hits = np.flatnonzero(sums / t + slack <= epsilon)
-    return float(grid.values[hits[-1]]) if hits.size else float(grid.values[0])
+    return float(grid.values[_mean_index(sums, t, epsilon, slack)])
 
 
-def naive_step(state: NaiveState, obs: StreamObservation,
-               gate: LossGate) -> tuple[Decision, NaiveState]:
-    """One query under the uncorrected-mean selector."""
+def mean_step(state: MeanState, obs: StreamObservation,
+              gate: LossGate) -> tuple[Decision, MeanState]:
+    """One query under a mean-threshold selector.
+
+    Validates like ``engine.step``: a non-finite score raises
+    ``InvalidObservation`` before the coin is drawn, and an observed loss
+    outside [0, 1] raises it after the gate. An observed loss charges the
+    candidates strictly above the score, ``grid[k:]`` with
+    ``k = searchsorted(grid, score, "right")``.
+    """
     t = state.t + 1
+    if not math.isfinite(obs.uncertainty):
+        raise InvalidObservation(
+            f"uncertainty score {obs.uncertainty!r} at step {t} is not finite")
     cfg = state.config
-    threshold_used = state.deployed_threshold
+    grid_values = cfg.grid.values
+    threshold_used = float(grid_values[state.deployed_index])
     pi = propensity(obs.uncertainty, threshold_used, state.rho)
     coin = 1 if state.rng.random() < pi else 0
     observed = gate.observe(obs, coin) if coin == 1 else None
-    if coin == 1 and observed:
-        state.sums[cfg.grid.values > obs.uncertainty] += observed
+    if coin == 1:
+        if not 0.0 <= observed <= 1.0:
+            raise InvalidObservation(
+                f"observed loss {observed!r} at step {t} is outside [0, 1]")
+        if observed:
+            k = int(grid_values.searchsorted(obs.uncertainty, "right"))
+            state.sums[k:] += ((1.0 - state.rho) * observed / pi if state.slack_count
+                               else observed)
+    slack = (hoeff_slack(t, cfg.alpha, state.rho, state.slack_count)
+             if state.slack_count else 0.0)
     state.t = t
-    state.deployed_index = cfg.grid.floor_index(
-        naive_select(state.sums, t, cfg.epsilon, cfg.grid))
-    return Decision(propensity=pi, coin=coin,
-                    route=Route.EXPENSIVE if coin == 1 else Route.CHEAP,
-                    observed_loss=observed, threshold_used=threshold_used), state
-
-
-def hoeff_step(state: HoeffState, obs: StreamObservation,
-               gate: LossGate) -> tuple[Decision, HoeffState]:
-    """One query under the concentration-bound selector."""
-    t = state.t + 1
-    cfg = state.config
-    threshold_used = state.deployed_threshold
-    pi = propensity(obs.uncertainty, threshold_used, state.rho)
-    coin = 1 if state.rng.random() < pi else 0
-    observed = gate.observe(obs, coin) if coin == 1 else None
-    if coin == 1 and observed:
-        state.sums[cfg.grid.values > obs.uncertainty] += (1.0 - state.rho) * observed / pi
-    state.t = t
-    state.deployed_index = cfg.grid.floor_index(
-        hoeff_select(state.sums, t, cfg.epsilon, cfg.alpha, cfg.grid,
-                     state.rho, state.variant))
+    state.deployed_index = _mean_index(state.sums, t, cfg.epsilon, slack)
     return Decision(propensity=pi, coin=coin,
                     route=Route.EXPENSIVE if coin == 1 else Route.CHEAP,
                     observed_loss=observed, threshold_used=threshold_used), state

@@ -140,6 +140,28 @@ class LossGate:
         return len(self.accessed_steps)
 
 
+def coin_generator(config: RouterConfig, rng=None) -> np.random.Generator:
+    """Routing-coin generator from ``rng``: a Generator is used as is, a
+    SeedSequence or an int seeds a new one, and None seeds ``config.seed``.
+    """
+    if rng is None:
+        rng = config.seed
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.default_rng(rng)
+
+
+def require_increasing_grid(grid: ThresholdGrid) -> None:
+    """Raise ``ConfigError`` unless the grid is strictly increasing.
+
+    Settlement splits the grid at ``searchsorted(grid, score, "right")``,
+    which is the set of candidates above the score only on a sorted grid.
+    """
+    if not np.all(np.diff(grid.values) > 0):
+        raise ConfigError([Violation("BadGrid", "grid",
+                                     "grid values must be strictly increasing")])
+
+
 def propensity(uncertainty: float, deployed: float, rho_t: float) -> float:
     """Probability of calling the expensive model on this query.
 
@@ -154,18 +176,18 @@ def payoff_bound(epsilon: float, rho_min: float, rho_t: float) -> float:
     return max(epsilon, (1.0 - rho_min) / rho_t - epsilon)
 
 
-def ips_payoff(loss: float | None, coin: int, pi: float, uncertainty: float,
-               threshold: float, rho_min: float, epsilon: float) -> float:
+def ips_payoff(loss, coin, pi, uncertainty, threshold: float, rho_min: float,
+               epsilon: float):
     """Payoff credited to one threshold's account for one step (reference).
 
     The loss estimate reweights the observed loss by the deployed
     propensity, so its conditional mean matches the would-be deployment
     risk of ``threshold`` even though the routing ran at a different
     threshold. Steps that stayed cheap pay the full budget epsilon.
+    Scalar or array: ``loss`` is None or ignored where ``coin`` is 0.
     """
-    if coin == 0:
-        return epsilon
-    estimate = (1.0 - rho_min) * (loss / pi) * (1.0 if uncertainty < threshold else 0.0)
+    observed = 0.0 if loss is None else loss
+    estimate = (1.0 - rho_min) * (observed * coin / pi) * (uncertainty < threshold)
     return epsilon - estimate
 
 
@@ -266,19 +288,13 @@ class RouterState:
               fixed_wager: float | None = None) -> "RouterState":
         """Start a run at step 0 with unit wealth everywhere.
 
-        ``rng`` may be a Generator, a SeedSequence, or an int; by default
-        the routing coins are seeded from ``config.seed``.
+        ``rng`` seeds the routing coins as in ``coin_generator``.
 
         ``fixed_wager`` replaces the adaptive wager with a constant (an
         ablation knob); it must leave every reachable payoff survivable.
         """
-        if rng is None:
-            rng = config.seed
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        if not np.all(np.diff(config.grid.values) > 0):
-            raise ConfigError([Violation("BadGrid", "grid",
-                                         "grid values must be strictly increasing")])
+        rng = coin_generator(config, rng)
+        require_increasing_grid(config.grid)
         if fixed_wager is not None:
             worst = max((1.0 - config.schedule.rho_min) / r - config.epsilon
                         for r in config.schedule.emitted_rates())

@@ -20,7 +20,7 @@ from typing import Any, Union
 import numpy as np
 from scipy import special
 
-from .baselines import HoeffState, NaiveState, hoeff_step, naive_step
+from .baselines import MeanState, mean_step
 from .core import (
     RouterConfig,
     Schedule,
@@ -35,6 +35,7 @@ from .engine import (
     RouterState,
     ThresholdAccount,
     adaptive_lambda,
+    ips_payoff,
     payoff_bound,
     step,
     update_account,
@@ -42,6 +43,10 @@ from .engine import (
 from .metrics import MetricAccumulator
 
 QUAD_ABS_TOL = 1e-10
+REGRET_ORACLE_GRID_SIZE = 10001
+
+# One baseline step under per-method names, so timing wrappers tell them apart.
+naive_step = hoeff_step = mean_step
 
 
 class StreamExhausted(ValueError):
@@ -549,10 +554,10 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
         state = RouterState.fresh(config, rng=coin_rng, fixed_wager=fixed_wager)
         advance = step
     elif method is Method.O_NAIVE:
-        state = NaiveState.fresh(config, rng=coin_rng)
+        state = MeanState.fresh(config, rng=coin_rng)
         advance = naive_step
     else:
-        state = HoeffState.fresh(config, rng=coin_rng, variant=hoeff_variant)
+        state = MeanState.fresh(config, rng=coin_rng, variant=hoeff_variant)
         advance = hoeff_step
 
     grid_values = config.grid.values
@@ -782,8 +787,7 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
         latent = (rng.random(n_reps) < seg.loss.prob(score)).astype(float)
         pi = np.where(score >= threshold, 1.0, rho_t)
         coin = rng.random(n_reps) < pi
-        estimate = (1.0 - rho_min) * latent * coin * (score < threshold) / pi
-        payoff = config.epsilon - estimate
+        payoff = ips_payoff(latent, coin, pi, score, threshold, rho_min, config.epsilon)
         if payoffs is not None:
             payoffs[t - 1] = payoff
         wager = adaptive_lambda(acc, m_t, config.betting_cap)
@@ -825,12 +829,11 @@ def regret_bound(horizon: int, epsilon: float, cap: float,
             / (2.0 * math.log(1.0 + m2)))
 
 
-def regret_harness(payoffs, epsilon: float, cap: float, schedule: Schedule,
-                   *, beta: float = 1.0, oracle_grid_size: int = 10001) -> RegretReport:
+def regret_harness(payoffs, epsilon: float, cap: float,
+                   schedule: Schedule) -> RegretReport:
     """Quadratic-proxy regret of the adaptive wager on a payoff stream.
 
-    Replays the wager rule exactly as the engine computes it (the
-    regularizer ``beta`` is exposed here only; the engine pins it to 1)
+    Replays the wager rule through ``adaptive_lambda`` on the prefix sums
     and compares cumulative proxy growth against the best constant wager
     found by dense grid search over the deploy-phase feasible range.
     """
@@ -841,13 +844,13 @@ def regret_harness(payoffs, epsilon: float, cap: float, schedule: Schedule,
     rho_seq = np.array([rho_at(schedule, t) for t in range(1, horizon + 1)])
     m_seq = np.maximum(epsilon, (1.0 - schedule.rho_min) / rho_seq - epsilon)
 
-    prior_sum = np.concatenate(([0.0], np.cumsum(d)))[:-1]
-    prior_sq = np.concatenate(([0.0], np.cumsum(d * d)))[:-1]
-    wagers = np.clip(prior_sum / (prior_sq + beta), 0.0, cap / m_seq)
+    prior = ThresholdAccount(sum_payoff=np.concatenate(([0.0], np.cumsum(d)))[:-1],
+                             sum_payoff_sq=np.concatenate(([0.0], np.cumsum(d * d)))[:-1])
+    wagers = adaptive_lambda(prior, m_seq, cap)
     x = wagers * d
     online = float(np.sum(x - 0.5 * x * x))
 
-    grid = np.linspace(0.0, cap / m_seq[-1], oracle_grid_size)
+    grid = np.linspace(0.0, cap / m_seq[-1], REGRET_ORACLE_GRID_SIZE)
     totals = grid * d.sum() - 0.5 * grid ** 2 * np.sum(d * d)
     best = int(np.argmax(totals))
     oracle = float(totals[best])

@@ -2,45 +2,51 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bpac import (
+    ConfigError,
     ConstantSchedule,
-    HoeffState,
+    InvalidObservation,
     LossGate,
-    NaiveState,
+    MeanState,
     RouterConfig,
+    StreamObservation,
     ThresholdGrid,
     generate_event,
-    hoeff_select,
-    hoeff_step,
-    naive_select,
-    naive_step,
+    hoeff_slack,
+    mean_select,
+    mean_step,
     uniform_linear,
 )
-from bpac.baselines import hoeff_slack
+
+VARIANTS = [None, "per_point", "union_over_grid"]
+
+
+def make_obs(index=1, uncertainty=0.5, loss=0.0):
+    return StreamObservation(index=index, uncertainty=uncertainty,
+                             latent_loss=loss, tokens_cheap=100,
+                             tokens_expensive=500)
 
 
 class TestNaiveSelect:
     def test_no_observed_losses_deploys_top(self):
         grid = ThresholdGrid.from_step(step=0.5)
-        assert naive_select(np.zeros(3), 10, 0.08, grid) == 1.0
+        assert mean_select(np.zeros(3), 10, 0.08, 0.0, grid) == 1.0
 
     def test_largest_qualifying_mean(self):
         grid = ThresholdGrid.from_step(step=0.5)
         sums = np.array([0.0, 0.4, 1.2])  # means 0, 0.04, 0.12 at t=10
-        assert naive_select(sums, 10, 0.08, grid) == 0.5
+        assert mean_select(sums, 10, 0.08, 0.0, grid) == 0.5
 
     def test_nothing_qualifies(self):
         grid = ThresholdGrid.from_step(step=0.5)
         sums = np.array([2.0, 3.0, 4.0])
-        assert naive_select(sums, 10, 0.08, grid) == 0.0
+        assert mean_select(sums, 10, 0.08, 0.0, grid) == 0.0
 
     def test_needs_at_least_one_step(self):
         grid = ThresholdGrid.from_step(step=0.5)
         with pytest.raises(ValueError):
-            naive_select(np.zeros(3), 0, 0.08, grid)
+            mean_select(np.zeros(3), 0, 0.08, 0.0, grid)
 
 
 class TestHoeffSelect:
@@ -54,26 +60,35 @@ class TestHoeffSelect:
     def test_slack_swamps_budget_so_zero_deploys(self):
         grid = ThresholdGrid.default()
         sums = np.zeros(grid.n)  # even zero means cannot qualify
-        assert hoeff_select(sums, 100, 0.08, 0.1, grid, 0.05) == 0.0
+        slack = hoeff_slack(100, 0.1, 0.05, 1)
+        assert mean_select(sums, 100, 0.08, slack, grid) == 0.0
 
     def test_union_variant_never_less_conservative(self):
         grid = ThresholdGrid.from_step(step=0.1)
+        config = RouterConfig(grid=grid)
+        per_point = MeanState.fresh(config, variant="per_point").slack_count
+        union = MeanState.fresh(config, variant="union_over_grid").slack_count
+        assert (per_point, union) == (1, grid.n)
         rng = np.random.default_rng(4)
         for t in (10, 100, 10**4, 10**6):
             sums = np.sort(rng.uniform(0, 0.01 * t, grid.n))
-            per_point = hoeff_select(sums, t, 0.08, 0.1, grid, 0.05,
-                                     variant="per_point")
-            union = hoeff_select(sums, t, 0.08, 0.1, grid, 0.05,
-                                 variant="union_over_grid")
-            assert union <= per_point
+            u_point = mean_select(sums, t, 0.08, hoeff_slack(t, 0.1, 0.05, per_point), grid)
+            u_union = mean_select(sums, t, 0.08, hoeff_slack(t, 0.1, 0.05, union), grid)
+            assert u_union <= u_point
 
     def test_slack_shrinks_with_time(self):
         assert hoeff_slack(10**6, 0.1, 0.05, 1) < hoeff_slack(100, 0.1, 0.05, 1)
 
     def test_unknown_variant_rejected(self):
-        grid = ThresholdGrid.from_step(step=0.5)
         with pytest.raises(ValueError):
-            hoeff_select(np.zeros(3), 10, 0.08, 0.1, grid, 0.05, variant="bonferroni")
+            MeanState.fresh(RouterConfig(), variant="bonferroni")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_unsorted_grid_rejected(self, variant):
+        # the loss split is a searchsorted, meaningless on an unsorted grid
+        config = RouterConfig(grid=ThresholdGrid(values=np.array([0.0, 0.9, 0.5, 1.0])))
+        with pytest.raises(ConfigError):
+            MeanState.fresh(config, variant=variant)
 
 
 class TestBaselineSteps:
@@ -82,12 +97,12 @@ class TestBaselineSteps:
 
     def test_naive_one_coin_per_step(self):
         config = self.config()
-        state = NaiveState.fresh(config)
+        state = MeanState.fresh(config)
         gate = LossGate()
         spec = uniform_linear()
         rng = np.random.default_rng(8)
         for t in range(1, 151):
-            decision, state = naive_step(state, generate_event(spec, rng, t), gate)
+            decision, state = mean_step(state, generate_event(spec, rng, t), gate)
             assert decision.coin in (0, 1)
         assert gate.access_count == sum(1 for s in gate.accessed_steps)
 
@@ -96,22 +111,22 @@ class TestBaselineSteps:
         # observation rate), the uncorrected means decay, and the selector
         # ratchets into unsafe territory; 0.411 is the oracle limit here
         config = self.config()
-        state = NaiveState.fresh(config)
+        state = MeanState.fresh(config)
         gate = LossGate()
         spec = uniform_linear()
         rng = np.random.default_rng(2)
         for t in range(1, 501):
-            _, state = naive_step(state, generate_event(spec, rng, t), gate)
+            _, state = mean_step(state, generate_event(spec, rng, t), gate)
         assert state.deployed_threshold > 0.6
 
     def test_hoeff_stays_pinned_at_zero(self):
         config = self.config()
-        state = HoeffState.fresh(config)
+        state = MeanState.fresh(config, variant="per_point")
         gate = LossGate()
         spec = uniform_linear()
         rng = np.random.default_rng(2)
         for t in range(1, 501):
-            _, state = hoeff_step(state, generate_event(spec, rng, t), gate)
+            _, state = mean_step(state, generate_event(spec, rng, t), gate)
         assert state.deployed_threshold == 0.0
 
     def test_uncorrected_increment_never_exceeds_ips(self):
@@ -141,17 +156,60 @@ class TestBaselineSteps:
         config = self.config()
         spec = uniform_linear()
 
-        def coins(step_fn, state):
+        def coins(state):
             gate = LossGate()
             rng = np.random.default_rng(3)
             out = []
             for t in range(1, 101):
-                d, state = step_fn(state, generate_event(spec, rng, t), gate)
+                d, state = mean_step(state, generate_event(spec, rng, t), gate)
                 out.append(d.coin)
             return out
 
-        a = coins(naive_step, NaiveState.fresh(config))
-        b = coins(hoeff_step, HoeffState.fresh(config))
+        a = coins(MeanState.fresh(config))
+        b = coins(MeanState.fresh(config, variant="per_point"))
         # both deploy 0.0 initially, so both surely escalate at the start;
         # once thresholds diverge the coin sequences may too
         assert a[0] == b[0] == 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_score_on_grid_point_charges_only_candidates_above(self, variant):
+        config = RouterConfig(schedule=ConstantSchedule(0.5),
+                              grid=ThresholdGrid.from_step(step=0.5))
+        state = MeanState.fresh(config, variant=variant)
+        # deployed threshold 0: the first query surely escalates
+        decision, state = mean_step(state, make_obs(1, 0.5, 1.0), LossGate())
+        assert decision.coin == 1
+        assert state.sums[0] == state.sums[1] == 0.0
+        assert state.sums[2] > 0.0
+
+
+class TestInvalidObservation:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected_before_the_coin(self, variant, score):
+        # Regression: NaN compares false against every candidate, so 2000
+        # steps of NaN with loss 1 used to charge no account and left
+        # o_naive deploying threshold 1.0.
+        state = MeanState.fresh(RouterConfig(), variant=variant)
+        gate = LossGate()
+        coins = state.rng.bit_generator.state
+        for _ in range(2000):
+            with pytest.raises(InvalidObservation):
+                mean_step(state, make_obs(1, score, 1.0), gate)
+        assert state.t == 0
+        assert state.deployed_threshold == 0.0
+        assert gate.access_count == 0
+        assert state.rng.bit_generator.state == coins
+        assert not np.any(state.sums)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("loss", [1.5, -0.1, math.nan])
+    def test_loss_outside_unit_interval_rejected_after_the_gate(self, variant, loss):
+        state = MeanState.fresh(RouterConfig(), variant=variant)
+        gate = LossGate()
+        # deployed threshold 0: the first query surely escalates
+        with pytest.raises(InvalidObservation):
+            mean_step(state, make_obs(1, 0.5, loss), gate)
+        assert gate.access_count == 1
+        assert state.t == 0
+        assert not np.any(state.sums)

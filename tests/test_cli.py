@@ -166,14 +166,15 @@ class TestErrorPaths:
             "--horizon", "10", "--fixed-wager", "0.9")
         assert code == EXIT_RUNTIME
 
-    def test_non_finite_score_is_runtime(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("method", ["bpac", "o_naive", "ips_hoeff"])
+    def test_non_finite_score_is_runtime(self, tmp_path, monkeypatch, method):
         def nan_event(spec, rng, t):
             event = generate_event(spec, rng, t)
             return dataclasses.replace(event, uncertainty=float("nan"))
 
         monkeypatch.setattr(bpac.simulation, "generate_event", nan_event)
         code, _, err = run_cli("simulate", "--out", str(tmp_path / "x"),
-                               "--horizon", "10")
+                               "--horizon", "10", "--method", method)
         assert code == EXIT_RUNTIME
         error = stderr_error(err)
         assert error["kind"] == "runtime"

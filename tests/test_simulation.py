@@ -21,7 +21,9 @@ from bpac.core import (
     ThresholdGrid,
     TwoStageSchedule,
     deployment_rate,
+    rho_at,
 )
+from bpac.engine import ips_payoff, propensity
 from bpac.simulation import (
     BetaScore,
     ConstantLoss,
@@ -226,6 +228,25 @@ class TestMethods:
 
 
 class TestReplications:
+    @pytest.mark.parametrize("method, variant, digest", [
+        ("o_naive", "per_point",
+         "7b4f79ccebe0b23f57e5c4a756a5b7cb485c2f5aaa4c67fc52176d4010fe2228"),
+        ("ips_hoeff", "per_point",
+         "df9aea11fcfc32a73a04a2f4c5b7174f2d7a7d49d77ae8f174f6751864a6b87c"),
+        ("ips_hoeff", "union_over_grid",
+         "c571231a15ee52f30192474524468c9eb6c9ec81e2d972bb2badf46d76104989"),
+    ])
+    def test_baseline_digests_pinned(self, method, variant, digest):
+        # Frozen trajectories: a refactor of the baselines must not move a
+        # bit. At this budget and exploration rate every method deploys
+        # above 0, so the slack and the loss sums both shape the digest.
+        config = RouterConfig(epsilon=0.2, schedule=ConstantSchedule(0.5),
+                              grid=ThresholdGrid.from_step(step=0.01))
+        traj = run_replication(method, config, easy_hard(), 2000, seed=11,
+                               hoeff_variant=variant)
+        assert traj.u_hat.max() > 0.0
+        assert traj.digest() == digest
+
     def test_digest_reproducible(self):
         config = RouterConfig()
         a = run_replication("bpac", config, uniform_linear(), 200, seed=42)
@@ -376,6 +397,30 @@ class TestPinnedStudy:
         lo = eps - (1.0 - config.schedule.rho_min) / config.schedule.rho_deploy
         assert np.all(out["payoffs"] <= eps + 1e-12)
         assert np.all(out["payoffs"] >= lo - 1e-12)
+
+    def test_payoffs_match_scalar_ips_payoff(self):
+        # The study settles with the engine's payoff arithmetic: replaying
+        # its draws through scalar ips_payoff gives every payoff bit for
+        # bit. At rho = 0.05 an explored loss of 1 must pay eps - 19.0.
+        config = RouterConfig(schedule=ConstantSchedule(0.05))
+        spec, u, n, horizon = uniform_linear(), 0.5, 30, 60
+        out = pinned_threshold_study(spec, u, config, horizon=horizon, n_reps=n,
+                                     base_seed=3, collect_payoffs=True)
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        rho_min = config.schedule.rho_min
+        for t in range(1, horizon + 1):
+            seg = spec.segment_at(t)
+            rho_t = rho_at(config.schedule, t)
+            score = seg.score.sample(rng, n)
+            latent = rng.random(n) < seg.loss.prob(score)
+            coin = rng.random(n) < np.where(score >= u, 1.0, rho_t)
+            for i in range(n):
+                v = float(score[i])
+                expected = ips_payoff(float(latent[i]) if coin[i] else None,
+                                      int(coin[i]), propensity(v, u, rho_t), v, u,
+                                      rho_min, config.epsilon)
+                assert out["payoffs"][t - 1, i] == expected
+        assert np.any(out["payoffs"] == config.epsilon - 19.0)
 
     def test_safe_threshold_gets_certified(self):
         # u = 0.2 has deployed risk 0.019 << 0.08, so payoffs are positive
