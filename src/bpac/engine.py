@@ -11,8 +11,10 @@ rules read the next deployed threshold off the wealth table.
 ``ips_payoff``, ``adaptive_lambda`` and ``update_account`` are the
 reference account arithmetic over numpy scalars-or-arrays: they settle a
 single account in tests, replications in ``pinned_threshold_study``, and
-are what ``step`` must match bit for bit. ``step`` itself settles the grid
-with one fused in-place kernel that touches only live accounts.
+are what the kernel must match bit for bit. ``AccountTable.settle`` is
+that kernel: one fused in-place pass that touches only live accounts, over
+a single run's grid (what ``step`` settles) or over R runs' grids at once
+(Monte Carlo replications in lockstep).
 
 Live-prefix invariant. The grid is strictly increasing, and one step's
 payoff is epsilon below the score and epsilon minus a non-negative
@@ -235,6 +237,21 @@ def _mixture_index(log_wealth: np.ndarray, log_bars: np.ndarray) -> int:
     return int(hits[-1]) if hits.size else 0
 
 
+def _fixed_sequence_rows(log_wealth: np.ndarray, log_bar: float) -> np.ndarray:
+    """``_fixed_sequence_index`` of every column of a (G, R) wealth table."""
+    qualified = log_wealth >= log_bar
+    first_gap = qualified.argmin(axis=0)
+    full = qualified[first_gap, np.arange(first_gap.size)]
+    return np.where(full, qualified.shape[0] - 1, np.maximum(first_gap - 1, 0))
+
+
+def _mixture_rows(log_wealth: np.ndarray, log_bars: np.ndarray) -> np.ndarray:
+    """``_mixture_index`` of every column of a (G, R) wealth table."""
+    hits = log_wealth >= log_bars[:, None]
+    last = hits.shape[0] - 1 - hits[::-1].argmax(axis=0)
+    return np.where(hits[last, np.arange(last.size)], last, 0)
+
+
 def select_fixed_sequence(accounts: ThresholdAccount, alpha: float,
                           grid: ThresholdGrid) -> float:
     """Certified threshold under the ordered-prefix rule.
@@ -258,42 +275,28 @@ def select_mixture(accounts: ThresholdAccount, alpha: float, prior: Prior,
     return float(grid.values[_mixture_index(np.asarray(accounts.log_wealth), log_bars)])
 
 
-@dataclass
-class RouterState:
-    """Mutable run state. Single writer: steps are strictly sequential.
+class AccountTable:
+    """Betting accounts on one grid, settled by one kernel.
 
-    ``step`` settles the account arrays in place. The wager table is
-    written into a spare buffer and swapped with ``accounts.last_lambda``
-    once the step is known to be survivable, so an array read from
-    ``accounts`` is only valid until the next step; copy it to keep it.
+    ``accounts`` holds G-point arrays for a single run (``rows`` None, as
+    in ``RouterState``), or (R, G) arrays with one row per run, which is
+    how ``simulation`` advances Monte Carlo replications in lockstep.
+    Every row shares the config, so the grid, the bars and any fixed
+    wager. The (R, G) arrays are transposed views of grid-major storage,
+    so the live prefix of every row together is one contiguous block.
+    ``settle`` writes the step's wagers into a spare buffer and swaps it
+    with ``accounts.last_lambda`` once every row is known to survive, so
+    a wager array read from ``accounts`` is only valid until the next
+    step; copy it to keep it.
     """
 
-    config: RouterConfig
-    accounts: ThresholdAccount
-    rng: np.random.Generator
-    t: int = 0
-    deployed_index: int = 0
-    fixed_wager: float | None = None
-    _log_bars: float | np.ndarray = field(default=0.0, repr=False)
-    _spare: np.ndarray = field(init=False, repr=False)
-    _work: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        n = self.config.grid.n
-        self._spare = np.zeros(n)
-        self._work = np.empty(n)
-
-    @classmethod
-    def fresh(cls, config: RouterConfig, *, rng=None,
-              fixed_wager: float | None = None) -> "RouterState":
-        """Start a run at step 0 with unit wealth everywhere.
-
-        ``rng`` seeds the routing coins as in ``coin_generator``.
+    def __init__(self, config: RouterConfig, rows: int | None = None, *,
+                 fixed_wager: float | None = None):
+        """Fresh accounts at unit wealth.
 
         ``fixed_wager`` replaces the adaptive wager with a constant (an
         ablation knob); it must leave every reachable payoff survivable.
         """
-        rng = coin_generator(config, rng)
         require_increasing_grid(config.grid)
         if fixed_wager is not None:
             worst = max((1.0 - config.schedule.rho_min) / r - config.epsilon
@@ -302,62 +305,192 @@ class RouterState:
                 raise WagerOutOfRange(
                     f"fixed wager {fixed_wager} must lie in [0, {1.0 / worst:.6g}) "
                     "to survive the worst payoff")
-        if config.selection_mode is SelectionMode.MIXTURE:
-            bars: float | np.ndarray = -(math.log(config.alpha) + np.log(config.prior.mass))
+        self.fixed_wager = fixed_wager
+        self.cap = config.betting_cap
+        self.mixture = config.selection_mode is SelectionMode.MIXTURE
+        if self.mixture:
+            self.log_bars: float | np.ndarray = -(math.log(config.alpha)
+                                                  + np.log(config.prior.mass))
         else:
-            bars = -math.log(config.alpha)
-        return cls(config=config, accounts=ThresholdAccount.table(config.grid.n),
-                   rng=rng, fixed_wager=fixed_wager, _log_bars=bars)
+            self.log_bars = -math.log(config.alpha)
+        n = config.grid.n
+        shape = n if rows is None else (n, rows)
+        self._lw, self._s1, self._s2, self._lam, self._spare = (np.zeros(shape)
+                                                                for _ in range(5))
+        self._work = np.empty(shape)
+        if rows is not None:
+            self._pay = np.empty(shape)
+            self._positive = np.empty(shape, dtype=bool)
+        self.accounts = ThresholdAccount(log_wealth=self._lw.T, sum_payoff=self._s1.T,
+                                         sum_payoff_sq=self._s2.T,
+                                         last_lambda=self._lam.T)
+        # Grid points [0, extent) of a wager buffer may be nonzero: the live
+        # prefix it was last written with, or n for a fixed wager.
+        self._extent = 0
+        self._spare_extent = 0
+
+    def settle(self, k, high: float, low, m_t: float) -> None:
+        """Settle every account in place: payoff ``high`` on ``[0, k)``, ``low`` on ``[k, n)``.
+
+        ``k`` and ``low`` are scalars for a single run and length-R
+        sequences for a table, one split per row. Matches ``adaptive_lambda``
+        followed by ``update_account`` bit for bit, row by row. Under the
+        live-prefix invariant (module docstring) the adaptive wager, the
+        ``log1p`` and the wealth update run on ``[0, a)`` only, where
+        ``a`` is the largest live prefix of any row; each row bets exactly
+        0 past its own prefix. Raises before any account changes.
+        """
+        s1, s2, lam, work = self._s1, self._s2, self._spare, self._work
+        n = s1.shape[0]
+        single = s1.ndim == 1
+        if self.fixed_wager is None:
+            # Accounts with sum_payoff <= 0 form a suffix of every row.
+            if single:
+                a = n - int(s1[::-1].searchsorted(0.0, "right"))
+            else:
+                # The last positive entry in grid-major order ends the
+                # largest prefix.
+                positive = np.greater(s1, 0.0, out=self._positive).ravel()
+                last = positive.size - 1 - int(positive[::-1].argmax())
+                a = last // s1.shape[1] + 1 if positive[last] else 0
+            live = work[:a]
+            np.add(s2[:a], 1.0, out=live)
+            np.divide(s1[:a], live, out=live)
+            if not single:
+                # Past a row's own prefix its ratio is <= 0, and its wager 0.
+                np.maximum(live, 0.0, out=live)
+            # The ratio is >= 0 now, so clip(., 0, cap) is a minimum.
+            np.minimum(live, self.cap / m_t, out=lam[:a])
+            # The buffer last held the wagers of two steps ago; clear only
+            # the points that were live then and are not now.
+            if self._spare_extent > a:
+                lam[a:self._spare_extent] = 0.0
+        else:
+            a = n
+            lam.fill(self.fixed_wager)
+
+        growth = work[:a]
+        if single:
+            # Smallest growth factor: low times the largest wager it meets,
+            # since rounding a product by a fixed scalar is monotone.
+            if low < 0.0 and k < a:
+                worst = low * float(np.maximum.reduce(lam[k:a]))
+                if worst <= -1.0:
+                    raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
+            j = min(k, a)
+            np.multiply(lam[:j], high, out=growth[:j])
+            if j < a:
+                np.multiply(lam[j:a], low, out=growth[j:])
+        else:
+            # One payoff table for all rows, so each array op is one call.
+            # Only rows charged a loss differ from ``high`` anywhere.
+            pay = self._pay
+            pay.fill(high)
+            for r, (kr, lr) in enumerate(zip(k, low)):
+                if lr != high:
+                    pay[kr:, r] = lr
+            np.multiply(lam[:a], pay[:a], out=growth)
+            if a:
+                worst = float(np.minimum.reduce(growth, axis=None))
+                if worst <= -1.0:
+                    raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
+        self._spare, self._lam = self._lam, lam
+        self.accounts.last_lambda = lam.T
+        self._spare_extent, self._extent = self._extent, a
+
+        np.log1p(growth, out=growth)
+        self._lw[:a] += growth
+        if single:
+            s1[:k] += high
+            s2[:k] += high * high
+            if k < n:
+                s1[k:] += low
+                s2[k:] += low * low
+        else:
+            s1 += pay
+            np.multiply(pay, pay, out=pay)
+            s2 += pay
+
+    def select(self):
+        """Deployed grid index under the config's selection rule, per row."""
+        lw = self._lw
+        if lw.ndim == 1:
+            if self.mixture:
+                return _mixture_index(lw, self.log_bars)
+            return _fixed_sequence_index(lw, self.log_bars)
+        if self.mixture:
+            return _mixture_rows(lw, self.log_bars)
+        return _fixed_sequence_rows(lw, self.log_bars)
+
+
+@dataclass
+class RouterState:
+    """Mutable run state. Single writer: steps are strictly sequential.
+
+    ``accounts`` belongs to a single-run ``AccountTable``, which ``step``
+    settles in place; see there for how long an array read from it stays
+    valid.
+    """
+
+    config: RouterConfig
+    accounts: ThresholdAccount
+    rng: np.random.Generator
+    t: int = 0
+    deployed_index: int = 0
+    fixed_wager: float | None = None
+    _table: AccountTable = field(default=None, repr=False)
+
+    @classmethod
+    def fresh(cls, config: RouterConfig, *, rng=None,
+              fixed_wager: float | None = None) -> "RouterState":
+        """Start a run at step 0 with unit wealth everywhere.
+
+        ``rng`` seeds the routing coins as in ``coin_generator``;
+        ``fixed_wager`` is checked and applied as in ``AccountTable``.
+        """
+        rng = coin_generator(config, rng)
+        table = AccountTable(config, fixed_wager=fixed_wager)
+        return cls(config=config, accounts=table.accounts, rng=rng,
+                   fixed_wager=fixed_wager, _table=table)
 
     @property
     def deployed_threshold(self) -> float:
         return float(self.config.grid.values[self.deployed_index])
 
 
-def _settle(state: RouterState, k: int, high: float, low: float, m_t: float) -> None:
-    """Settle every account in place: payoff ``high`` on ``[0, k)``, ``low`` on ``[k, n)``.
+def route(obs: StreamObservation, threshold_used: float, rho_t: float,
+          rng: np.random.Generator, gate: LossGate,
+          config: RouterConfig) -> tuple[float, int, float | None, int, float]:
+    """Route one query against ``threshold_used`` and price its payoff split.
 
-    Matches ``adaptive_lambda`` followed by ``update_account`` bit for bit.
-    Under the live-prefix invariant (module docstring) the adaptive wager,
-    the ``log1p`` and the wealth update run on ``[0, a)`` only; accounts
-    past ``a`` bet exactly 0. Raises before any account changes.
+    Flips exactly one coin from ``rng`` and reads the loss through
+    ``gate`` only if the coin escalated. Returns the propensity, the
+    coin, the observed loss (None when cheap), and the split ``k, low``:
+    candidates ``grid[k:]`` are paid ``low`` and the rest epsilon. Raises
+    ``InvalidObservation`` on a non-finite score before the coin and on
+    an observed loss outside [0, 1] before the estimate.
     """
-    acc = state.accounts
-    s1, s2, lw = acc.sum_payoff, acc.sum_payoff_sq, acc.log_wealth
-    lam, work = state._spare, state._work
-    n = s1.size
-    if state.fixed_wager is None:
-        # Accounts with sum_payoff <= 0 form a suffix: the reversed view is sorted.
-        a = n - int(s1[::-1].searchsorted(0.0, "right"))
-        live = work[:a]
-        np.add(s2[:a], 1.0, out=live)
-        np.divide(s1[:a], live, out=live)
-        # The ratio is >= 0 on the live prefix, so clip(., 0, cap) is a minimum.
-        np.minimum(live, state.config.betting_cap / m_t, out=lam[:a])
-        lam[a:] = 0.0
-    else:
-        a = n
-        lam.fill(state.fixed_wager)
-    # Smallest growth factor: low times the largest wager it meets, since
-    # rounding a product by a fixed scalar is monotone.
-    if low < 0.0 and k < a:
-        worst = low * float(np.maximum.reduce(lam[k:a]))
-        if worst <= -1.0:
-            raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
-    state._spare, acc.last_lambda = acc.last_lambda, lam
-
-    j = min(k, a)
-    growth = work[:a]
-    np.multiply(lam[:j], high, out=growth[:j])
-    if j < a:
-        np.multiply(lam[j:a], low, out=growth[j:])
-    np.log1p(growth, out=growth)
-    lw[:a] += growth
-    s1[:k] += high
-    s2[:k] += high * high
-    if k < n:
-        s1[k:] += low
-        s2[k:] += low * low
+    if not math.isfinite(obs.uncertainty):
+        raise InvalidObservation(
+            f"uncertainty score {obs.uncertainty!r} at step {obs.index} is not finite")
+    pi = propensity(obs.uncertainty, threshold_used, rho_t)
+    # One draw per step no matter the branch, so trajectories with the
+    # same seed stay aligned across configs. pi == 1 escalates surely
+    # because random() < 1 always holds.
+    if rng.random() >= pi:
+        return pi, 0, None, config.grid.n, config.epsilon
+    observed = gate.observe(obs, 1)
+    if not 0.0 <= observed <= 1.0:
+        raise InvalidObservation(
+            f"observed loss {observed!r} at step {obs.index} is outside [0, 1]")
+    rho_min = config.schedule.rho_min
+    estimate = (1.0 - rho_min) * (observed / pi)
+    # Payoff range check; estimate is shared by every account this step.
+    if not 0.0 <= estimate <= (1.0 - rho_min) * (1.0 / rho_t):
+        raise WagerOutOfRange(
+            f"loss estimate {estimate} escapes its propensity bound at step {obs.index}")
+    k = int(config.grid.values.searchsorted(obs.uncertainty, "right"))
+    return pi, 1, observed, k, config.epsilon - estimate
 
 
 def step(state: RouterState, obs: StreamObservation,
@@ -389,44 +522,14 @@ def step(state: RouterState, obs: StreamObservation,
     if obs.index != t:
         raise OutOfOrderObservation(
             f"expected observation index {t}, got {obs.index}")
-    if not math.isfinite(obs.uncertainty):
-        raise InvalidObservation(
-            f"uncertainty score {obs.uncertainty!r} at step {t} is not finite")
     cfg = state.config
-    grid_values = cfg.grid.values
     rho_t = rho_at(cfg.schedule, t)
-    threshold_used = float(grid_values[state.deployed_index])
-
-    pi = propensity(obs.uncertainty, threshold_used, rho_t)
-    # One draw per step no matter the branch, so trajectories with the
-    # same seed stay aligned across configs. pi == 1 escalates surely
-    # because random() < 1 always holds.
-    coin = 1 if state.rng.random() < pi else 0
-    observed = gate.observe(obs, coin) if coin == 1 else None
-
-    rho_min = cfg.schedule.rho_min
+    threshold_used = float(cfg.grid.values[state.deployed_index])
+    pi, coin, observed, k, low = route(obs, threshold_used, rho_t, state.rng, gate, cfg)
     eps = cfg.epsilon
-    if coin == 1:
-        if not 0.0 <= observed <= 1.0:
-            raise InvalidObservation(
-                f"observed loss {observed!r} at step {t} is outside [0, 1]")
-        estimate = (1.0 - rho_min) * (observed / pi)
-        # Payoff range check; estimate is shared by every account this step.
-        if not 0.0 <= estimate <= (1.0 - rho_min) * (1.0 / rho_t):
-            raise WagerOutOfRange(
-                f"loss estimate {estimate} escapes its propensity bound at step {t}")
-        k = int(grid_values.searchsorted(obs.uncertainty, "right"))
-        low = eps - estimate
-    else:
-        k = grid_values.size
-        low = eps
-    _settle(state, k, eps, low, payoff_bound(eps, rho_min, rho_t))
-
-    log_wealth = state.accounts.log_wealth
-    if cfg.selection_mode is SelectionMode.MIXTURE:
-        state.deployed_index = _mixture_index(log_wealth, state._log_bars)
-    else:
-        state.deployed_index = _fixed_sequence_index(log_wealth, state._log_bars)
+    table = state._table
+    table.settle(k, eps, low, payoff_bound(eps, cfg.schedule.rho_min, rho_t))
+    state.deployed_index = table.select()
     state.t = t
 
     decision = Decision(propensity=pi, coin=coin,

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Any, Union
 
 import numpy as np
-from scipy import special
 
 from .baselines import MeanState, mean_step
 from .core import (
@@ -31,12 +30,14 @@ from .core import (
     rho_at,
 )
 from .engine import (
+    AccountTable,
     LossGate,
     RouterState,
     ThresholdAccount,
     adaptive_lambda,
     ips_payoff,
     payoff_bound,
+    route,
     step,
     update_account,
 )
@@ -107,6 +108,8 @@ class BetaScore:
         return rng.beta(self.a, self.b, size)
 
     def pdf(self, v):
+        from scipy import special  # see mean_loss_below
+
         v = np.asarray(v, dtype=float)
         out = np.zeros_like(v)
         inside = (v >= 0) & (v <= 1)
@@ -332,6 +335,10 @@ def mean_loss_below(score: ScoreLaw, loss: LossLaw, u) -> np.ndarray | float:
         else:
             out = _quad_mean_loss_below(score, loss, u_arr)
     elif isinstance(score, BetaScore):
+        # Imported here: scipy.special adds about 20 MB of resident memory
+        # to ``import bpac`` (scipy 1.17), and only Beta laws need it.
+        from scipy import special
+
         a, b = score.a, score.b
         uc = np.clip(u_arr, 0.0, 1.0)
         if isinstance(loss, ConstantLoss):
@@ -415,10 +422,13 @@ class RiskTracker:
     When wager weights are supplied, the tracker also maintains the
     wager-weighted average of past conditional risks per grid point,
     the quantity the mixture certificate controls on shifting streams.
+    With ``rows``, it keeps those weighted sums for R runs on one stream
+    law, one wager row per run.
     """
 
     def __init__(self, spec: SyntheticStreamSpec, schedule: Schedule,
-                 grid: ThresholdGrid, weighted: bool = False):
+                 grid: ThresholdGrid, weighted: bool = False,
+                 rows: int | None = None):
         self.spec = spec
         self.schedule = schedule
         self.grid_values = grid.values
@@ -429,8 +439,11 @@ class RiskTracker:
         self.steps = 0
         self.risk_sum = np.zeros(n)
         if weighted:
-            self.weight_sum = np.zeros(n)
-            self.weighted_risk_sum = np.zeros(n)
+            # Rows are stored grid-major, like ``AccountTable``, so a wager
+            # table from one adds in memory order.
+            shape = n if rows is None else (n, rows)
+            self.weight_sum = np.zeros(shape).T
+            self.weighted_risk_sum = np.zeros(shape).T
 
     def risk_vector(self, t: int) -> np.ndarray:
         seg_idx = self.spec.segment_index_at(t)
@@ -459,14 +472,22 @@ class RiskTracker:
             self.weighted_risk_sum += wagers * r
         return r
 
-    def weighted_risk_at(self, index: int) -> float:
+    def weighted_risk_at(self, index):
         """Wager-weighted cumulative risk of grid point ``index``.
 
         Degenerates to the plain average of conditional risks when no
         wager mass has accumulated (all weights equal, in the limit zero).
+        A tracker built with ``rows`` takes one index per row and returns
+        an array.
         """
         if not self.weighted:
             raise ValueError("tracker was built without weighted sums")
+        if self.weight_sum.ndim == 2:
+            at = (np.arange(self.weight_sum.shape[0]), index)
+            w = self.weight_sum[at]
+            plain = (self.risk_sum[index] / self.steps if self.steps
+                     else np.zeros(w.shape))
+            return np.divide(self.weighted_risk_sum[at], w, out=plain, where=w > 0.0)
         w = self.weight_sum[index]
         if w > 0.0:
             return float(self.weighted_risk_sum[index] / w)
@@ -655,7 +676,7 @@ def run_replication(method, config: RouterConfig, spec: SyntheticStreamSpec,
     if track_weighted_risk is None:
         track_weighted_risk = method is Method.BPAC and not spec.is_iid
     if track_weighted_risk and method is not Method.BPAC:
-        raise ValueError("weighted risk is defined by the betting wagers; engine runs only")
+        raise ValueError(WEIGHTED_NEEDS_ENGINE)
 
     events = (generate_event(spec, stream_rng, t) for t in range(1, horizon + 1))
     return _drive(method, config, events, coin_rng, spec=spec,
@@ -699,14 +720,86 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return low, high
 
 
-def _replication_violated(args) -> bool:
-    (method, config, spec, horizon, seed, criterion,
-     hoeff_variant, fixed_wager) = args
-    traj = run_replication(method, config, spec, horizon, seed,
-                           fixed_wager=fixed_wager, hoeff_variant=hoeff_variant,
-                           track_weighted_risk=(criterion == "weighted"))
-    column = traj.weighted_risk if criterion == "weighted" else traj.deploy_risk
-    return bool(np.any(column > config.epsilon))
+WEIGHTED_NEEDS_ENGINE = "weighted risk is defined by the betting wagers; engine runs only"
+
+# Replications per lockstep block in ``mc_safety``. At G=1001 and T=2000
+# (2-core x86 box, best of three) blocks of 16/25/32/50/100 took about
+# 13.4/13.0/13.9/14.4/18.2 us per replication-step; wider tables fall out
+# of cache. A block holds 8 (G, 25) tables and 25 gate access lists.
+MC_BLOCK = 25
+
+
+def _safety_criterion(method: Method, spec: SyntheticStreamSpec,
+                      criterion: str | None) -> str:
+    """The violation criterion ``mc_safety`` scores ``method`` by, or raise."""
+    if criterion is None:
+        criterion = "weighted" if method is Method.BPAC and not spec.is_iid else "deployment"
+    if criterion not in ("deployment", "weighted"):
+        raise ValueError(f"unknown safety criterion {criterion!r}")
+    if criterion == "weighted" and method is not Method.BPAC:
+        raise ValueError(WEIGHTED_NEEDS_ENGINE)
+    if criterion == "deployment" and not spec.is_iid:
+        reason = "deployment-risk coverage needs a single-segment stream"
+        if method is not Method.BPAC:
+            reason = (f"{method.value} cannot be scored on a multi-segment stream: "
+                      f"{reason}, and {WEIGHTED_NEEDS_ENGINE}")
+        raise NonStationarySpec(reason)
+    return criterion
+
+
+def _replications_violated(args) -> list[bool]:
+    """Violation flags of baseline replications, run one by one."""
+    method, config, spec, horizon, seeds, hoeff_variant = args
+    flags = []
+    for seed in seeds:
+        traj = run_replication(method, config, spec, horizon, seed,
+                               hoeff_variant=hoeff_variant, track_weighted_risk=False)
+        flags.append(bool(np.any(traj.deploy_risk > config.epsilon)))
+    return flags
+
+
+def _lockstep_violated(args) -> list[bool]:
+    """Violation flags of bpac replications advanced together, one row each.
+
+    Every replication gets what ``run_replication`` would give it: its
+    seed splits into its own stream and coin generators, and each step it
+    draws its event, flips its coin and reads its loss through its own
+    gate, in ``step``'s order and with ``step``'s checks (``route``).
+    Then one kernel call settles every row and each row certifies its own
+    threshold, so the deployed thresholds equal the serial ones bit for
+    bit.
+    """
+    config, spec, horizon, seeds, criterion, fixed_wager = args
+    rows = len(seeds)
+    lanes = []
+    for seed in seeds:
+        stream_ss, coin_ss = seed.spawn(2)
+        lanes.append((np.random.default_rng(stream_ss), np.random.default_rng(coin_ss),
+                      LossGate()))
+    table = AccountTable(config, rows, fixed_wager=fixed_wager)
+    grid_values, schedule, eps = config.grid.values, config.schedule, config.epsilon
+    if criterion == "weighted":
+        tracker = RiskTracker(spec, schedule, config.grid, weighted=True, rows=rows)
+    else:
+        unsafe = oracle_risk_grid(spec, grid_values, deployment_rate(schedule)) > eps
+    deployed = np.zeros(rows, dtype=np.intp)
+    violated = np.zeros(rows, dtype=bool)
+    for t in range(1, horizon + 1):
+        rho_t = rho_at(schedule, t)
+        k, low = [], []
+        for (stream, coin, gate), used in zip(lanes, grid_values[deployed].tolist()):
+            _, _, _, kr, lr = route(generate_event(spec, stream, t), used, rho_t,
+                                    coin, gate, config)
+            k.append(kr)
+            low.append(lr)
+        table.settle(k, eps, low, payoff_bound(eps, schedule.rho_min, rho_t))
+        deployed = table.select()
+        if criterion == "weighted":
+            tracker.absorb(t, table.accounts.last_lambda)
+            violated |= tracker.weighted_risk_at(deployed) > eps
+        else:
+            violated |= unsafe[deployed]
+    return violated.tolist()
 
 
 def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
@@ -719,25 +812,35 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
     ``criterion`` picks what counts as a violation: "deployment" compares
     the oracle deployed risk of the certified threshold (single-segment
     streams), "weighted" compares the wager-weighted cumulative risk (any
-    stream, engine only). Defaults to whichever matches the spec.
+    stream, engine only). Defaults to whichever matches the spec and the
+    method; a baseline on a multi-segment stream has neither and raises
+    ``NonStationarySpec`` before any replication runs.
+
+    Replication i always runs on the i-th child of ``base_seed``. bpac
+    replications advance in lockstep blocks of ``MC_BLOCK`` on one
+    account table; baselines run one by one. ``workers`` > 1 spreads the
+    blocks over a process pool.
     """
     method = parse_method(method)
-    if criterion is None:
-        criterion = "deployment" if spec.is_iid else "weighted"
-    if criterion not in ("deployment", "weighted"):
-        raise ValueError(f"unknown safety criterion {criterion!r}")
-    if criterion == "deployment" and not spec.is_iid:
-        raise NonStationarySpec("deployment-risk coverage needs a single-segment stream")
+    criterion = _safety_criterion(method, spec, criterion)
+    if spec.total_length is not None and horizon > spec.total_length:
+        raise StreamExhausted(
+            f"horizon {horizon} exceeds the stream's total length {spec.total_length}")
 
     seeds = np.random.SeedSequence(base_seed).spawn(n_reps)
-    jobs = [(method, config, spec, horizon, s, criterion, hoeff_variant, fixed_wager)
-            for s in seeds]
+    blocks = [seeds[i:i + MC_BLOCK] for i in range(0, n_reps, MC_BLOCK)]
+    if method is Method.BPAC:
+        run = _lockstep_violated
+        jobs = [(config, spec, horizon, block, criterion, fixed_wager) for block in blocks]
+    else:
+        run = _replications_violated
+        jobs = [(method, config, spec, horizon, block, hoeff_variant) for block in blocks]
     if workers and workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(_replication_violated, jobs, chunksize=8))
+            flags = [f for block in pool.map(run, jobs) for f in block]
     else:
-        flags = [_replication_violated(j) for j in jobs]
+        flags = [f for job in jobs for f in run(job)]
 
     violations = int(sum(flags))
     freq = violations / n_reps if n_reps else 0.0

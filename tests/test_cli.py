@@ -236,6 +236,16 @@ class TestMcSafety:
         assert code == EXIT_INVALID
         assert stderr_error(err)["kind"] == "args"
 
+    @pytest.mark.parametrize("method", ["o_naive", "ips_hoeff"])
+    def test_baseline_on_shifting_stream_is_runtime(self, method):
+        code, _, err = run_cli(
+            "mc-safety", "--method", method, "--spec", "easy_hard",
+            "--horizon", "300", "--n-reps", "4")
+        assert code == EXIT_RUNTIME
+        error = stderr_error(err)
+        assert error["kind"] == "runtime"
+        assert method in error["message"]
+
     def test_threads_env_caps_workers(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BPAC_THREADS", "1")
         code, stdout, _ = run_cli(

@@ -33,6 +33,7 @@ from bpac import (
     uniform_linear,
     update_account,
 )
+from bpac.engine import AccountTable
 
 EPS = 0.08
 RHO_MIN = 0.05
@@ -460,3 +461,117 @@ class TestSettlementParity:
             else:
                 certified = select_fixed_sequence(acc, config.alpha, config.grid)
             assert state.deployed_threshold == certified
+
+
+def reference_settle(shadow, k, high, low, m_t, cap):
+    """One adaptive step of the reference arithmetic on a G-point ThresholdAccount."""
+    n = shadow.sum_payoff.size
+    update_account(shadow, adaptive_lambda(shadow, m_t, cap),
+                   np.where(np.arange(n) < k, high, low))
+
+
+def assert_same_bits(table_acc, row, single_acc):
+    for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda"):
+        got = getattr(table_acc, name)
+        got = got if row is None else got[row]
+        assert np.array_equal(bits(got), bits(getattr(single_acc, name))), name
+
+
+class TestAccountTable:
+    M_T = payoff_bound(EPS, RHO_MIN, 0.05)
+    # {step: (k, low)} charges per row; every other step pays epsilon everywhere.
+    CHARGES = [
+        {3: (6, -1.0), 5: (2, -1.0)},   # live prefix 8 -> 6 -> 2, then regrows
+        {4: (4, -2.0), 30: (1, -3.0)},  # 8 -> 4 -> 8 -> 1 -> 8
+        {},                             # stays fully live
+    ]
+
+    def config(self):
+        return RouterConfig(grid=ThresholdGrid(values=np.linspace(0.0, 1.0, 8)),
+                            schedule=ConstantSchedule(0.05))
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_live_prefix_shrinks_and_regrows(self, rows):
+        """Clearing only the stale tail of a wager buffer leaves exact zeros."""
+        config = self.config()
+        charges = self.CHARGES[:1] if rows is None else self.CHARGES
+        table = AccountTable(config, rows)
+        shadows = [ThresholdAccount.table(8) for _ in charges]
+        prefixes = [[] for _ in charges]
+        for t in range(1, 90):
+            splits = [plan.get(t, (8, EPS)) for plan in charges]
+            live = [int(np.count_nonzero(s.sum_payoff > 0.0)) for s in shadows]
+            for r, (k, low) in enumerate(splits):
+                reference_settle(shadows[r], k, EPS, low, self.M_T, config.betting_cap)
+                prefixes[r].append(live[r])
+            if rows is None:
+                (k, low), = splits
+                table.settle(k, EPS, low, self.M_T)
+            else:
+                table.settle([k for k, _ in splits], EPS, [low for _, low in splits], self.M_T)
+            for r, shadow in enumerate(shadows):
+                assert_same_bits(table.accounts, None if rows is None else r, shadow)
+                lam = np.asarray(table.accounts.last_lambda).reshape(len(charges), 8)[r]
+                assert np.array_equal(bits(lam[live[r]:]), bits(np.zeros(8 - live[r])))
+        assert prefixes[0][:7] == [0, 8, 8, 6, 6, 2, 2]
+        assert max(prefixes[0][7:]) == 8
+        if rows is not None:
+            assert 1 in prefixes[1] and prefixes[1][-1] == 8
+
+    def test_ruin_in_one_row_raises_before_any_row_changes(self):
+        table = AccountTable(self.config(), 3, fixed_wager=0.04)
+        table.settle([8, 8, 8], EPS, [EPS, EPS, EPS], self.M_T)
+        before = {name: getattr(table.accounts, name).copy()
+                  for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda")}
+        with pytest.raises(WagerOutOfRange):
+            table.settle([8, 0, 8], EPS, [EPS, -30.0, EPS], self.M_T)
+        for name, value in before.items():
+            assert np.array_equal(getattr(table.accounts, name), value), name
+
+
+@st.composite
+def table_cases(draw):
+    n = draw(st.integers(3, 8))
+    rows = draw(st.integers(2, 5))
+    schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.05,
+                                t_warm=draw(st.integers(0, 10)))
+    config = RouterConfig(epsilon=draw(st.sampled_from([0.05, 0.08, 0.25])),
+                          grid=ThresholdGrid(values=np.linspace(0.0, 1.0, n)),
+                          schedule=schedule)
+    fixed_wager = None
+    if draw(st.booleans()):
+        worst = max(payoff_bound(config.epsilon, schedule.rho_min, r)
+                    for r in schedule.emitted_rates())
+        fixed_wager = draw(st.floats(0.0, 0.99 / worst))
+    horizon = draw(st.integers(1, 30))
+    plan = []
+    for t in range(1, horizon + 1):
+        top = (1.0 - schedule.rho_min) / rho_at(schedule, t)
+        charge = st.one_of(st.just(0.0), st.just(top), st.floats(0.0, top))
+        plan.append([(draw(st.integers(0, n)), config.epsilon - draw(charge))
+                     for _ in range(rows)])
+    return config, fixed_wager, plan
+
+
+class TestTableParity:
+    @settings(deadline=None)
+    @given(case=table_cases())
+    def test_one_table_call_equals_one_call_per_row(self, case):
+        """An R-row kernel call equals R single-run calls bit for bit."""
+        config, fixed_wager, plan = case
+        rows = len(plan[0])
+        table = AccountTable(config, rows, fixed_wager=fixed_wager)
+        singles = [AccountTable(config, fixed_wager=fixed_wager) for _ in range(rows)]
+        for t, splits in enumerate(plan, start=1):
+            m_t = payoff_bound(config.epsilon, config.schedule.rho_min,
+                               rho_at(config.schedule, t))
+            live = np.count_nonzero(table.accounts.sum_payoff > 0.0, axis=1)
+            table.settle([k for k, _ in splits], config.epsilon,
+                         [low for _, low in splits], m_t)
+            for r, (single, (k, low)) in enumerate(zip(singles, splits)):
+                single.settle(k, config.epsilon, low, m_t)
+                assert_same_bits(table.accounts, r, single.accounts)
+                if fixed_wager is None:
+                    tail = table.accounts.last_lambda[r, live[r]:]
+                    assert np.array_equal(bits(tail), bits(np.zeros(tail.size)))
+            assert np.array_equal(table.select(), [s.select() for s in singles])

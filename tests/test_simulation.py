@@ -9,21 +9,28 @@ exceeded at u = 0.411 on the default 1001-point lattice.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bpac.simulation
 from bpac.core import (
     ConstantSchedule,
+    Prior,
     RouterConfig,
+    SelectionMode,
     ThresholdGrid,
     TwoStageSchedule,
     deployment_rate,
     rho_at,
 )
-from bpac.engine import ips_payoff, propensity
+from bpac.engine import AccountTable, ips_payoff, propensity
 from bpac.simulation import (
     BetaScore,
     ConstantLoss,
@@ -374,6 +381,103 @@ class TestMcSafety:
         with pytest.raises(ValueError):
             mc_safety("bpac", RouterConfig(), uniform_linear(), horizon=10,
                       n_reps=1, criterion="mystery")
+
+    @pytest.mark.parametrize("method", ["o_naive", "ips_hoeff"])
+    def test_baseline_on_shift_rejected_before_any_replication(self, method, monkeypatch):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(bpac.simulation, "run_replication", no_replication)
+        with pytest.raises(NonStationarySpec, match=method) as info:
+            mc_safety(method, RouterConfig(), easy_hard(), horizon=40, n_reps=2)
+        assert "single-segment" in str(info.value) and "wagers" in str(info.value)
+        with pytest.raises(ValueError, match="engine runs only"):
+            mc_safety(method, RouterConfig(), uniform_linear(), horizon=40,
+                      n_reps=2, criterion="weighted")
+
+
+# Coarse grid and alpha 0.9: the fixed-sequence rule certifies unsafe
+# thresholds often enough that both criteria see violations at T=300.
+LOOSE = dataclasses.replace(RouterConfig(), alpha=0.9,
+                            grid=ThresholdGrid.from_step(step=0.05),
+                            schedule=TwoStageSchedule(t_warm=20))
+LOOSE_MIXTURE = dataclasses.replace(LOOSE, selection_mode=SelectionMode.MIXTURE,
+                                    prior=Prior.uniform(21))
+
+
+def serial_verdicts(config, spec, horizon, n_reps, base_seed, criterion, fixed_wager):
+    """Per-replication u_hat columns and violation flags from run_replication."""
+    u_hat, flags = [], []
+    for seed in np.random.SeedSequence(base_seed).spawn(n_reps):
+        traj = run_replication("bpac", config, spec, horizon, seed, fixed_wager=fixed_wager,
+                               track_weighted_risk=criterion == "weighted")
+        column = traj.weighted_risk if criterion == "weighted" else traj.deploy_risk
+        u_hat.append(traj.u_hat)
+        flags.append(bool(np.any(column > config.epsilon)))
+    return np.array(u_hat).T, flags
+
+
+class TestLockstep:
+    """``mc_safety`` runs bpac in lockstep blocks; it must match serial replications."""
+
+    @pytest.mark.parametrize("fixed_wager", [None, 0.02])
+    @pytest.mark.parametrize("criterion", ["deployment", "weighted"])
+    @pytest.mark.parametrize("config", [LOOSE, LOOSE_MIXTURE], ids=["fixed", "mixture"])
+    def test_blocks_match_serial_replications(self, config, criterion, fixed_wager,
+                                              monkeypatch):
+        spec = uniform_linear() if criterion == "deployment" else easy_hard(break_at=100)
+        horizon, n_reps, base_seed = 300, 10, 7
+        u_hat, flags = serial_verdicts(config, spec, horizon, n_reps, base_seed,
+                                       criterion, fixed_wager)
+        if config.selection_mode is SelectionMode.FIXED_SEQUENCE:
+            assert 0 < sum(flags) < n_reps
+        select = AccountTable.select
+        for block in (1, 3, 7):
+            deployed = []
+
+            def recording(table):
+                out = select(table)
+                deployed.append(out)
+                return out
+
+            monkeypatch.setattr(bpac.simulation, "MC_BLOCK", block)
+            monkeypatch.setattr(AccountTable, "select", recording)
+            report = mc_safety("bpac", config, spec, horizon, n_reps, base_seed=base_seed,
+                               criterion=criterion, fixed_wager=fixed_wager)
+            assert report["violations"] == sum(flags)
+            steps = np.concatenate([np.stack(deployed[i:i + horizon])
+                                    for i in range(0, len(deployed), horizon)], axis=1)
+            assert np.array_equal(config.grid.values[steps], u_hat)
+
+    def test_default_config_matches_serial_recount(self, monkeypatch):
+        # 2 of these 20 replications violate at the default operating point.
+        _, flags = serial_verdicts(RouterConfig(), uniform_linear(), 2000, 20, 1000,
+                                   "deployment", None)
+        assert sum(flags) == 2
+        monkeypatch.setattr(bpac.simulation, "MC_BLOCK", 7)
+        report = mc_safety("bpac", RouterConfig(), uniform_linear(), 2000, 20,
+                           base_seed=1000)
+        assert report["violations"] == 2
+
+    @pytest.mark.parametrize("method", ["bpac", "o_naive"])
+    def test_worker_pool_report_equals_serial(self, method, monkeypatch):
+        monkeypatch.setattr(bpac.simulation, "MC_BLOCK", 3)
+        reports = [mc_safety(method, LOOSE, uniform_linear(), 200, 8, base_seed=5,
+                             workers=workers) for workers in (1, 2)]
+        assert reports[0] == reports[1]
+        assert reports[0]["violations"] > 0
+
+
+def test_scipy_special_stays_unloaded_without_beta_laws():
+    src = Path(bpac.simulation.__file__).resolve().parents[1]
+    code = ("import sys, bpac, bpac.cli\n"
+            "from bpac.simulation import mc_safety, uniform_linear\n"
+            "mc_safety('bpac', bpac.RouterConfig(), uniform_linear(), 30, 2)\n"
+            "print('scipy.special' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestPinnedStudy:
