@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RouterConfig, StreamObservation, ThresholdGrid, deployment_rate
-from .engine import (Decision, InvalidObservation, LossGate, Route, coin_generator,
-                     propensity, require_increasing_grid)
+from .core import RouterConfig, StreamObservation, deployment_rate
+from .engine import (Decision, LossGate, OutOfOrderObservation, coin_generator,
+                     require_increasing_grid, route)
 
 
 @dataclass
@@ -74,56 +74,36 @@ def hoeff_slack(t: int, alpha: float, rho: float, count: int) -> float:
 
 
 def _mean_index(sums: np.ndarray, t: int, epsilon: float, slack: float) -> int:
-    """Largest index whose mean plus slack fits the budget; 0 when none does."""
-    hits = np.flatnonzero(sums / t + slack <= epsilon)
-    return int(hits[-1]) if hits.size else 0
-
-
-def mean_select(sums: np.ndarray, t: int, epsilon: float, slack: float,
-                grid: ThresholdGrid) -> float:
-    """Largest threshold whose mean loss plus ``slack`` fits the budget.
+    """Largest index whose mean plus slack fits the budget; 0 when none does.
 
     Greedy: unobserved losses count as zero, so without a slack wide
-    enough to cover that, once a threshold deploys the region below it
-    starves and the means decay.
+    enough to cover that, the region below a deployed threshold starves.
     """
-    if t < 1:
-        raise ValueError("selection needs at least one settled step")
-    return float(grid.values[_mean_index(sums, t, epsilon, slack)])
+    hits = np.flatnonzero(sums / t + slack <= epsilon)
+    return int(hits[-1]) if hits.size else 0
 
 
 def mean_step(state: MeanState, obs: StreamObservation,
               gate: LossGate) -> tuple[Decision, MeanState]:
     """One query under a mean-threshold selector.
 
-    Validates like ``engine.step``: a non-finite score raises
-    ``InvalidObservation`` before the coin is drawn, and an observed loss
-    outside [0, 1] raises it after the gate. An observed loss charges the
-    candidates strictly above the score, ``grid[k:]`` with
-    ``k = searchsorted(grid, score, "right")``.
+    Routes and validates with ``engine.route``, after the same index
+    check as ``engine.step``. An observed loss charges the candidates
+    strictly above the score, ``grid[k:]``.
     """
     t = state.t + 1
-    if not math.isfinite(obs.uncertainty):
-        raise InvalidObservation(
-            f"uncertainty score {obs.uncertainty!r} at step {t} is not finite")
+    if obs.index != t:
+        raise OutOfOrderObservation(
+            f"expected observation index {t}, got {obs.index}")
     cfg = state.config
-    grid_values = cfg.grid.values
-    threshold_used = float(grid_values[state.deployed_index])
-    pi = propensity(obs.uncertainty, threshold_used, state.rho)
-    coin = 1 if state.rng.random() < pi else 0
-    observed = gate.observe(obs, coin) if coin == 1 else None
-    if coin == 1:
-        if not 0.0 <= observed <= 1.0:
-            raise InvalidObservation(
-                f"observed loss {observed!r} at step {t} is outside [0, 1]")
-        if observed:
-            k = int(grid_values.searchsorted(obs.uncertainty, "right"))
-            state.sums[k:] += ((1.0 - state.rho) * observed / pi if state.slack_count
-                               else observed)
+    threshold_used = float(cfg.grid.values[state.deployed_index])
+    pi, coin, observed, k, _ = route(obs, threshold_used, state.rho, state.rng, gate, cfg)
+    if observed:
+        state.sums[k:] += ((1.0 - state.rho) * observed / pi if state.slack_count
+                           else observed)
     slack = (hoeff_slack(t, cfg.alpha, state.rho, state.slack_count)
              if state.slack_count else 0.0)
     state.t = t
     state.deployed_index = _mean_index(state.sums, t, cfg.epsilon, slack)
-    return Decision(propensity=pi, coin=coin,
-                    route=Route.EXPENSIVE if coin == 1 else Route.CHEAP,
-                    observed_loss=observed, threshold_used=threshold_used), state
+    return Decision(propensity=pi, coin=coin, observed_loss=observed,
+                    threshold_used=threshold_used), state

@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -83,15 +82,6 @@ def _resolve_seeds(args, config: RouterConfig) -> list[int]:
         base = args.base_seed
         return list(range(base, base + args.n_seeds))
     return [config.seed]
-
-
-def _resolve_workers(requested: int | None) -> int:
-    """Default serial; BPAC_THREADS caps whatever was asked for."""
-    want = requested if requested is not None else 1
-    env = os.environ.get("BPAC_THREADS")
-    if env:
-        want = min(want, max(1, int(env)))
-    return max(1, want)
 
 
 def _ensure_out(path: Path) -> Path:
@@ -209,7 +199,7 @@ def cmd_mc_safety(args) -> int:
     criterion = None if args.criterion == "auto" else args.criterion
     report = mc_safety(args.method, config, spec, args.horizon, args.n_reps,
                        base_seed=args.base_seed, criterion=criterion,
-                       workers=_resolve_workers(args.workers),
+                       workers=args.workers,
                        hoeff_variant=args.hoeff_variant,
                        fixed_wager=args.fixed_wager)
     if args.out is not None:
@@ -422,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", default="auto",
                    help="auto, deployment, or weighted")
     p.add_argument("--workers", type=int, default=None,
-                   help="process pool size; BPAC_THREADS caps it")
+                   help="process pool size (default: serial)")
     p.set_defaults(func=cmd_mc_safety)
 
     p = sub.add_parser("sweep", help="sensitivity of outcomes to the risk budget")

@@ -37,7 +37,6 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    Prior,
     RouterConfig,
     SelectionMode,
     StreamObservation,
@@ -83,9 +82,12 @@ class Decision:
 
     propensity: float
     coin: int
-    route: Route
     observed_loss: float | None
     threshold_used: float
+
+    @property
+    def route(self) -> Route:
+        return Route.EXPENSIVE if self.coin == 1 else Route.CHEAP
 
 
 @dataclass
@@ -108,15 +110,6 @@ class ThresholdAccount:
         """Fresh accounts for an n-point grid, all at wealth 1."""
         return cls(log_wealth=np.zeros(n), sum_payoff=np.zeros(n),
                    sum_payoff_sq=np.zeros(n), last_lambda=np.zeros(n))
-
-    def view(self, i: int) -> "ThresholdAccount":
-        """Scalar copy of account i out of an array-valued table."""
-        return ThresholdAccount(
-            log_wealth=float(np.asarray(self.log_wealth)[i]),
-            sum_payoff=float(np.asarray(self.sum_payoff)[i]),
-            sum_payoff_sq=float(np.asarray(self.sum_payoff_sq)[i]),
-            last_lambda=float(np.asarray(self.last_lambda)[i]),
-        )
 
 
 class LossGate:
@@ -223,7 +216,11 @@ def update_account(account: ThresholdAccount, lam, payoff) -> ThresholdAccount:
 
 
 def _fixed_sequence_index(log_wealth: np.ndarray, log_bar: float) -> int:
-    """Largest index whose entire prefix clears the bar; 0 when none do."""
+    """Largest index whose entire prefix clears the bar; 0 when none do.
+
+    The prefix requirement is what makes the 1 / alpha bar anytime-valid
+    without any multiplicity correction.
+    """
     qualified = log_wealth >= log_bar
     first_gap = int(qualified.argmin())
     if qualified[first_gap]:
@@ -232,7 +229,7 @@ def _fixed_sequence_index(log_wealth: np.ndarray, log_bar: float) -> int:
 
 
 def _mixture_index(log_wealth: np.ndarray, log_bars: np.ndarray) -> int:
-    """Largest index clearing its own prior-scaled bar; 0 when none do."""
+    """Largest index clearing its own bar 1 / (alpha * mass); 0 when none do."""
     hits = np.flatnonzero(log_wealth >= log_bars)
     return int(hits[-1]) if hits.size else 0
 
@@ -250,29 +247,6 @@ def _mixture_rows(log_wealth: np.ndarray, log_bars: np.ndarray) -> np.ndarray:
     hits = log_wealth >= log_bars[:, None]
     last = hits.shape[0] - 1 - hits[::-1].argmax(axis=0)
     return np.where(hits[last, np.arange(last.size)], last, 0)
-
-
-def select_fixed_sequence(accounts: ThresholdAccount, alpha: float,
-                          grid: ThresholdGrid) -> float:
-    """Certified threshold under the ordered-prefix rule.
-
-    A threshold deploys only when it and every smaller candidate hold
-    wealth of at least 1 / alpha, which is what makes the certificate
-    anytime-valid without any multiplicity correction.
-    """
-    idx = _fixed_sequence_index(np.asarray(accounts.log_wealth), -math.log(alpha))
-    return float(grid.values[idx])
-
-
-def select_mixture(accounts: ThresholdAccount, alpha: float, prior: Prior,
-                   grid: ThresholdGrid) -> float:
-    """Certified threshold under the prior-weighted rule.
-
-    Each candidate faces its own bar 1 / (alpha * mass), and the largest
-    one over its bar deploys; no prefix requirement.
-    """
-    log_bars = -(math.log(alpha) + np.log(prior.mass))
-    return float(grid.values[_mixture_index(np.asarray(accounts.log_wealth), log_bars)])
 
 
 class AccountTable:
@@ -427,18 +401,16 @@ class AccountTable:
 class RouterState:
     """Mutable run state. Single writer: steps are strictly sequential.
 
-    ``accounts`` belongs to a single-run ``AccountTable``, which ``step``
-    settles in place; see there for how long an array read from it stays
+    ``table`` holds a single run's accounts, which ``step`` settles in
+    place; see ``AccountTable`` for how long an array read from them stays
     valid.
     """
 
     config: RouterConfig
-    accounts: ThresholdAccount
+    table: AccountTable = field(repr=False)
     rng: np.random.Generator
     t: int = 0
     deployed_index: int = 0
-    fixed_wager: float | None = None
-    _table: AccountTable = field(default=None, repr=False)
 
     @classmethod
     def fresh(cls, config: RouterConfig, *, rng=None,
@@ -448,10 +420,12 @@ class RouterState:
         ``rng`` seeds the routing coins as in ``coin_generator``;
         ``fixed_wager`` is checked and applied as in ``AccountTable``.
         """
-        rng = coin_generator(config, rng)
-        table = AccountTable(config, fixed_wager=fixed_wager)
-        return cls(config=config, accounts=table.accounts, rng=rng,
-                   fixed_wager=fixed_wager, _table=table)
+        return cls(config=config, rng=coin_generator(config, rng),
+                   table=AccountTable(config, fixed_wager=fixed_wager))
+
+    @property
+    def accounts(self) -> ThresholdAccount:
+        return self.table.accounts
 
     @property
     def deployed_threshold(self) -> float:
@@ -527,12 +501,9 @@ def step(state: RouterState, obs: StreamObservation,
     threshold_used = float(cfg.grid.values[state.deployed_index])
     pi, coin, observed, k, low = route(obs, threshold_used, rho_t, state.rng, gate, cfg)
     eps = cfg.epsilon
-    table = state._table
+    table = state.table
     table.settle(k, eps, low, payoff_bound(eps, cfg.schedule.rho_min, rho_t))
     state.deployed_index = table.select()
     state.t = t
-
-    decision = Decision(propensity=pi, coin=coin,
-                        route=Route.EXPENSIVE if coin == 1 else Route.CHEAP,
-                        observed_loss=observed, threshold_used=threshold_used)
-    return decision, state
+    return Decision(propensity=pi, coin=coin, observed_loss=observed,
+                    threshold_used=threshold_used), state

@@ -62,14 +62,3 @@ class MetricAccumulator:
         except TokenDivisionByZero:
             return float("nan")
 
-
-def merge(a: MetricAccumulator, b: MetricAccumulator) -> MetricAccumulator:
-    """Combine accumulators from disjoint stream shards. Associative."""
-    return MetricAccumulator(
-        t=a.t + b.t,
-        expert_calls=a.expert_calls + b.expert_calls,
-        cheap_tokens=a.cheap_tokens + b.cheap_tokens,
-        expensive_tokens=a.expensive_tokens + b.expensive_tokens,
-        expensive_tokens_billed=a.expensive_tokens_billed + b.expensive_tokens_billed,
-        realized_loss=a.realized_loss + b.realized_loss,
-    )

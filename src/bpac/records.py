@@ -60,31 +60,14 @@ def read_trajectory(path: str | Path) -> Trajectory:
     if header != TRAJECTORY_COLUMNS:
         raise RecordFormatError(f"{path}: unexpected columns {header}")
     rows = [line.split(",") for line in lines[2:] if line]
-    n = len(rows)
     data: dict[str, Any] = {}
     for j, name in enumerate(TRAJECTORY_COLUMNS):
         if name == "method":
             continue
         dtype = np.int64 if name in _INT_COLUMNS else float
-        data[name] = np.array([dtype(row[j]) for row in rows],
-                              dtype=dtype)
+        data[name] = np.array([dtype(row[j]) for row in rows], dtype=dtype)
     method = rows[0][TRAJECTORY_COLUMNS.index("method")] if rows else ""
-    return Trajectory(method=method, seed=-1, config_hash=config_hash,
-                      t=data.get("t", np.empty(0, dtype=np.int64)),
-                      uncertainty=data.get("uncertainty", np.empty(0)),
-                      rho=data.get("rho", np.empty(0)),
-                      pi=data.get("pi", np.empty(0)),
-                      xi=data.get("xi", np.empty(0, dtype=np.int64)),
-                      u_hat=data.get("u_hat", np.empty(0)),
-                      latent_loss=data.get("latent_loss", np.empty(0)),
-                      realized_loss=data.get("realized_loss", np.empty(0)),
-                      ecp=data.get("ecp", np.empty(0)),
-                      tp=data.get("tp", np.empty(0)),
-                      er=data.get("er", np.empty(0)),
-                      deploy_risk=data.get("deploy_risk", np.empty(0)),
-                      cond_risk=data.get("cond_risk", np.empty(0)),
-                      weighted_risk=data.get("weighted_risk", np.empty(0)),
-                      mean_cond_risk=data.get("mean_cond_risk", np.empty(0)))
+    return Trajectory(method=method, seed=-1, config_hash=config_hash, **data)
 
 
 def write_wealth_snapshots(path: str | Path, traj: Trajectory,

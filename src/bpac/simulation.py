@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Union
@@ -135,7 +135,7 @@ class LinearLoss:
             raise ValueError(f"kappa must lie in [0, 1] to keep probabilities valid, got {self.kappa}")
 
     def prob(self, v):
-        return self.kappa * np.asarray(v, dtype=float)
+        return self.kappa * v
 
 
 @dataclass(frozen=True)
@@ -548,14 +548,16 @@ class Trajectory:
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(self.method.encode())
-        for name in ("t", "uncertainty", "rho", "pi", "xi", "u_hat", "latent_loss",
-                     "realized_loss", "ecp", "tp", "er", "deploy_risk",
-                     "cond_risk", "weighted_risk", "mean_cond_risk"):
+        for name in _COLUMNS:
             h.update(np.ascontiguousarray(getattr(self, name)).tobytes())
         for t_snap, wealth in self.wealth_snapshots:
             h.update(str(t_snap).encode())
             h.update(np.ascontiguousarray(wealth).tobytes())
         return h.hexdigest()
+
+
+# The per-step columns: every array field, in field order.
+_COLUMNS = tuple(f.name for f in fields(Trajectory) if f.type == "np.ndarray")
 
 
 def _drive(method: Method, config: RouterConfig, events, coin_rng,
@@ -591,11 +593,7 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
         tracker = RiskTracker(spec, config.schedule, config.grid,
                               weighted=track_weighted_risk)
 
-    names = ("uncertainty", "rho", "pi", "u_hat", "latent_loss", "realized_loss",
-             "ecp", "tp", "er", "deploy_risk", "cond_risk", "weighted_risk",
-             "mean_cond_risk")
-    cols: dict[str, list[float]] = {name: [] for name in names}
-    xi_col: list[int] = []
+    cols: dict[str, list] = {name: [] for name in _COLUMNS if name != "t"}
     acc = MetricAccumulator()
     snapshots: list[tuple[int, np.ndarray]] = []
 
@@ -609,7 +607,7 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
         cols["rho"].append(rho_at(config.schedule, t) if method is Method.BPAC
                            else state.rho)
         cols["pi"].append(decision.propensity)
-        xi_col.append(decision.coin)
+        cols["xi"].append(decision.coin)
         cols["u_hat"].append(grid_values[idx])
         cols["latent_loss"].append(obs.latent_loss)
         cols["realized_loss"].append((1 - decision.coin) * obs.latent_loss)
@@ -638,14 +636,13 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
                 and t % emit_wealth_every == 0):
             snapshots.append((t, np.asarray(state.accounts.log_wealth).copy()))
 
-    horizon = len(xi_col)
     return Trajectory(method=method.value, seed=seed_label,
                       config_hash=config_digest(config),
-                      t=np.arange(1, horizon + 1, dtype=np.int64),
-                      xi=np.array(xi_col, dtype=np.int64),
+                      t=np.arange(1, len(cols["xi"]) + 1, dtype=np.int64),
                       wealth_snapshots=snapshots,
                       gate_accesses=gate.access_count,
-                      **{name: np.array(cols[name], dtype=float) for name in names})
+                      **{name: np.array(col, dtype=np.int64 if name == "xi" else float)
+                         for name, col in cols.items()})
 
 
 def run_replication(method, config: RouterConfig, spec: SyntheticStreamSpec,

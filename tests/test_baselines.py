@@ -9,15 +9,16 @@ from bpac import (
     InvalidObservation,
     LossGate,
     MeanState,
+    OutOfOrderObservation,
     RouterConfig,
     StreamObservation,
     ThresholdGrid,
     generate_event,
     hoeff_slack,
-    mean_select,
     mean_step,
     uniform_linear,
 )
+from bpac.baselines import _mean_index
 
 VARIANTS = [None, "per_point", "union_over_grid"]
 
@@ -30,23 +31,15 @@ def make_obs(index=1, uncertainty=0.5, loss=0.0):
 
 class TestNaiveSelect:
     def test_no_observed_losses_deploys_top(self):
-        grid = ThresholdGrid.from_step(step=0.5)
-        assert mean_select(np.zeros(3), 10, 0.08, 0.0, grid) == 1.0
+        assert _mean_index(np.zeros(3), 10, 0.08, 0.0) == 2
 
     def test_largest_qualifying_mean(self):
-        grid = ThresholdGrid.from_step(step=0.5)
         sums = np.array([0.0, 0.4, 1.2])  # means 0, 0.04, 0.12 at t=10
-        assert mean_select(sums, 10, 0.08, 0.0, grid) == 0.5
+        assert _mean_index(sums, 10, 0.08, 0.0) == 1
 
     def test_nothing_qualifies(self):
-        grid = ThresholdGrid.from_step(step=0.5)
         sums = np.array([2.0, 3.0, 4.0])
-        assert mean_select(sums, 10, 0.08, 0.0, grid) == 0.0
-
-    def test_needs_at_least_one_step(self):
-        grid = ThresholdGrid.from_step(step=0.5)
-        with pytest.raises(ValueError):
-            mean_select(np.zeros(3), 0, 0.08, 0.0, grid)
+        assert _mean_index(sums, 10, 0.08, 0.0) == 0
 
 
 class TestHoeffSelect:
@@ -61,7 +54,7 @@ class TestHoeffSelect:
         grid = ThresholdGrid.default()
         sums = np.zeros(grid.n)  # even zero means cannot qualify
         slack = hoeff_slack(100, 0.1, 0.05, 1)
-        assert mean_select(sums, 100, 0.08, slack, grid) == 0.0
+        assert _mean_index(sums, 100, 0.08, slack) == 0
 
     def test_union_variant_never_less_conservative(self):
         grid = ThresholdGrid.from_step(step=0.1)
@@ -72,9 +65,9 @@ class TestHoeffSelect:
         rng = np.random.default_rng(4)
         for t in (10, 100, 10**4, 10**6):
             sums = np.sort(rng.uniform(0, 0.01 * t, grid.n))
-            u_point = mean_select(sums, t, 0.08, hoeff_slack(t, 0.1, 0.05, per_point), grid)
-            u_union = mean_select(sums, t, 0.08, hoeff_slack(t, 0.1, 0.05, union), grid)
-            assert u_union <= u_point
+            i_point = _mean_index(sums, t, 0.08, hoeff_slack(t, 0.1, 0.05, per_point))
+            i_union = _mean_index(sums, t, 0.08, hoeff_slack(t, 0.1, 0.05, union))
+            assert i_union <= i_point
 
     def test_slack_shrinks_with_time(self):
         assert hoeff_slack(10**6, 0.1, 0.05, 1) < hoeff_slack(100, 0.1, 0.05, 1)
@@ -213,3 +206,18 @@ class TestInvalidObservation:
         assert gate.access_count == 1
         assert state.t == 0
         assert not np.any(state.sums)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_out_of_order_rejected(self, variant):
+        # Regression: indices 7, 7, 3 used to be routed as steps 1, 2, 3.
+        state = MeanState.fresh(RouterConfig(), variant=variant)
+        gate = LossGate()
+        for index in (7, 7, 3):
+            with pytest.raises(OutOfOrderObservation):
+                mean_step(state, make_obs(index, 0.5, 1.0), gate)
+        assert state.t == 0
+        assert gate.access_count == 0
+        _, state = mean_step(state, make_obs(1, 0.5, 1.0), gate)
+        with pytest.raises(OutOfOrderObservation):
+            mean_step(state, make_obs(1, 0.5, 1.0), gate)
+        assert gate.accessed_steps == [1]

@@ -246,14 +246,6 @@ class TestMcSafety:
         assert error["kind"] == "runtime"
         assert method in error["message"]
 
-    def test_threads_env_caps_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BPAC_THREADS", "1")
-        code, stdout, _ = run_cli(
-            "mc-safety", "--horizon", "40", "--n-reps", "3",
-            "--workers", "8")
-        assert code == EXIT_OK
-        assert json.loads(stdout)["n_reps"] == 3
-
 
 class TestSweep:
     def test_epsilon_cells(self, tmp_path, ):

@@ -27,13 +27,12 @@ from bpac import (
     payoff_bound,
     propensity,
     rho_at,
-    select_fixed_sequence,
-    select_mixture,
     step,
     uniform_linear,
     update_account,
 )
-from bpac.engine import AccountTable
+from bpac.engine import (AccountTable, Decision, Route, _fixed_sequence_index,
+                         _mixture_index)
 
 EPS = 0.08
 RHO_MIN = 0.05
@@ -81,7 +80,9 @@ class TestPayoff:
     def test_payoff_range(self, loss, score, u, rho, coin):
         pi = propensity(score, u, rho) if score < u else 1.0
         d = ips_payoff(loss, coin, pi, score, u, RHO_MIN, EPS)
-        assert EPS - (1 - RHO_MIN) / rho <= d <= EPS
+        # The engine's own expression: (1 - RHO_MIN) / rho can round one
+        # step above (1 - RHO_MIN) * (1 / rho), the largest estimate.
+        assert EPS - (1 - RHO_MIN) * (1 / rho) <= d <= EPS
 
 
 class TestWager:
@@ -156,8 +157,8 @@ class TestAccountUpdate:
         for i in range(3):
             scalar = ThresholdAccount()
             update_account(scalar, float(lam[i]), float(payoff[i]))
-            assert table.view(i).log_wealth == scalar.log_wealth
-            assert table.view(i).sum_payoff == scalar.sum_payoff
+            assert table.log_wealth[i] == scalar.log_wealth
+            assert table.sum_payoff[i] == scalar.sum_payoff
 
     @given(lam=st.floats(0.0, 0.047), d=st.floats(-18.92, 0.08))
     def test_growth_factor_positive(self, lam, d):
@@ -167,38 +168,36 @@ class TestAccountUpdate:
 
 
 class TestSelectors:
-    def grid5(self):
-        return ThresholdGrid.from_step(step=0.25)
+    BAR = -math.log(0.1)
 
-    def wealth_account(self, wealth):
-        return ThresholdAccount(log_wealth=np.log(np.asarray(wealth, dtype=float)))
+    def log_wealth(self, wealth):
+        return np.log(np.asarray(wealth, dtype=float))
+
+    def mixture_bars(self, mass):
+        return -(math.log(0.1) + np.log(np.asarray(mass, dtype=float)))
 
     def test_prefix_stops_at_first_gap(self):
-        acc = self.wealth_account([12, 15, 9, 20, 3])
-        assert select_fixed_sequence(acc, 0.1, self.grid5()) == 0.25
+        assert _fixed_sequence_index(self.log_wealth([12, 15, 9, 20, 3]), self.BAR) == 1
 
     def test_unqualified_start_deploys_zero(self):
-        acc = self.wealth_account([5, 2, 1, 1, 1])
-        assert select_fixed_sequence(acc, 0.1, self.grid5()) == 0.0
+        assert _fixed_sequence_index(self.log_wealth([5, 2, 1, 1, 1]), self.BAR) == 0
 
     def test_all_qualified_deploys_top(self):
-        acc = self.wealth_account([11, 12, 13, 14, 15])
-        assert select_fixed_sequence(acc, 0.1, self.grid5()) == 1.0
+        assert _fixed_sequence_index(self.log_wealth([11, 12, 13, 14, 15]), self.BAR) == 4
 
     def test_mixture_ignores_gaps(self):
-        acc = self.wealth_account([60, 40, 55, 20, 10])
-        prior = Prior.uniform(5)  # per-point bar 1/(0.1 * 0.2) = 50
-        assert select_mixture(acc, 0.1, prior, self.grid5()) == 0.5
+        # uniform prior: per-point bar 1/(0.1 * 0.2) = 50
+        bars = self.mixture_bars(np.full(5, 0.2))
+        assert _mixture_index(self.log_wealth([60, 40, 55, 20, 10]), bars) == 2
 
     def test_mixture_nothing_qualified(self):
-        acc = self.wealth_account([1, 1, 1, 1, 1])
-        assert select_mixture(acc, 0.1, Prior.uniform(5), self.grid5()) == 0.0
+        bars = self.mixture_bars(np.full(5, 0.2))
+        assert _mixture_index(self.log_wealth([1, 1, 1, 1, 1]), bars) == 0
 
     def test_mixture_prior_mass_lowers_the_bar(self):
-        mass = np.array([0.025, 0.025, 0.025, 0.025, 0.9])
-        acc = self.wealth_account([1, 1, 1, 1, 12])
         # bar at the last point is 1/(0.1 * 0.9) = 11.11 < 12
-        assert select_mixture(acc, 0.1, Prior(mass=mass), self.grid5()) == 1.0
+        bars = self.mixture_bars([0.025, 0.025, 0.025, 0.025, 0.9])
+        assert _mixture_index(self.log_wealth([1, 1, 1, 1, 12]), bars) == 4
 
 
 class TestStep:
@@ -220,6 +219,25 @@ class TestStep:
         _, state = step(state, make_obs(index=1), gate)
         with pytest.raises(OutOfOrderObservation):
             step(state, make_obs(index=1), gate)
+
+    def test_route_follows_the_coin(self):
+        for coin, route in ((0, Route.CHEAP), (1, Route.EXPENSIVE)):
+            decision = Decision(propensity=0.05, coin=coin, observed_loss=None,
+                                threshold_used=0.5)
+            assert decision.route is route
+
+    def test_direct_construction_steps_like_fresh(self, default_config, uniform_spec):
+        # A state built without fresh() used to lack its account table.
+        direct = RouterState(config=default_config, table=AccountTable(default_config),
+                             rng=np.random.default_rng(3))
+        fresh = RouterState.fresh(default_config, rng=3)
+        rng = np.random.default_rng(4)
+        for t in range(1, 101):
+            obs = generate_event(uniform_spec, rng, t)
+            step(direct, obs, LossGate())
+            step(fresh, obs, LossGate())
+            assert direct.deployed_index == fresh.deployed_index
+        assert np.array_equal(direct.accounts.log_wealth, fresh.accounts.log_wealth)
 
     def test_gate_blocks_unescalated_reads(self):
         gate = LossGate()
@@ -275,11 +293,8 @@ class TestStep:
                            decision.propensity, obs.uncertainty, u, 0.05,
                            config.epsilon)
             update_account(shadow, lam, d)
-            view = state.accounts.view(idx)
-            assert view.log_wealth == shadow.log_wealth
-            assert view.sum_payoff == shadow.sum_payoff
-            assert view.sum_payoff_sq == shadow.sum_payoff_sq
-            assert view.last_lambda == shadow.last_lambda
+            for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda"):
+                assert getattr(state.accounts, name)[idx] == getattr(shadow, name), name
 
     def test_threshold_never_exceeds_prefix_rule(self, default_config, uniform_spec):
         state = RouterState.fresh(default_config)
@@ -426,6 +441,19 @@ def parity_cases(draw):
     return config, fixed_wager, observations, draw(st.integers(0, 2**32 - 1))
 
 
+def certified_index(config, shadows) -> int:
+    """Deployed index by a plain scan of the accounts' log-wealth against the bars."""
+    log_wealth = [shadow.log_wealth for shadow in shadows]
+    if config.selection_mode is SelectionMode.MIXTURE:
+        bars = -(math.log(config.alpha) + np.log(config.prior.mass))
+        over = [i for i, (w, bar) in enumerate(zip(log_wealth, bars)) if w >= bar]
+        return over[-1] if over else 0
+    prefix = 0
+    while prefix < len(log_wealth) and log_wealth[prefix] >= -math.log(config.alpha):
+        prefix += 1
+    return max(prefix - 1, 0)
+
+
 class TestSettlementParity:
     @settings(deadline=None)
     @given(case=parity_cases())
@@ -456,11 +484,7 @@ class TestSettlementParity:
             if fixed_wager is None:
                 assert np.array_equal(bits(acc.last_lambda[live:]),
                                       bits(np.zeros(grid.size - live)))
-            if config.selection_mode is SelectionMode.MIXTURE:
-                certified = select_mixture(acc, config.alpha, config.prior, config.grid)
-            else:
-                certified = select_fixed_sequence(acc, config.alpha, config.grid)
-            assert state.deployed_threshold == certified
+            assert state.deployed_index == certified_index(config, shadows)
 
 
 def reference_settle(shadow, k, high, low, m_t, cap):

@@ -1,5 +1,5 @@
 """Operational metric accounting: frozen values, the call/throughput identity,
-merge semantics, and the zero-token guard."""
+and the zero-token guard."""
 
 import math
 
@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 from bpac import RouterConfig, RouterState, step
 from bpac.core import StreamObservation
-from bpac.engine import Decision, LossGate, Route
-from bpac.metrics import MetricAccumulator, TokenDivisionByZero, merge
+from bpac.engine import Decision, LossGate
+from bpac.metrics import MetricAccumulator, TokenDivisionByZero
 
 
 def make_decision(xi: int, loss: float | None = None) -> Decision:
-    route = Route.EXPENSIVE if xi else Route.CHEAP
     return Decision(
         propensity=1.0 if xi else 0.05,
         coin=xi,
-        route=route,
         observed_loss=loss if xi else None,
         threshold_used=0.5,
     )
@@ -92,42 +90,6 @@ class TestIdentity:
             decision, state = step(state, obs, gate)
             acc.update(decision, obs)
             assert abs(acc.tp - (acc.ecp + 0.2)) <= 1e-12
-
-
-class TestMerge:
-    def test_merge_matches_sequential(self):
-        rows = [(1, 1.0), (0, 0.3), (0, 0.9), (1, 0.2), (0, 0.0)]
-        whole = MetricAccumulator()
-        left = MetricAccumulator()
-        right = MetricAccumulator()
-        for t, (xi, loss) in enumerate(rows, start=1):
-            d, o = make_decision(xi, loss=loss), make_obs(t, loss=loss)
-            whole.update(d, o)
-            (left if t <= 2 else right).update(d, o)
-        merged = merge(left, right)
-        assert merged.ecp == pytest.approx(whole.ecp)
-        assert merged.tp == pytest.approx(whole.tp)
-        assert merged.er == pytest.approx(whole.er)
-
-    def test_merge_is_associative(self):
-        shards = []
-        for k in range(3):
-            acc = MetricAccumulator()
-            for t in range(1, 4):
-                xi = (t + k) % 2
-                acc.update(make_decision(xi, loss=0.5 if xi else None),
-                           make_obs(t, loss=0.5))
-            shards.append(acc)
-        a, b, c = shards
-        left = merge(merge(a, b), c)
-        right = merge(a, merge(b, c))
-        assert left == right
-
-    def test_merge_with_empty_is_identity(self):
-        acc = MetricAccumulator()
-        acc.update(make_decision(0), make_obs(1, loss=0.5))
-        merged = merge(acc, MetricAccumulator())
-        assert merged == acc
 
 
 class TestGuards:

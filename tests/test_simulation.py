@@ -254,6 +254,42 @@ class TestReplications:
         assert traj.u_hat.max() > 0.0
         assert traj.digest() == digest
 
+    @pytest.mark.parametrize("case, digest", [
+        ("fixed_sequence",
+         "fab1f6ddae016fed9e6812ce5d05cd572a47cce58708c04da9bcfe041d9e19b9"),
+        ("mixture_weighted",
+         "6ea4e3e70cc686068cc931c997ee93f563e2c1f5ebe40e4bae711d70fb9d5056"),
+        ("fixed_wager",
+         "c986488a05bb13dd1cf755f63b2da5b968cf05ce2a77f1ce28316e15f0da8905"),
+        ("replay",
+         "478d907b399cb583dca4c9df90578014aa576bb446e5766670df8a4cb809b6fd"),
+    ])
+    def test_bpac_digests_pinned(self, case, digest):
+        # Frozen engine trajectories, wealth snapshots included: a refactor
+        # of the engine or the driver must not move a bit.
+        grid = ThresholdGrid.from_step(step=0.01)
+        config = RouterConfig(grid=grid)
+        if case == "fixed_sequence":
+            traj = run_replication("bpac", config, uniform_linear(), 2000, seed=11,
+                                   emit_wealth_every=500)
+        elif case == "mixture_weighted":
+            mixture = RouterConfig(grid=grid, selection_mode=SelectionMode.MIXTURE,
+                                   prior=Prior.uniform(grid.n))
+            traj = run_replication("bpac", mixture, easy_hard(), 2000, seed=11,
+                                   emit_wealth_every=500)
+            assert np.all(np.isfinite(traj.weighted_risk))
+        elif case == "fixed_wager":
+            traj = run_replication("bpac", config, uniform_linear(), 2000, seed=11,
+                                   fixed_wager=0.03, emit_wealth_every=500)
+        else:
+            rng = np.random.default_rng(11)
+            events = [generate_event(uniform_linear(), rng, t) for t in range(1, 2001)]
+            traj = replay_trace("bpac", config, events, coin_seed=11,
+                                emit_wealth_every=500)
+        assert traj.u_hat.max() > 0.0
+        assert len(traj.wealth_snapshots) == 4
+        assert traj.digest() == digest
+
     def test_digest_reproducible(self):
         config = RouterConfig()
         a = run_replication("bpac", config, uniform_linear(), 200, seed=42)
