@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class Prior:
 
     @classmethod
     def uniform(cls, n: int) -> "Prior":
-        return cls(mass=np.full(n, 1.0 / n))
+        return cls(mass=np.ones(n) / n)
 
 
 @dataclass(frozen=True)
@@ -313,6 +313,59 @@ def validate_config(config: RouterConfig) -> RouterConfig:
 # JSON wire format
 
 
+# Tagged objects (schedules here, stream laws in ``simulation``) are read and
+# written from their dataclass fields: ``kind`` names the class in a kind
+# table, and every other key is an init field holding a JSON number.
+
+SCHEDULE_KINDS: dict[str, type] = {"constant": ConstantSchedule, "two_stage": TwoStageSchedule}
+
+# Builds the typed error for a malformed document from its message.
+Fail = Callable[[str], Exception]
+
+
+def json_number(value: Any, integer: bool, fail: Fail, name: str) -> float | int:
+    """``value`` as a float, or as an int when ``integer``, if it is that JSON number."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise fail(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise fail(f"{name} is too large for a float") from None
+
+
+def tagged_to_dict(obj: Any, kinds: dict[str, type]) -> dict[str, Any]:
+    """``{"kind": <obj's name in kinds>, <init field>: value, ...}``."""
+    kind = {cls: name for name, cls in kinds.items()}[type(obj)]
+    return {"kind": kind, **{f.name: getattr(obj, f.name) for f in fields(obj) if f.init}}
+
+
+def tagged_from_dict(raw: Any, kinds: dict[str, type], fail: Fail) -> Any:
+    """Inverse of ``tagged_to_dict``; malformed documents raise ``fail(message)``.
+
+    Every key but ``kind`` must be an init field and hold a JSON number (an
+    integer for ``int`` fields); a missing field takes the class default.
+    Range checks are the class's own, and its ValueError becomes ``fail``.
+    """
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise fail(f"expected an object whose 'kind' is one of {sorted(kinds)}, got {raw!r}")
+    init = {f.name: f for f in fields(kinds[kind]) if f.init}
+    unknown = sorted(raw.keys() - init.keys() - {"kind"})
+    if unknown:
+        raise fail(f"unknown {kind} field {unknown[0]!r}")
+    for name, f in init.items():
+        if name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise fail(f"{kind} needs field {name!r}")
+    values = {name: json_number(raw[name], f.type == "int", fail, name)
+              for name, f in init.items() if name in raw}
+    try:
+        return kinds[kind](**values)
+    except ValueError as exc:
+        raise fail(str(exc)) from None
+
+
 def config_to_dict(config: RouterConfig) -> dict[str, Any]:
     """Canonical JSON-ready form; stable across processes for hashing."""
     if config.grid.step is not None:
@@ -329,14 +382,6 @@ def config_to_dict(config: RouterConfig) -> dict[str, Any]:
     else:
         prior = [float(x) for x in config.prior.mass]
 
-    if isinstance(config.schedule, ConstantSchedule):
-        schedule: dict[str, Any] = {"kind": "constant", "rho": config.schedule.rho}
-    else:
-        schedule = {"kind": "two_stage",
-                    "rho_warm": config.schedule.rho_warm,
-                    "rho_deploy": config.schedule.rho_deploy,
-                    "t_warm": config.schedule.t_warm}
-
     return {
         "epsilon": config.epsilon,
         "alpha": config.alpha,
@@ -344,107 +389,89 @@ def config_to_dict(config: RouterConfig) -> dict[str, Any]:
         "selection_mode": config.selection_mode.value,
         "prior": prior,
         "grid": grid,
-        "schedule": schedule,
+        "schedule": tagged_to_dict(config.schedule, SCHEDULE_KINDS),
         "seed": config.seed,
     }
 
 
-_CONFIG_KEYS = {"epsilon", "alpha", "betting_cap", "selection_mode",
-                "prior", "grid", "schedule", "seed"}
+_CONFIG_FIELDS = fields(RouterConfig)
+
+
+def _fail(code: str, key: str) -> Fail:
+    return lambda message: ConfigError([Violation(code, key, message)])
 
 
 def config_from_dict(raw: dict[str, Any]) -> RouterConfig:
     """Build a RouterConfig from parsed JSON; missing keys take defaults.
 
-    Raises ConfigError on structural problems (unknown keys, malformed
-    sub-documents). Numeric invariants are left to ``validate_config``.
+    Raises ConfigError on structural problems: unknown keys, values of the
+    wrong JSON type, malformed sub-documents. Numeric invariants are left
+    to ``validate_config``.
     """
     if not isinstance(raw, dict):
-        raise ConfigError([Violation("BadValue", "<root>", "config document must be a JSON object")])
-    unknown = set(raw) - _CONFIG_KEYS
+        raise _fail("BadValue", "<root>")("config document must be a JSON object")
+    unknown = sorted(raw.keys() - {f.name for f in _CONFIG_FIELDS})
     if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError([Violation("BadValue", key, f"unknown config key {key!r}")])
+        raise _fail("BadValue", unknown[0])(f"unknown config key {unknown[0]!r}")
 
+    scalars = {f.name: json_number(raw[f.name], f.type == "int", _fail("BadValue", f.name), f.name)
+               for f in _CONFIG_FIELDS if f.type in ("float", "int") and f.name in raw}
     grid = _grid_from_raw(raw.get("grid"))
-    schedule = _schedule_from_raw(raw.get("schedule"))
+    schedule = (TwoStageSchedule() if raw.get("schedule") is None else
+                tagged_from_dict(raw["schedule"], SCHEDULE_KINDS, _fail("BadSchedule", "schedule")))
 
     mode_raw = raw.get("selection_mode", SelectionMode.FIXED_SEQUENCE.value)
     try:
         mode = SelectionMode(mode_raw)
     except ValueError:
-        raise ConfigError([Violation("BadValue", "selection_mode",
-                                     f"selection_mode must be one of {[m.value for m in SelectionMode]}, got {mode_raw!r}")]) from None
+        raise _fail("BadValue", "selection_mode")(
+            f"selection_mode must be one of {[m.value for m in SelectionMode]}, got {mode_raw!r}") from None
 
     prior_raw = raw.get("prior")
     if prior_raw is None:
         prior = None
     elif prior_raw == "uniform":
         prior = Prior.uniform(grid.n)
-    elif isinstance(prior_raw, list):
-        prior = Prior(mass=np.asarray(prior_raw, dtype=float))
     else:
-        raise ConfigError([Violation("BadPrior", "prior", f"prior must be null, 'uniform', or a mass list, got {prior_raw!r}")])
+        prior = Prior(mass=_numbers(prior_raw, _fail("BadPrior", "prior"), "prior"))
 
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError([Violation("BadValue", "seed", f"seed must be an integer, got {seed!r}")])
+    return RouterConfig(selection_mode=mode, prior=prior, grid=grid, schedule=schedule, **scalars)
 
-    return RouterConfig(
-        epsilon=float(raw.get("epsilon", DEFAULT_EPSILON)),
-        alpha=float(raw.get("alpha", DEFAULT_ALPHA)),
-        betting_cap=float(raw.get("betting_cap", DEFAULT_BETTING_CAP)),
-        selection_mode=mode,
-        prior=prior,
-        grid=grid,
-        schedule=schedule,
-        seed=seed,
-    )
+
+def _numbers(raw: Any, fail: Fail, name: str) -> np.ndarray:
+    if not isinstance(raw, list):
+        raise fail(f"{name} must be a list of numbers, got {raw!r}")
+    return np.array([json_number(x, False, fail, f"{name} entry") for x in raw], dtype=float)
 
 
 def _grid_from_raw(raw: Any) -> ThresholdGrid:
+    fail = _fail("BadGrid", "grid")
     if raw is None:
         return ThresholdGrid.default()
     if isinstance(raw, list):
-        return ThresholdGrid(values=np.asarray(raw, dtype=float))
-    if isinstance(raw, dict):
-        if "values" in raw:
-            return ThresholdGrid(values=np.asarray(raw["values"], dtype=float))
-        try:
-            return ThresholdGrid.from_step(float(raw.get("start", 0.0)),
-                                           float(raw.get("stop", 1.0)),
-                                           float(raw["step"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            raise ConfigError([Violation("BadGrid", "grid", f"malformed grid document {raw!r}")]) from None
-    raise ConfigError([Violation("BadGrid", "grid", f"grid must be a list or an object, got {raw!r}")])
-
-
-def _schedule_from_raw(raw: Any) -> Schedule:
-    if raw is None:
-        return TwoStageSchedule()
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError([Violation("BadSchedule", "schedule", f"schedule must be an object with a 'kind', got {raw!r}")])
-    kind = raw["kind"]
+        return ThresholdGrid(values=_numbers(raw, fail, "grid"))
+    if isinstance(raw, dict) and raw.keys() == {"values"}:
+        return ThresholdGrid(values=_numbers(raw["values"], fail, "grid"))
+    if not isinstance(raw, dict) or "step" not in raw or not raw.keys() <= {"start", "stop", "step"}:
+        raise fail(f"grid must be a list, {{'values': [...]}} or {{'start', 'stop', 'step'}}, got {raw!r}")
+    bounds = {name: json_number(value, False, fail, name) for name, value in raw.items()}
     try:
-        if kind == "constant":
-            return ConstantSchedule(rho=float(raw["rho"]))
-        if kind == "two_stage":
-            return TwoStageSchedule(rho_warm=float(raw.get("rho_warm", DEFAULT_RHO_WARM)),
-                                    rho_deploy=float(raw.get("rho_deploy", DEFAULT_RHO_DEPLOY)),
-                                    t_warm=int(raw.get("t_warm", DEFAULT_T_WARM)))
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError([Violation("BadSchedule", "schedule", f"malformed schedule document {raw!r}")]) from None
-    raise ConfigError([Violation("BadSchedule", "schedule", f"unknown schedule kind {kind!r}")])
+        return ThresholdGrid.from_step(**bounds)
+    except (ArithmeticError, ValueError):
+        raise fail(f"malformed grid document {raw!r}") from None
+
+
+def load_json(path: str | Path, fail: Fail) -> Any:
+    """Parse a JSON file; text that is not JSON raises ``fail(message)``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise fail(f"not valid JSON: {exc}") from None
 
 
 def load_config(path: str | Path) -> RouterConfig:
     """Parse a config JSON file. Invariants still need ``validate_config``."""
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([Violation("BadValue", "<file>", f"not valid JSON: {exc}")]) from None
-    return config_from_dict(raw)
+    return config_from_dict(load_json(path, _fail("BadValue", "<file>")))
 
 
 def config_digest(config: RouterConfig) -> str:

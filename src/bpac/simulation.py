@@ -10,7 +10,6 @@ evaluator side of the loss gate.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -27,7 +26,11 @@ from .core import (
     ThresholdGrid,
     config_digest,
     deployment_rate,
+    json_number,
+    load_json,
     rho_at,
+    tagged_from_dict,
+    tagged_to_dict,
 )
 from .engine import (
     AccountTable,
@@ -101,8 +104,8 @@ class BetaScore:
     b: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("beta shape parameters must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError(f"beta shape parameters must be positive and finite, got {self.a}, {self.b}")
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.beta(self.a, self.b, size)
@@ -162,8 +165,8 @@ class PowerLoss:
     def __post_init__(self) -> None:
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
-        if self.degree <= 0:
-            raise ValueError(f"degree must be positive, got {self.degree}")
+        if not 0 < self.degree < math.inf:
+            raise ValueError(f"degree must be positive and finite, got {self.degree}")
 
     def prob(self, v):
         return self.kappa * np.asarray(v, dtype=float) ** self.degree
@@ -571,6 +574,8 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
     from 1. Risk columns need the generating laws, so they are NaN when
     no spec is supplied (recorded traces).
     """
+    if fixed_wager is not None and method is not Method.BPAC:
+        raise ValueError(FIXED_WAGER_NEEDS_ENGINE)
     gate = LossGate()
     state: Any
     if method is Method.BPAC:
@@ -718,6 +723,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 
 WEIGHTED_NEEDS_ENGINE = "weighted risk is defined by the betting wagers; engine runs only"
+FIXED_WAGER_NEEDS_ENGINE = "a fixed wager replaces the betting wager; engine runs only"
 
 # Replications per lockstep block in ``mc_safety``. At G=1001 and T=2000
 # (2-core x86 box, best of three) blocks of 16/25/32/50/100 took about
@@ -819,6 +825,8 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
     blocks over a process pool.
     """
     method = parse_method(method)
+    if fixed_wager is not None and method is not Method.BPAC:
+        raise ValueError(FIXED_WAGER_NEEDS_ENGINE)
     criterion = _safety_criterion(method, spec, criterion)
     if spec.total_length is not None and horizon > spec.total_length:
         raise StreamExhausted(
@@ -963,106 +971,62 @@ def regret_harness(payoffs, epsilon: float, cap: float,
 # Stream-spec wire format
 
 
+SCORE_KINDS: dict[str, type] = {"uniform": UniformScore, "beta": BetaScore}
+LOSS_KINDS: dict[str, type] = {"linear": LinearLoss, "constant": ConstantLoss, "power": PowerLoss}
+TOKEN_KINDS: dict[str, type] = {"constant": ConstantTokens, "uniform_int": UniformTokens}
+
+# The law-valued segment fields and the kind table each is read from.
+_SEGMENT_LAWS = {"score": SCORE_KINDS, "loss": LOSS_KINDS, "tokens": TOKEN_KINDS}
+
+
 def spec_to_dict(spec: SyntheticStreamSpec) -> dict[str, Any]:
-    def score_doc(s: ScoreLaw) -> dict[str, Any]:
-        if isinstance(s, UniformScore):
-            return {"kind": "uniform", "low": s.low, "high": s.high}
-        return {"kind": "beta", "a": s.a, "b": s.b}
-
-    def loss_doc(l: LossLaw) -> dict[str, Any]:
-        if isinstance(l, LinearLoss):
-            return {"kind": "linear", "kappa": l.kappa}
-        if isinstance(l, ConstantLoss):
-            return {"kind": "constant", "level": l.level}
-        return {"kind": "power", "kappa": l.kappa, "degree": l.degree}
-
-    def token_doc(tm: TokenModel) -> dict[str, Any]:
-        if isinstance(tm, ConstantTokens):
-            return {"kind": "constant", "cheap": tm.cheap, "expensive": tm.expensive}
-        return {"kind": "uniform_int", "cheap_low": tm.cheap_low,
-                "cheap_high": tm.cheap_high, "expensive_low": tm.expensive_low,
-                "expensive_high": tm.expensive_high}
-
     return {"name": spec.name,
-            "segments": [{"length": seg.length, "score": score_doc(seg.score),
-                          "loss": loss_doc(seg.loss), "tokens": token_doc(seg.tokens)}
+            "segments": [{"length": seg.length,
+                          **{part: tagged_to_dict(getattr(seg, part), kinds)
+                             for part, kinds in _SEGMENT_LAWS.items()}}
                          for seg in spec.segments]}
 
 
 def spec_from_dict(raw: dict[str, Any]) -> SyntheticStreamSpec:
-    if not isinstance(raw, dict) or "segments" not in raw:
+    """Inverse of ``spec_to_dict``; a malformed document raises ``SpecError``.
+
+    A missing ``name`` is "custom", a missing ``length`` is open-ended and
+    missing ``tokens`` are ``ConstantTokens()``; any key not written by
+    ``spec_to_dict`` is an error.
+    """
+    if not isinstance(raw, dict) or not isinstance(raw.get("segments"), list):
         raise SpecError("segments", "spec document must be an object with a 'segments' list")
-    segments = []
-    for i, seg_raw in enumerate(raw["segments"]):
-        key = f"segments[{i}]"
-        if not isinstance(seg_raw, dict):
-            raise SpecError(key, "segment must be an object")
-        try:
-            segments.append(StreamSegment(
-                length=seg_raw.get("length"),
-                score=_score_from_raw(seg_raw.get("score"), key),
-                loss=_loss_from_raw(seg_raw.get("loss"), key),
-                tokens=_tokens_from_raw(seg_raw.get("tokens"), key)))
-        except ValueError as exc:
-            if isinstance(exc, SpecError):
-                raise
-            raise SpecError(key, str(exc)) from None
+    unknown = sorted(raw.keys() - {"name", "segments"})
+    if unknown:
+        raise SpecError(unknown[0], f"unknown spec key {unknown[0]!r}")
+    name = raw.get("name", "custom")
+    if not isinstance(name, str):
+        raise SpecError("name", f"name must be a string, got {name!r}")
+    segments = tuple(_segment_from_raw(seg, f"segments[{i}]")
+                     for i, seg in enumerate(raw["segments"]))
     try:
-        return SyntheticStreamSpec(segments=tuple(segments),
-                                   name=str(raw.get("name", "custom")))
+        return SyntheticStreamSpec(segments=segments, name=name)
     except ValueError as exc:
         raise SpecError("segments", str(exc)) from None
 
 
-def _score_from_raw(raw: Any, key: str) -> ScoreLaw:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise SpecError(f"{key}.score", f"score law must be an object with a 'kind', got {raw!r}")
-    kind = raw["kind"]
+def _segment_from_raw(raw: Any, key: str) -> StreamSegment:
+    if not isinstance(raw, dict):
+        raise SpecError(key, "segment must be an object")
+    unknown = sorted(raw.keys() - {"length", *_SEGMENT_LAWS})
+    if unknown:
+        raise SpecError(key, f"unknown segment key {unknown[0]!r}")
+    length = raw.get("length")
+    if length is not None:
+        length = json_number(length, True, lambda message: SpecError(key, message), "length")
+    laws = {part: tagged_from_dict(raw.get(part), kinds,
+                                   lambda message, part=part: SpecError(f"{key}.{part}", message))
+            for part, kinds in _SEGMENT_LAWS.items()
+            if part != "tokens" or raw.get(part) is not None}
     try:
-        if kind == "uniform":
-            return UniformScore(low=float(raw.get("low", 0.0)), high=float(raw.get("high", 1.0)))
-        if kind == "beta":
-            return BetaScore(a=float(raw["a"]), b=float(raw["b"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"{key}.score", str(exc)) from None
-    raise SpecError(f"{key}.score", f"unknown score kind {kind!r}")
-
-
-def _loss_from_raw(raw: Any, key: str) -> LossLaw:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise SpecError(f"{key}.loss", f"loss law must be an object with a 'kind', got {raw!r}")
-    kind = raw["kind"]
-    try:
-        if kind == "linear":
-            return LinearLoss(kappa=float(raw.get("kappa", 1.0)))
-        if kind == "constant":
-            return ConstantLoss(level=float(raw["level"]))
-        if kind == "power":
-            return PowerLoss(kappa=float(raw.get("kappa", 1.0)),
-                             degree=float(raw.get("degree", 2.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"{key}.loss", str(exc)) from None
-    raise SpecError(f"{key}.loss", f"unknown loss kind {kind!r}")
-
-
-def _tokens_from_raw(raw: Any, key: str) -> TokenModel:
-    if raw is None:
-        return ConstantTokens()
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise SpecError(f"{key}.tokens", f"token model must be an object with a 'kind', got {raw!r}")
-    kind = raw["kind"]
-    try:
-        if kind == "constant":
-            return ConstantTokens(cheap=int(raw.get("cheap", 100)),
-                                  expensive=int(raw.get("expensive", 500)))
-        if kind == "uniform_int":
-            return UniformTokens(cheap_low=int(raw["cheap_low"]),
-                                 cheap_high=int(raw["cheap_high"]),
-                                 expensive_low=int(raw["expensive_low"]),
-                                 expensive_high=int(raw["expensive_high"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"{key}.tokens", str(exc)) from None
-    raise SpecError(f"{key}.tokens", f"unknown token kind {kind!r}")
+        return StreamSegment(length=length, **laws)
+    except ValueError as exc:
+        raise SpecError(key, str(exc)) from None
 
 
 def load_stream_spec(path_or_name: str | Path) -> SyntheticStreamSpec:
@@ -1070,9 +1034,4 @@ def load_stream_spec(path_or_name: str | Path) -> SyntheticStreamSpec:
     name = str(path_or_name)
     if name in BUILTIN_SPECS:
         return BUILTIN_SPECS[name]()
-    text = Path(path_or_name).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError("<file>", f"not valid JSON: {exc}") from None
-    return spec_from_dict(raw)
+    return spec_from_dict(load_json(path_or_name, lambda message: SpecError("<file>", message)))

@@ -129,6 +129,42 @@ class TestErrorPaths:
         assert error["kind"] == "spec"
         assert error["key"] == "segments[0].loss"
 
+    def test_null_config_value_names_the_key(self, tmp_path):
+        config = write_config(tmp_path, epsilon=None)
+        code, _, err = run_cli("simulate", "--config", str(config),
+                               "--out", str(tmp_path / "x"), "--horizon", "10")
+        assert code == EXIT_INVALID
+        error = stderr_error(err)
+        assert (error["kind"], error["key"]) == ("config", "epsilon")
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"segments": 3}, "segments"),
+        ({"segments": [{"score": {"kind": "uniform"},
+                        "loss": {"kind": "power", "degree": float("nan")}}]},
+         "segments[0].loss"),
+    ])
+    def test_malformed_spec_exits_invalid(self, tmp_path, doc, key):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        code, _, err = run_cli("mc-safety", "--spec", str(spec_path),
+                               "--horizon", "300", "--n-reps", "5")
+        assert code == EXIT_INVALID
+        error = stderr_error(err)
+        assert (error["kind"], error["key"]) == ("spec", key)
+
+    @pytest.mark.parametrize("command", ["simulate", "replay", "mc-safety"])
+    @pytest.mark.parametrize("method", ["o_naive", "ips_hoeff"])
+    def test_fixed_wager_rejected_for_baselines(self, tmp_path, command, method):
+        trace = tmp_path / "trace.csv"
+        rng = np.random.default_rng(3)
+        write_trace(trace, [generate_event(uniform_linear(), rng, t) for t in range(1, 11)])
+        source = {"simulate": ["--horizon", "10", "--out", str(tmp_path / "x")],
+                  "replay": ["--trace", str(trace), "--out", str(tmp_path / "x")],
+                  "mc-safety": ["--horizon", "10", "--n-reps", "2"]}[command]
+        code, _, err = run_cli(command, "--method", method, "--fixed-wager", "0.05", *source)
+        assert code == EXIT_INVALID
+        assert stderr_error(err)["kind"] == "args"
+
     def test_missing_trace_file(self, tmp_path, ):
         code, _, err = run_cli(
             "replay", "--out", str(tmp_path / "x"),

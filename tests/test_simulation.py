@@ -113,6 +113,18 @@ class TestSpecs:
             assert ev.latent_loss in (0.0, 1.0)
             assert ev.tokens_cheap == 100 and ev.tokens_expensive == 500
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    @pytest.mark.parametrize("law", [
+        lambda x: BetaScore(x, 2.0),
+        lambda x: BetaScore(2.0, x),
+        lambda x: PowerLoss(degree=x),
+    ], ids=["beta_a", "beta_b", "power_degree"])
+    def test_non_finite_law_parameters_rejected(self, law, x):
+        # NaN slips past a plain ``<= 0`` check, and a NaN oracle risk is
+        # never above epsilon, so coverage could not fail.
+        with pytest.raises(ValueError, match="finite"):
+            law(x)
+
     def test_uniform_tokens_sampled_within_bounds(self):
         tok = UniformTokens(cheap_low=50, cheap_high=150,
                             expensive_low=400, expensive_high=600)
@@ -343,6 +355,16 @@ class TestReplications:
             run_replication("o_naive", RouterConfig(), easy_hard(), 50, seed=0,
                             track_weighted_risk=True)
 
+    @pytest.mark.parametrize("method", ["o_naive", "ips_hoeff"])
+    def test_fixed_wager_is_engine_only(self, method):
+        rng = np.random.default_rng(2)
+        events = [generate_event(uniform_linear(), rng, t) for t in range(1, 11)]
+        with pytest.raises(ValueError, match="engine runs only"):
+            run_replication(method, RouterConfig(), uniform_linear(), 10, seed=0,
+                            fixed_wager=0.05)
+        with pytest.raises(ValueError, match="engine runs only"):
+            replay_trace(method, RouterConfig(), events, fixed_wager=0.05)
+
     def test_bounded_stream_guards_horizon(self):
         spec = SyntheticStreamSpec(
             segments=(StreamSegment(length=30, score=UniformScore(),
@@ -430,6 +452,17 @@ class TestMcSafety:
         with pytest.raises(ValueError, match="engine runs only"):
             mc_safety(method, RouterConfig(), uniform_linear(), horizon=40,
                       n_reps=2, criterion="weighted")
+
+
+    @pytest.mark.parametrize("method", ["o_naive", "ips_hoeff"])
+    def test_fixed_wager_rejected_before_any_replication(self, method, monkeypatch):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(bpac.simulation, "run_replication", no_replication)
+        with pytest.raises(ValueError, match="engine runs only"):
+            mc_safety(method, RouterConfig(), uniform_linear(), horizon=40,
+                      n_reps=2, fixed_wager=5.0)
 
 
 # Coarse grid and alpha 0.9: the fixed-sequence rule certifies unsafe
