@@ -36,6 +36,7 @@ from .engine import (InvalidObservation, LossGateViolation, OutOfOrderObservatio
 from .metrics import TokenDivisionByZero
 from .records import (
     write_summary_json,
+    write_table,
     write_trajectory,
     write_wealth_snapshots,
 )
@@ -89,35 +90,22 @@ def _ensure_out(path: Path) -> Path:
     return path
 
 
-def _clean(x: float | None) -> float | None:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return None
-    return float(x)
+FINAL_COLUMNS = ("ecp", "tp", "er", "u_hat", "deploy_risk", "weighted_risk",
+                 "mean_cond_risk")
 
 
 def _final_row(traj, seed: int) -> dict[str, Any]:
-    return {
-        "seed": seed,
-        "final_ecp": _clean(traj.final("ecp")),
-        "final_tp": _clean(traj.final("tp")),
-        "final_er": _clean(traj.final("er")),
-        "final_u_hat": _clean(traj.final("u_hat")),
-        "final_deploy_risk": _clean(traj.final("deploy_risk")),
-        "final_weighted_risk": _clean(traj.final("weighted_risk")),
-        "final_mean_cond_risk": _clean(traj.final("mean_cond_risk")),
-        "escalations": int(traj.xi.sum()),
-        "gate_accesses": traj.gate_accesses,
-        "digest": traj.digest(),
-    }
+    finals = {f"final_{name}": traj.final(name) for name in FINAL_COLUMNS}
+    return {"seed": seed, **finals, "escalations": int(traj.xi.sum()),
+            "gate_accesses": traj.gate_accesses, "digest": traj.digest()}
 
 
 def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
     out: dict[str, Any] = {}
-    for key in ("final_ecp", "final_tp", "final_er", "final_u_hat",
-                "final_deploy_risk", "final_weighted_risk",
-                "final_mean_cond_risk"):
-        values = [row[key] for row in rows if row[key] is not None]
-        out["mean_" + key] = float(np.mean(values)) if values else None
+    for name in FINAL_COLUMNS:
+        values = [v for row in rows
+                  if (v := row["final_" + name]) is not None and not math.isnan(v)]
+        out["mean_final_" + name] = float(np.mean(values)) if values else None
     return out
 
 
@@ -248,10 +236,10 @@ def cmd_compare(args) -> int:
     methods = [Method.BPAC, Method.O_NAIVE, Method.IPS_HOEFF]
 
     per_method: dict[str, dict[str, Any]] = {}
-    curve_sums: dict[str, dict[str, np.ndarray]] = {}
+    means: dict[str, list[np.ndarray]] = {name: [] for name in ("ecp", "er", "u_hat")}
     for method in methods:
         rows = []
-        sums = {name: np.zeros(args.horizon) for name in ("ecp", "er", "u_hat")}
+        sums = {name: np.zeros(args.horizon) for name in means}
         for seed in seeds:
             # Same seed split for every method: identical queries, losses,
             # and exploration uniforms, so differences are method-only.
@@ -263,17 +251,13 @@ def cmd_compare(args) -> int:
             rows.append(_final_row(traj, seed))
         per_method[method.value] = {"replications": rows,
                                     "aggregate": _aggregate(rows)}
-        curve_sums[method.value] = sums
+        for name in means:
+            means[name].append(sums[name] / len(seeds))
 
-    n = len(seeds)
-    curve_lines = ["t,method,mean_ecp,mean_er,mean_u_hat"]
-    for method in methods:
-        sums = curve_sums[method.value]
-        for i in range(args.horizon):
-            curve_lines.append(
-                f"{i + 1},{method.value},{sums['ecp'][i] / n!r},"
-                f"{sums['er'][i] / n!r},{sums['u_hat'][i] / n!r}")
-    (out / "compare_curves.csv").write_text("\n".join(curve_lines) + "\n")
+    write_table(out / "compare_curves.csv", {
+        "t": np.tile(np.arange(1, args.horizon + 1), len(methods)),
+        "method": np.repeat([m.value for m in methods], args.horizon),
+        **{"mean_" + name: np.concatenate(curves) for name, curves in means.items()}})
 
     summary = {"command": "compare", "spec": spec_to_dict(spec),
                "horizon": args.horizon, "seeds": seeds,
@@ -461,8 +445,9 @@ def main(argv=None) -> int:
     except UnknownMethod as exc:
         _emit_error("method", str(exc), key="method")
         return EXIT_INVALID
-    except FileNotFoundError as exc:
-        _emit_error("io", str(exc), key=str(exc.filename))
+    except OSError as exc:
+        _emit_error("io", str(exc),
+                    key=None if exc.filename is None else str(exc.filename))
         return EXIT_INVALID
     except (StreamExhausted, NonStationarySpec, WagerOutOfRange,
             OutOfOrderObservation, InvalidObservation, LossGateViolation,

@@ -29,6 +29,10 @@ DEFAULT_T_WARM = 200
 
 MAX_SEED = 2**64
 
+# 100x the widest benchmarked grid (10001 points), so a start/stop/step
+# document can never ask numpy for gigabytes before validation.
+MAX_GRID_POINTS = 10**6
+
 PRIOR_SUM_TOL = 1e-9
 
 
@@ -75,6 +79,8 @@ class ThresholdGrid:
     def from_step(cls, start: float = 0.0, stop: float = 1.0,
                   step: float = DEFAULT_GRID_STEP) -> "ThresholdGrid":
         count = int(round((stop - start) / step)) + 1
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid of {count} points exceeds {MAX_GRID_POINTS}")
         return cls(values=np.linspace(start, stop, count), step=step)
 
     @classmethod

@@ -1,8 +1,8 @@
 """Deterministic on-disk formats for trajectories and summaries.
 
-Floats are rendered with repr (shortest round-trip form), rows are
-emitted in step order, and JSON keys are sorted, so rerunning the same
-configuration yields byte-identical files.
+Every result CSV is written by ``write_table``: floats in their shortest
+round-trip form, rows in step order. JSON keys are sorted. So rerunning
+the same configuration yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,25 +29,26 @@ class RecordFormatError(ValueError):
     """Trajectory file does not match the expected layout."""
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return repr(float(x))
+def write_table(path: str | Path, columns: dict[str, Any],
+                comment: str | None = None) -> None:
+    """Write equal-length columns as CSV, in the mapping's column order.
+
+    An optional ``# comment`` line comes first, then the column names, then
+    one line per row. Each cell is ``str`` of the column's Python scalar
+    (``np.asarray(col).tolist()``): ints stay digits, floats take their
+    shortest round-trip form, NaN is ``nan`` and strings are unchanged.
+    """
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(columns))
+    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
+    lines.extend(map(",".join, zip(*cells)))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_trajectory(path: str | Path, traj: Trajectory) -> None:
-    lines = [f"# config_hash={traj.config_hash}", ",".join(TRAJECTORY_COLUMNS)]
-    for i in range(traj.horizon):
-        row = []
-        for name in TRAJECTORY_COLUMNS:
-            if name == "method":
-                row.append(traj.method)
-            elif name in _INT_COLUMNS:
-                row.append(str(int(getattr(traj, name)[i])))
-            else:
-                row.append(_fmt(getattr(traj, name)[i]))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = {name: [traj.method] * traj.horizon if name == "method"
+               else getattr(traj, name) for name in TRAJECTORY_COLUMNS}
+    write_table(path, columns, comment=f"config_hash={traj.config_hash}")
 
 
 def read_trajectory(path: str | Path) -> Trajectory:
@@ -73,11 +74,11 @@ def read_trajectory(path: str | Path) -> Trajectory:
 def write_wealth_snapshots(path: str | Path, traj: Trajectory,
                            grid_values: np.ndarray) -> None:
     """Long-format log-wealth table: one row per (snapshot step, grid point)."""
-    lines = [f"# config_hash={traj.config_hash}", "t,u,log_wealth"]
-    for t_snap, wealth in traj.wealth_snapshots:
-        for u, w in zip(grid_values, wealth):
-            lines.append(f"{t_snap},{_fmt(u)},{_fmt(w)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    steps = [t_snap for t_snap, _ in traj.wealth_snapshots]
+    write_table(path, {"t": np.repeat(steps, len(grid_values)),
+                       "u": np.tile(grid_values, len(steps)),
+                       "log_wealth": np.ravel([w for _, w in traj.wealth_snapshots])},
+                comment=f"config_hash={traj.config_hash}")
 
 
 def _jsonable(value: Any) -> Any:

@@ -750,37 +750,28 @@ def _safety_criterion(method: Method, spec: SyntheticStreamSpec,
     return criterion
 
 
-def _replications_violated(args) -> list[bool]:
-    """Violation flags of baseline replications, run one by one."""
-    method, config, spec, horizon, seeds, hoeff_variant = args
-    flags = []
-    for seed in seeds:
-        traj = run_replication(method, config, spec, horizon, seed,
-                               hoeff_variant=hoeff_variant, track_weighted_risk=False)
-        flags.append(bool(np.any(traj.deploy_risk > config.epsilon)))
-    return flags
-
-
 def _lockstep_violated(args) -> list[bool]:
-    """Violation flags of bpac replications advanced together, one row each.
+    """Violation flags of replications advanced together, one lane each.
 
     Every replication gets what ``run_replication`` would give it: its
     seed splits into its own stream and coin generators, and each step it
     draws its event, flips its coin and reads its loss through its own
-    gate, in ``step``'s order and with ``step``'s checks (``route``).
-    Then one kernel call settles every row and each row certifies its own
-    threshold, so the deployed thresholds equal the serial ones bit for
-    bit.
+    gate. A baseline lane steps its own ``MeanState``. bpac lanes route
+    with ``step``'s order and checks (``route``), then one kernel call
+    settles every row and each row certifies its own threshold. So the
+    deployed thresholds equal the serial ones bit for bit.
     """
-    config, spec, horizon, seeds, criterion, fixed_wager = args
+    method, config, spec, horizon, seeds, criterion, fixed_wager, hoeff_variant = args
     rows = len(seeds)
-    lanes = []
-    for seed in seeds:
-        stream_ss, coin_ss = seed.spawn(2)
-        lanes.append((np.random.default_rng(stream_ss), np.random.default_rng(coin_ss),
-                      LossGate()))
-    table = AccountTable(config, rows, fixed_wager=fixed_wager)
+    streams, coins = zip(*(map(np.random.default_rng, seed.spawn(2)) for seed in seeds))
+    gates = [LossGate() for _ in range(rows)]
     grid_values, schedule, eps = config.grid.values, config.schedule, config.epsilon
+    if method is Method.BPAC:
+        table = AccountTable(config, rows, fixed_wager=fixed_wager)
+    else:
+        variant = None if method is Method.O_NAIVE else hoeff_variant
+        states = [MeanState.fresh(config, rng=coin, variant=variant) for coin in coins]
+        advance = naive_step if method is Method.O_NAIVE else hoeff_step
     if criterion == "weighted":
         tracker = RiskTracker(spec, schedule, config.grid, weighted=True, rows=rows)
     else:
@@ -788,15 +779,21 @@ def _lockstep_violated(args) -> list[bool]:
     deployed = np.zeros(rows, dtype=np.intp)
     violated = np.zeros(rows, dtype=bool)
     for t in range(1, horizon + 1):
-        rho_t = rho_at(schedule, t)
-        k, low = [], []
-        for (stream, coin, gate), used in zip(lanes, grid_values[deployed].tolist()):
-            _, _, _, kr, lr = route(generate_event(spec, stream, t), used, rho_t,
-                                    coin, gate, config)
-            k.append(kr)
-            low.append(lr)
-        table.settle(k, eps, low, payoff_bound(eps, schedule.rho_min, rho_t))
-        deployed = table.select()
+        events = [generate_event(spec, stream, t) for stream in streams]
+        if method is Method.BPAC:
+            rho_t = rho_at(schedule, t)
+            k, low = [], []
+            for obs, coin, gate, used in zip(events, coins, gates,
+                                             grid_values[deployed].tolist()):
+                _, _, _, kr, lr = route(obs, used, rho_t, coin, gate, config)
+                k.append(kr)
+                low.append(lr)
+            table.settle(k, eps, low, payoff_bound(eps, schedule.rho_min, rho_t))
+            deployed = table.select()
+        else:
+            for obs, state, gate in zip(events, states, gates):
+                advance(state, obs, gate)
+            deployed = np.array([state.deployed_index for state in states], dtype=np.intp)
         if criterion == "weighted":
             tracker.absorb(t, table.accounts.last_lambda)
             violated |= tracker.weighted_risk_at(deployed) > eps
@@ -819,10 +816,10 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
     method; a baseline on a multi-segment stream has neither and raises
     ``NonStationarySpec`` before any replication runs.
 
-    Replication i always runs on the i-th child of ``base_seed``. bpac
-    replications advance in lockstep blocks of ``MC_BLOCK`` on one
-    account table; baselines run one by one. ``workers`` > 1 spreads the
-    blocks over a process pool.
+    Replication i always runs on the i-th child of ``base_seed``.
+    Replications advance in lockstep blocks of ``MC_BLOCK``: bpac rows on
+    one account table, baselines on one ``MeanState`` each. ``workers`` > 1
+    spreads the blocks over a process pool.
     """
     method = parse_method(method)
     if fixed_wager is not None and method is not Method.BPAC:
@@ -833,19 +830,14 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
             f"horizon {horizon} exceeds the stream's total length {spec.total_length}")
 
     seeds = np.random.SeedSequence(base_seed).spawn(n_reps)
-    blocks = [seeds[i:i + MC_BLOCK] for i in range(0, n_reps, MC_BLOCK)]
-    if method is Method.BPAC:
-        run = _lockstep_violated
-        jobs = [(config, spec, horizon, block, criterion, fixed_wager) for block in blocks]
-    else:
-        run = _replications_violated
-        jobs = [(method, config, spec, horizon, block, hoeff_variant) for block in blocks]
+    jobs = [(method, config, spec, horizon, seeds[i:i + MC_BLOCK], criterion,
+             fixed_wager, hoeff_variant) for i in range(0, n_reps, MC_BLOCK)]
     if workers and workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flags = [f for block in pool.map(run, jobs) for f in block]
+            flags = [f for block in pool.map(_lockstep_violated, jobs) for f in block]
     else:
-        flags = [f for job in jobs for f in run(job)]
+        flags = [f for job in jobs for f in _lockstep_violated(job)]
 
     violations = int(sum(flags))
     freq = violations / n_reps if n_reps else 0.0

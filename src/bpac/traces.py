@@ -83,6 +83,6 @@ def load_trace(path: str | Path) -> list[StreamObservation]:
 def write_trace(path: str | Path, events: list[StreamObservation]) -> None:
     lines = [",".join(TRACE_COLUMNS)]
     for obs in events:
-        lines.append(f"{obs.index},{obs.uncertainty!r},{obs.latent_loss!r},"
+        lines.append(f"{obs.index},{float(obs.uncertainty)!r},{float(obs.latent_loss)!r},"
                      f"{obs.tokens_cheap},{obs.tokens_expensive}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -12,8 +12,10 @@ import json
 import numpy as np
 import pytest
 
+import bpac.cli
 import bpac.simulation
 from bpac.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
+from bpac.records import read_trajectory
 from bpac.simulation import generate_event, uniform_linear
 from bpac.traces import write_trace
 
@@ -171,6 +173,32 @@ class TestErrorPaths:
             "--trace", str(tmp_path / "nope.csv"))
         assert code == EXIT_INVALID
         assert stderr_error(err)["kind"] == "io"
+
+    @pytest.mark.parametrize("case", ["config_dir", "spec_dir", "trace_dir", "out_file"])
+    def test_unreadable_path_is_io(self, tmp_path, case):
+        a_dir, a_file = tmp_path / "adir", tmp_path / "afile"
+        a_dir.mkdir()
+        a_file.write_text("")
+        out = ["--out", str(tmp_path / "x")]
+        argv, path = {
+            "config_dir": (["simulate", "--config", str(a_dir), *out], a_dir),
+            "spec_dir": (["simulate", "--spec", str(a_dir), *out], a_dir),
+            "trace_dir": (["replay", "--trace", str(a_dir), *out], a_dir),
+            "out_file": (["simulate", "--horizon", "5", "--out", str(a_file)], a_file),
+        }[case]
+        code, _, err = run_cli(*argv)
+        assert code == EXIT_INVALID
+        error = stderr_error(err)
+        assert (error["kind"], error["key"]) == ("io", str(path))
+
+    def test_io_error_without_a_file_has_no_key(self, tmp_path, monkeypatch):
+        def broken(path):
+            raise OSError("device went away")
+
+        monkeypatch.setattr(bpac.cli, "load_trace", broken)
+        code, _, err = run_cli("replay", "--trace", "t.csv", "--out", str(tmp_path / "x"))
+        assert code == EXIT_INVALID
+        assert stderr_error(err) == {"kind": "io", "message": "device went away"}
 
     def test_bad_trace_row_number_in_key(self, tmp_path, ):
         trace = tmp_path / "bad.csv"
@@ -342,3 +370,41 @@ class TestAblate:
             "--preset", "everything")
         assert code == EXIT_INVALID
         assert stderr_error(err)["kind"] == "args"
+
+
+class TestResultTables:
+    def test_cells_are_numbers_and_curves_are_trajectory_means(self, tmp_path):
+        rng = np.random.default_rng(3)
+        trace = tmp_path / "trace.csv"
+        write_trace(trace, [generate_event(uniform_linear(), rng, t) for t in range(1, 41)])
+        runs = [("simulate", "--horizon", "40", "--seeds", "1,2", "--emit-wealth-every", "20"),
+                ("replay", "--trace", str(trace), "--emit-wealth-every", "20"),
+                ("sweep", "--horizon", "40", "--seeds", "1", "--epsilons", "0.05,0.1"),
+                ("compare", "--spec", "easy_hard", "--horizon", "40", "--seeds", "1,2,3")]
+        for command, *flags in runs:
+            assert run_cli(command, "--out", str(tmp_path / command), *flags)[0] == EXIT_OK
+
+        tables = {}
+        for path in tmp_path.glob("*/**/*.csv"):
+            header, *rows = [line.split(",") for line in path.read_text().splitlines()
+                             if not line.startswith("#")]
+            for row in rows:
+                assert len(row) == len(header), path
+                for name, cell in zip(header, row):
+                    if name != "method":
+                        float(cell)
+            tables[path.relative_to(tmp_path).as_posix()] = header, rows
+        assert {"simulate/wealth_bpac_seed2.csv", "replay/replay_wealth_bpac.csv",
+                "sweep/epsilon_0.1/trajectory_bpac_seed1.csv",
+                "compare/compare_curves.csv"} <= tables.keys()
+
+        header, rows = tables["compare/compare_curves.csv"]
+        assert header == ["t", "method", "mean_ecp", "mean_er", "mean_u_hat"]
+        for method in ("bpac", "o_naive", "ips_hoeff"):
+            trajs = [read_trajectory(tmp_path / "compare" / f"trajectory_{method}_seed{seed}.csv")
+                     for seed in (1, 2, 3)]
+            curve = [row for row in rows if row[1] == method]
+            assert [int(row[0]) for row in curve] == list(range(1, 41))
+            for j, name in enumerate(("ecp", "er", "u_hat"), start=2):
+                mean = sum((getattr(traj, name) for traj in trajs), np.zeros(40)) / 3
+                assert [float(row[j]) for row in curve] == mean.tolist()

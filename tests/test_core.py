@@ -78,6 +78,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             grid.floor(1.1)
 
+    @pytest.mark.parametrize("doc", [{"start": -1e6, "step": 0.001}, {"step": 1e-12}])
+    def test_oversized_grid_rejected_before_allocation(self, doc, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(np, "linspace", no_allocation)
+        with pytest.raises(ValueError, match="exceeds"):
+            ThresholdGrid.from_step(**doc)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"grid": doc})
+        assert err.value.violations[0].code == "BadGrid"
+
     @given(x=st.floats(0.0, 1.0))
     def test_floor_is_largest_value_not_above(self, x):
         grid = ThresholdGrid.from_step(step=0.05)

@@ -445,7 +445,7 @@ class TestMcSafety:
         def no_replication(*args, **kwargs):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(bpac.simulation, "run_replication", no_replication)
+        monkeypatch.setattr(bpac.simulation, "generate_event", no_replication)
         with pytest.raises(NonStationarySpec, match=method) as info:
             mc_safety(method, RouterConfig(), easy_hard(), horizon=40, n_reps=2)
         assert "single-segment" in str(info.value) and "wagers" in str(info.value)
@@ -459,7 +459,7 @@ class TestMcSafety:
         def no_replication(*args, **kwargs):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(bpac.simulation, "run_replication", no_replication)
+        monkeypatch.setattr(bpac.simulation, "generate_event", no_replication)
         with pytest.raises(ValueError, match="engine runs only"):
             mc_safety(method, RouterConfig(), uniform_linear(), horizon=40,
                       n_reps=2, fixed_wager=5.0)
@@ -472,13 +472,18 @@ LOOSE = dataclasses.replace(RouterConfig(), alpha=0.9,
                             schedule=TwoStageSchedule(t_warm=20))
 LOOSE_MIXTURE = dataclasses.replace(LOOSE, selection_mode=SelectionMode.MIXTURE,
                                     prior=Prior.uniform(21))
+# Explores at 0.7 throughout with a wide budget: at T=60, replications 0-9
+# of base seed 7 see o_naive violate 5 times and ips_hoeff deploy up to 0.6.
+LOOSE_EXPLORING = dataclasses.replace(LOOSE, epsilon=0.15, schedule=ConstantSchedule(0.7))
 
 
-def serial_verdicts(config, spec, horizon, n_reps, base_seed, criterion, fixed_wager):
+def serial_verdicts(config, spec, horizon, n_reps, base_seed, criterion, fixed_wager,
+                    method="bpac", hoeff_variant="per_point"):
     """Per-replication u_hat columns and violation flags from run_replication."""
     u_hat, flags = [], []
     for seed in np.random.SeedSequence(base_seed).spawn(n_reps):
-        traj = run_replication("bpac", config, spec, horizon, seed, fixed_wager=fixed_wager,
+        traj = run_replication(method, config, spec, horizon, seed, fixed_wager=fixed_wager,
+                               hoeff_variant=hoeff_variant,
                                track_weighted_risk=criterion == "weighted")
         column = traj.weighted_risk if criterion == "weighted" else traj.deploy_risk
         u_hat.append(traj.u_hat)
@@ -487,7 +492,7 @@ def serial_verdicts(config, spec, horizon, n_reps, base_seed, criterion, fixed_w
 
 
 class TestLockstep:
-    """``mc_safety`` runs bpac in lockstep blocks; it must match serial replications."""
+    """``mc_safety`` runs every method in lockstep blocks; it must match serial replications."""
 
     @pytest.mark.parametrize("fixed_wager", [None, 0.02])
     @pytest.mark.parametrize("criterion", ["deployment", "weighted"])
@@ -517,6 +522,41 @@ class TestLockstep:
             steps = np.concatenate([np.stack(deployed[i:i + horizon])
                                     for i in range(0, len(deployed), horizon)], axis=1)
             assert np.array_equal(config.grid.values[steps], u_hat)
+
+    @pytest.mark.parametrize("method,variant", [("o_naive", "per_point"),
+                                                ("ips_hoeff", "per_point"),
+                                                ("ips_hoeff", "union_over_grid")])
+    def test_baseline_lanes_match_serial_replications(self, method, variant, monkeypatch):
+        horizon, n_reps, base_seed = 60, 10, 7
+        u_hat, flags = serial_verdicts(LOOSE_EXPLORING, uniform_linear(), horizon, n_reps,
+                                       base_seed, "deployment", None, method, variant)
+        assert u_hat.max() > 0
+        if method == "o_naive":
+            assert 0 < sum(flags) < n_reps
+        name = "naive_step" if method == "o_naive" else "hoeff_step"
+        advance = getattr(bpac.simulation, name)
+        for block in (1, 3, 7):
+            deployed = []
+
+            def recording(state, obs, gate):
+                out = advance(state, obs, gate)
+                deployed.append(state.deployed_index)
+                return out
+
+            monkeypatch.setattr(bpac.simulation, "MC_BLOCK", block)
+            monkeypatch.setattr(bpac.simulation, name, recording)
+            report = mc_safety(method, LOOSE_EXPLORING, uniform_linear(), horizon, n_reps,
+                               base_seed=base_seed, hoeff_variant=variant)
+            assert report["violations"] == sum(flags)
+            # calls run lane by lane within a step, block after block
+            columns, pos = [], 0
+            for start in range(0, n_reps, block):
+                width = min(block, n_reps - start)
+                columns.append(np.reshape(deployed[pos:pos + horizon * width],
+                                          (horizon, width)))
+                pos += horizon * width
+            steps = np.concatenate(columns, axis=1)
+            assert np.array_equal(LOOSE_EXPLORING.grid.values[steps], u_hat)
 
     def test_default_config_matches_serial_recount(self, monkeypatch):
         # 2 of these 20 replications violate at the default operating point.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bpac.core import StreamObservation
 from bpac.simulation import generate_event, uniform_linear
 from bpac.traces import TraceFormatError, load_trace, write_trace
 
@@ -20,6 +21,17 @@ class TestRoundTrip:
         events = sample_events()
         path = tmp_path / "trace.csv"
         write_trace(path, events)
+        assert load_trace(path) == events
+
+    def test_numpy_scalar_fields_round_trip(self, tmp_path):
+        scores, losses = np.array([0.25, 0.5]), np.array([0.0, 1.0])
+        tokens = np.array([100, 500])
+        events = [StreamObservation(index=i + 1, uncertainty=scores[i],
+                                    latent_loss=losses[i], tokens_cheap=tokens[0],
+                                    tokens_expensive=tokens[1]) for i in range(2)]
+        path = tmp_path / "trace.csv"
+        write_trace(path, events)
+        assert path.read_text().splitlines()[1] == "1,0.25,0.0,100,500"
         assert load_trace(path) == events
 
     def test_written_bytes_are_stable(self, tmp_path):

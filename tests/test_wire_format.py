@@ -50,15 +50,14 @@ from bpac.simulation import (
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Any JSON value, NaN and +-Infinity included (Python's json reads them).
-# Object keys stay under 4 characters, so a replacement can never spell a
-# grid's "start", "stop" or "step": ``ThresholdGrid.from_step`` sizes its
-# array from those before any check, and a fuzzer must not ask numpy for
-# a huge one.
+# Object keys reach 5 characters, so a replacement can spell a grid's
+# "start", "stop" or "step"; ``ThresholdGrid.from_step`` bounds the point
+# count before it allocates.
 json_values = st.recursive(
     st.none() | st.booleans() | st.text(max_size=4) | st.integers()
     | st.floats(allow_nan=True, allow_infinity=True),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=6)
 
 
@@ -92,9 +91,7 @@ def spec_doc(**segment):
     return {"name": "s", "segments": [seg]}
 
 
-# Valid documents whose every field the fuzzers replace. The grids use the
-# values form; the start/stop/step form stays out for the reason given at
-# ``json_values``.
+# Valid documents whose every field the fuzzers replace, one per grid form.
 VALID_CONFIG_DOCS = [
     {"epsilon": 0.08, "alpha": 0.1, "betting_cap": 0.9, "selection_mode": "mixture",
      "prior": [0.2, 0.3, 0.5], "grid": {"values": [0.0, 0.5, 1.0]},
@@ -102,6 +99,7 @@ VALID_CONFIG_DOCS = [
      "seed": 4},
     {"selection_mode": "mixture", "prior": "uniform", "grid": [0.0, 0.25, 1.0],
      "schedule": {"kind": "constant", "rho": 0.1}},
+    {"grid": {"start": 0.0, "stop": 1.0, "step": 0.25}},
 ]
 VALID_SPEC_DOC = {"name": "every_kind", "segments": [
     {"length": 10, "score": {"kind": "beta", "a": 2.0, "b": 5.0},
