@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -83,6 +84,19 @@ def _resolve_seeds(args, config: RouterConfig) -> list[int]:
         base = args.base_seed
         return list(range(base, base + args.n_seeds))
     return [config.seed]
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer flag that must be at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _ensure_out(path: Path) -> Path:
@@ -337,10 +351,14 @@ def cmd_ablate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # exit_on_error=False lets ``main`` report a bad flag value as a JSON
+    # ``args`` error instead of argparse's usage text.
     parser = argparse.ArgumentParser(
-        prog="bpac",
+        prog="bpac", exit_on_error=False,
         description="Streaming risk-controlled router: simulate, replay, study.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, exit_on_error=False))
 
     def common(p: argparse.ArgumentParser, *, default_out: str | None) -> None:
         p.add_argument("--config", type=Path, default=None,
@@ -352,14 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     def seed_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seeds", default=None,
                        help="comma-separated replication seeds; wins over --n-seeds")
-        p.add_argument("--n-seeds", type=int, default=None,
+        p.add_argument("--n-seeds", type=_int_at_least(1), default=None,
                        help="run seeds base..base+K-1")
         p.add_argument("--base-seed", type=int, default=0)
 
     def stream_flags(p: argparse.ArgumentParser, default_horizon: int) -> None:
         p.add_argument("--spec", default="uniform_linear",
                        help="built-in stream name or spec JSON path")
-        p.add_argument("--horizon", type=int, default=default_horizon)
+        p.add_argument("--horizon", type=_int_at_least(0), default=default_horizon,
+                       help="steps per run; 0 gives an empty run")
 
     def method_flags(p: argparse.ArgumentParser, default: str = "bpac") -> None:
         p.add_argument("--method", default=default,
@@ -391,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, default_out=None)
     stream_flags(p, 2000)
     method_flags(p)
-    p.add_argument("--n-reps", type=int, default=200)
+    p.add_argument("--n-reps", type=_int_at_least(1), default=200)
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--criterion", default="auto",
                    help="auto, deployment, or weighted")
@@ -428,7 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        _emit_error("args", str(exc), key=exc.argument_name)
+        return EXIT_INVALID
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -66,14 +66,25 @@ class ThresholdGrid:
 
     The router only ever deploys values from this grid. ``step`` is a
     serialization hint kept when the grid was built from a regular spacing;
-    it plays no role in the math.
+    it plays no role in the math. ``values`` is a read-only copy of the
+    caller's array, so ``grid_list``, the same values as Python floats for
+    ``bisect`` in ``engine.route``, can never go stale.
     """
 
     values: np.ndarray
     step: float | None = None
+    grid_list: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "grid_list", values.tolist())
+
+    def __reduce__(self):
+        # Rebuild through __init__, so an unpickled grid (a worker's) is
+        # read-only too.
+        return type(self), (self.values, self.step)
 
     @classmethod
     def from_step(cls, start: float = 0.0, stop: float = 1.0,

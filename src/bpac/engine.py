@@ -25,11 +25,27 @@ increases along the grid either. The adaptive wager
 positive only on a prefix ``[0, a)`` and exactly 0 past it, where
 ``log1p(0 * payoff)`` is a signed zero and leaves log-wealth bit-for-bit
 unchanged. Skipping those accounts changes no bit of the result.
+
+The single-run path takes four more shortcuts, each exact:
+
+- The split ``k = bisect_right(grid, score)`` makes the same ``<``
+  comparisons as ``searchsorted(grid, score, "right")`` for a finite
+  score, and ``route`` rejects every other score first.
+- A step whose payoff is the same on both sides of the split (a cheap
+  step, or an escalation that observed loss 0) settles as ``k = n``.
+- Every wager is at most ``cap / m_t``, or exactly the fixed wager, and
+  rounding a product by a fixed negative scalar is monotone. So no
+  account can be ruined unless ``low`` times that bound is ``<= -1``, and
+  only then is the largest wager past the split reduced.
+- Under the fixed-sequence rule the first account below the bar lies in
+  ``[0, a)`` unless every account there clears it; only then is the rest
+  of the grid scanned.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -149,8 +165,8 @@ def coin_generator(config: RouterConfig, rng=None) -> np.random.Generator:
 def require_increasing_grid(grid: ThresholdGrid) -> None:
     """Raise ``ConfigError`` unless the grid is strictly increasing.
 
-    Settlement splits the grid at ``searchsorted(grid, score, "right")``,
-    which is the set of candidates above the score only on a sorted grid.
+    Settlement splits the grid at ``bisect_right(grid, score)``, which is
+    the set of candidates above the score only on a sorted grid.
     """
     if not np.all(np.diff(grid.values) > 0):
         raise ConfigError([Violation("BadGrid", "grid",
@@ -258,10 +274,11 @@ class AccountTable:
     Every row shares the config, so the grid, the bars and any fixed
     wager. The (R, G) arrays are transposed views of grid-major storage,
     so the live prefix of every row together is one contiguous block.
-    ``settle`` writes the step's wagers into a spare buffer and swaps it
-    with ``accounts.last_lambda`` once every row is known to survive, so
-    a wager array read from ``accounts`` is only valid until the next
-    step; copy it to keep it.
+    ``sum_payoff`` and ``sum_payoff_sq`` are the two halves of one array,
+    so one add settles both. ``settle`` writes the step's wagers into a
+    spare buffer and swaps it with ``accounts.last_lambda`` once every
+    row is known to survive, so a wager array read from ``accounts`` is
+    only valid until the next step; copy it to keep it.
     """
 
     def __init__(self, config: RouterConfig, rows: int | None = None, *,
@@ -288,11 +305,19 @@ class AccountTable:
         else:
             self.log_bars = -math.log(config.alpha)
         n = config.grid.n
-        shape = n if rows is None else (n, rows)
-        self._lw, self._s1, self._s2, self._lam, self._spare = (np.zeros(shape)
-                                                                for _ in range(5))
+        shape = (n,) if rows is None else (n, rows)
+        self._lw, self._lam, self._spare = (np.zeros(shape) for _ in range(3))
+        self._sums = np.zeros((2, *shape))
+        self._s1, self._s2 = self._sums
         self._work = np.empty(shape)
-        if rows is not None:
+        if rows is None:
+            # Per-step constants of the single-run path, made once: the
+            # reversed sums for the prefix search, the (2, 1) payoff columns
+            # [p, p * p] of each side of the split, and a selection mask.
+            self._s1_reversed = self._s1[::-1]
+            self._high_column, self._low_column = np.empty((2, 2, 1))
+            self._qualified = np.empty(n, dtype=bool)
+        else:
             self._pay = np.empty(shape)
             self._positive = np.empty(shape, dtype=bool)
         self.accounts = ThresholdAccount(log_wealth=self._lw.T, sum_payoff=self._s1.T,
@@ -314,76 +339,110 @@ class AccountTable:
         ``a`` is the largest live prefix of any row; each row bets exactly
         0 past its own prefix. Raises before any account changes.
         """
+        if self._lw.ndim == 1:
+            self._settle_run(k, high, low, m_t)
+        else:
+            self._settle_rows(k, high, low, m_t)
+
+    def _settle_run(self, k: int, high: float, low: float, m_t: float) -> None:
+        """``settle`` for a single run, one numpy call per array job."""
+        lam, work = self._spare, self._work
+        n = lam.size
+        if low == high:
+            # One payoff on both sides of the split: settle it as one side.
+            k = n
+        if self.fixed_wager is None:
+            top = self.cap / m_t
+            # Accounts with sum_payoff <= 0 form a suffix of the grid.
+            a = n - int(self._s1_reversed.searchsorted(0.0, "right"))
+            growth, wagers = work[:a], lam[:a]
+            np.add(self._s2[:a], 1.0, growth)
+            np.divide(self._s1[:a], growth, growth)
+            # The ratio is >= 0 on the live prefix, so clip(., 0, top) is a
+            # minimum.
+            np.minimum(growth, top, out=wagers)
+            # The buffer last held the wagers of two steps ago; clear only
+            # the points that were live then and are not now.
+            if self._spare_extent > a:
+                lam[a:self._spare_extent] = 0.0
+        else:
+            top, a = self.fixed_wager, n
+            growth, wagers = work, lam
+            lam.fill(top)
+
+        if k < a:
+            # No wager exceeds ``top``, so only a ``low`` that ruins ``top``
+            # needs the largest wager it meets (module docstring).
+            if low * top <= -1.0:
+                worst = low * float(np.maximum.reduce(lam[k:a]))
+                if worst <= -1.0:
+                    raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
+            np.multiply(lam[:k], high, growth[:k])
+            np.multiply(lam[k:a], low, growth[k:])
+        else:
+            np.multiply(wagers, high, growth)
+        self._spare, self._lam = self._lam, lam
+        self.accounts.last_lambda = lam
+        self._spare_extent, self._extent = self._extent, a
+
+        np.log1p(growth, growth)
+        lw = self._lw[:a]
+        np.add(lw, growth, lw)
+        sums, high_column = self._sums, self._high_column
+        high_column[0, 0], high_column[1, 0] = high, high * high
+        if k < n:
+            low_column = self._low_column
+            low_column[0, 0], low_column[1, 0] = low, low * low
+            head, tail = sums[:, :k], sums[:, k:]
+            np.add(head, high_column, head)
+            np.add(tail, low_column, tail)
+        else:
+            np.add(sums, high_column, sums)
+
+    def _settle_rows(self, k, high: float, low, m_t: float) -> None:
+        """``settle`` for an (R, G) table, through one payoff table."""
         s1, s2, lam, work = self._s1, self._s2, self._spare, self._work
         n = s1.shape[0]
-        single = s1.ndim == 1
         if self.fixed_wager is None:
-            # Accounts with sum_payoff <= 0 form a suffix of every row.
-            if single:
-                a = n - int(s1[::-1].searchsorted(0.0, "right"))
-            else:
-                # The last positive entry in grid-major order ends the
-                # largest prefix.
-                positive = np.greater(s1, 0.0, out=self._positive).ravel()
-                last = positive.size - 1 - int(positive[::-1].argmax())
-                a = last // s1.shape[1] + 1 if positive[last] else 0
+            # The last positive entry in grid-major order ends the largest
+            # prefix.
+            positive = np.greater(s1, 0.0, out=self._positive).ravel()
+            last = positive.size - 1 - int(positive[::-1].argmax())
+            a = last // s1.shape[1] + 1 if positive[last] else 0
             live = work[:a]
             np.add(s2[:a], 1.0, out=live)
             np.divide(s1[:a], live, out=live)
-            if not single:
-                # Past a row's own prefix its ratio is <= 0, and its wager 0.
-                np.maximum(live, 0.0, out=live)
+            # Past a row's own prefix its ratio is <= 0, and its wager 0.
+            np.maximum(live, 0.0, out=live)
             # The ratio is >= 0 now, so clip(., 0, cap) is a minimum.
             np.minimum(live, self.cap / m_t, out=lam[:a])
-            # The buffer last held the wagers of two steps ago; clear only
-            # the points that were live then and are not now.
             if self._spare_extent > a:
                 lam[a:self._spare_extent] = 0.0
         else:
             a = n
             lam.fill(self.fixed_wager)
 
-        growth = work[:a]
-        if single:
-            # Smallest growth factor: low times the largest wager it meets,
-            # since rounding a product by a fixed scalar is monotone.
-            if low < 0.0 and k < a:
-                worst = low * float(np.maximum.reduce(lam[k:a]))
-                if worst <= -1.0:
-                    raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
-            j = min(k, a)
-            np.multiply(lam[:j], high, out=growth[:j])
-            if j < a:
-                np.multiply(lam[j:a], low, out=growth[j:])
-        else:
-            # One payoff table for all rows, so each array op is one call.
-            # Only rows charged a loss differ from ``high`` anywhere.
-            pay = self._pay
-            pay.fill(high)
-            for r, (kr, lr) in enumerate(zip(k, low)):
-                if lr != high:
-                    pay[kr:, r] = lr
-            np.multiply(lam[:a], pay[:a], out=growth)
-            if a:
-                worst = float(np.minimum.reduce(growth, axis=None))
-                if worst <= -1.0:
-                    raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
+        # One payoff table for all rows, so each array op is one call.
+        # Only rows charged a loss differ from ``high`` anywhere.
+        growth, pay = work[:a], self._pay
+        pay.fill(high)
+        for r, (kr, lr) in enumerate(zip(k, low)):
+            if lr != high:
+                pay[kr:, r] = lr
+        np.multiply(lam[:a], pay[:a], out=growth)
+        if a:
+            worst = float(np.minimum.reduce(growth, axis=None))
+            if worst <= -1.0:
+                raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
         self._spare, self._lam = self._lam, lam
         self.accounts.last_lambda = lam.T
         self._spare_extent, self._extent = self._extent, a
 
         np.log1p(growth, out=growth)
         self._lw[:a] += growth
-        if single:
-            s1[:k] += high
-            s2[:k] += high * high
-            if k < n:
-                s1[k:] += low
-                s2[k:] += low * low
-        else:
-            s1 += pay
-            np.multiply(pay, pay, out=pay)
-            s2 += pay
+        s1 += pay
+        np.multiply(pay, pay, out=pay)
+        s2 += pay
 
     def select(self):
         """Deployed grid index under the config's selection rule, per row."""
@@ -391,6 +450,13 @@ class AccountTable:
         if lw.ndim == 1:
             if self.mixture:
                 return _mixture_index(lw, self.log_bars)
+            a = self._extent
+            if 0 < a < lw.size:
+                # The first gap in the live prefix, when there is one.
+                qualified = np.greater_equal(lw[:a], self.log_bars, self._qualified[:a])
+                first_gap = int(qualified.argmin())
+                if not qualified[first_gap]:
+                    return max(first_gap - 1, 0)
             return _fixed_sequence_index(lw, self.log_bars)
         if self.mixture:
             return _mixture_rows(lw, self.log_bars)
@@ -463,7 +529,7 @@ def route(obs: StreamObservation, threshold_used: float, rho_t: float,
     if not 0.0 <= estimate <= (1.0 - rho_min) * (1.0 / rho_t):
         raise WagerOutOfRange(
             f"loss estimate {estimate} escapes its propensity bound at step {obs.index}")
-    k = int(config.grid.values.searchsorted(obs.uncertainty, "right"))
+    k = bisect_right(config.grid.grid_list, obs.uncertainty)
     return pi, 1, observed, k, config.epsilon - estimate
 
 
@@ -479,10 +545,10 @@ def step(state: RouterState, obs: StreamObservation,
 
     Settlement is one fused in-place kernel. An escalated step charges
     the candidates strictly above the score, ``grid[k:]`` with
-    ``k = searchsorted(grid, score, "right")``, and pays the rest
-    epsilon; the wager and wealth update run only on the live prefix of
-    accounts with positive cumulative payoff, which is exact by the
-    live-prefix invariant in the module docstring.
+    ``k = bisect_right(grid, score)``, and pays the rest epsilon; the
+    wager and wealth update run only on the live prefix of accounts with
+    positive cumulative payoff, which is exact by the live-prefix
+    invariant in the module docstring.
 
     A score must be finite; any finite score is accepted. Above 1 it sits
     at or above every candidate, so the query always escalates and every
@@ -498,12 +564,11 @@ def step(state: RouterState, obs: StreamObservation,
             f"expected observation index {t}, got {obs.index}")
     cfg = state.config
     rho_t = rho_at(cfg.schedule, t)
-    threshold_used = float(cfg.grid.values[state.deployed_index])
+    threshold_used = cfg.grid.grid_list[state.deployed_index]
     pi, coin, observed, k, low = route(obs, threshold_used, rho_t, state.rng, gate, cfg)
     eps = cfg.epsilon
     table = state.table
     table.settle(k, eps, low, payoff_bound(eps, cfg.schedule.rho_min, rho_t))
     state.deployed_index = table.select()
     state.t = t
-    return Decision(propensity=pi, coin=coin, observed_loss=observed,
-                    threshold_used=threshold_used), state
+    return Decision(pi, coin, observed, threshold_used), state

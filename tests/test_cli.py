@@ -244,6 +244,21 @@ class TestErrorPaths:
         assert error["kind"] == "runtime"
         assert "not finite" in error["message"]
 
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", [["--horizon", "-3"], ["--n-seeds", "-2"]]),
+        ("compare", [["--n-seeds", "0"], ["--horizon", "-3"]]),
+        ("mc-safety", [["--n-reps", "0"], ["--n-reps", "-1"]]),
+    ])
+    def test_out_of_range_counts_exit_invalid(self, tmp_path, command, flags):
+        out = tmp_path / "x"
+        for flag, value in flags:
+            code, stdout, err = run_cli(command, "--out", str(out), flag, value)
+            assert code == EXIT_INVALID
+            assert stdout == ""
+            assert stderr_error(err)["kind"] == "args"
+            assert stderr_error(err)["key"] == flag
+        assert not out.exists()
+
 
 class TestReplay:
     def test_replay_outputs_and_gate_accounting(self, tmp_path, ):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -70,6 +71,20 @@ class TestGrid:
         assert grid.floor(0.0) == 0.0
         assert grid.floor(1.0) == 1.0
         assert grid.floor_index(0.0) == 0
+
+    def test_values_are_a_read_only_copy(self):
+        """The grid owns its values, so ``grid_list`` cannot drift from them."""
+        source = np.linspace(0.0, 1.0, 5)
+        grid = ThresholdGrid(values=source)
+        with pytest.raises(ValueError):
+            grid.values[0] = 0.5
+        source[1] = 0.3
+        assert source.flags.writeable
+        assert grid.values[1] == 0.25
+        assert grid.grid_list == [0.0, 0.25, 0.5, 0.75, 1.0]
+        copy = pickle.loads(pickle.dumps(grid))
+        assert not copy.values.flags.writeable
+        assert copy.grid_list == grid.grid_list
 
     def test_floor_rejects_outside_unit_interval(self):
         grid = ThresholdGrid.default()

@@ -542,15 +542,37 @@ class TestAccountTable:
         if rows is not None:
             assert 1 in prefixes[1] and prefixes[1][-1] == 8
 
-    def test_ruin_in_one_row_raises_before_any_row_changes(self):
-        table = AccountTable(self.config(), 3, fixed_wager=0.04)
-        table.settle([8, 8, 8], EPS, [EPS, EPS, EPS], self.M_T)
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_ruin_in_one_row_raises_before_any_row_changes(self, rows):
+        """0.04 * -30 <= -1 passes the single run's scalar pre-check and fails
+        its array check; a table charges one row and checks every row."""
+        table = AccountTable(self.config(), rows, fixed_wager=0.04)
+        if rows is None:
+            table.settle(8, EPS, EPS, self.M_T)
+        else:
+            table.settle([8, 8, 8], EPS, [EPS, EPS, EPS], self.M_T)
         before = {name: getattr(table.accounts, name).copy()
                   for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda")}
         with pytest.raises(WagerOutOfRange):
-            table.settle([8, 0, 8], EPS, [EPS, -30.0, EPS], self.M_T)
+            if rows is None:
+                table.settle(0, EPS, -30.0, self.M_T)
+            else:
+                table.settle([8, 0, 8], EPS, [EPS, -30.0, EPS], self.M_T)
         for name, value in before.items():
             assert np.array_equal(getattr(table.accounts, name), value), name
+
+    def test_ruin_pre_check_alone_does_not_raise(self):
+        """A payoff that would ruin the largest allowed wager settles when the
+        wagers it meets are smaller."""
+        config = self.config()
+        table = AccountTable(config)
+        shadow = ThresholdAccount.table(8)
+        # With m_t = 1 the cap allows wagers up to 0.9; after one step every
+        # wager is about 0.08, so -2 * 0.9 <= -1 but -2 * 0.08 > -1.
+        for k, low in [(8, EPS), (3, -2.0)]:
+            table.settle(k, EPS, low, 1.0)
+            reference_settle(shadow, k, EPS, low, 1.0, config.betting_cap)
+            assert_same_bits(table.accounts, None, shadow)
 
 
 @st.composite
