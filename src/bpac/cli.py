@@ -374,11 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run seeds base..base+K-1")
         p.add_argument("--base-seed", type=int, default=0)
 
-    def stream_flags(p: argparse.ArgumentParser, default_horizon: int) -> None:
+    def stream_flags(p: argparse.ArgumentParser, default_horizon: int,
+                     least_horizon: int = 0) -> None:
         p.add_argument("--spec", default="uniform_linear",
                        help="built-in stream name or spec JSON path")
-        p.add_argument("--horizon", type=_int_at_least(0), default=default_horizon,
-                       help="steps per run; 0 gives an empty run")
+        p.add_argument("--horizon", type=_int_at_least(least_horizon),
+                       default=default_horizon,
+                       help="steps per run" + ("; 0 gives an empty run"
+                                               if least_horizon == 0 else ""))
 
     def method_flags(p: argparse.ArgumentParser, default: str = "bpac") -> None:
         p.add_argument("--method", default=default,
@@ -408,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc-safety", help="risk-coverage frequency over replications")
     common(p, default_out=None)
-    stream_flags(p, 2000)
+    # a coverage verdict or a mean curve needs at least one step
+    stream_flags(p, 2000, least_horizon=1)
     method_flags(p)
     p.add_argument("--n-reps", type=_int_at_least(1), default=200)
     p.add_argument("--base-seed", type=int, default=0)
@@ -429,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="all methods on shared streams")
     common(p, default_out="runs/compare")
-    stream_flags(p, 2000)
+    stream_flags(p, 2000, least_horizon=1)
     seed_flags(p)
     p.add_argument("--hoeff-variant", default="per_point")
     p.set_defaults(func=cmd_compare)

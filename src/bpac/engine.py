@@ -40,6 +40,17 @@ The single-run path takes four more shortcuts, each exact:
 - Under the fixed-sequence rule the first account below the bar lies in
   ``[0, a)`` unless every account there clears it; only then is the rest
   of the grid scanned.
+
+``route_lanes`` routes R lanes of a Monte Carlo study (``mc_safety``) on
+numbers drawn ahead of time, a chunk of steps at once, and is exact too:
+
+- numpy's ``Generator.random(m)`` returns the same doubles as m calls of
+  ``random()``, so a lane's coin draws for a chunk are one call, and a
+  stream segment that draws a score and a loss coin per event, and
+  nothing else, is one ``random(2 * m)`` call.
+- ``searchsorted(grid, scores, "right")`` over a chunk gives each finite
+  score the split ``bisect_right`` gives it, and ``route_lanes`` rejects
+  a non-finite score before its coin or its split is read.
 """
 
 from __future__ import annotations
@@ -84,7 +95,11 @@ class InvalidObservation(ValueError):
 
 
 class LossGateViolation(RuntimeError):
-    """The engine tried to read a loss on a step routed to the cheap model."""
+    """A loss was read on a step routed to the cheap model.
+
+    Raised when the engine asks the gate with coin 0, and when a gate's
+    record of accesses disagrees with the routing record.
+    """
 
 
 class Route(str, Enum):
@@ -133,18 +148,33 @@ class LossGate:
 
     The gate opens only on steps whose coin actually routed the query to
     the expensive model, and it records every access, so a trajectory can
-    be audited against the routing record afterwards.
+    be audited against the routing record afterwards. ``observe`` reads the
+    loss off an event; a lane driven on losses drawn ahead of time puts
+    them behind the gate with ``hold`` and reads one with ``reveal``.
     """
 
     def __init__(self) -> None:
         self.accessed_steps: list[int] = []
+        self._first = 1
+        self._held: list[float] = []
 
     def observe(self, obs: StreamObservation, coin: int) -> float:
-        if coin != 1:
-            raise LossGateViolation(
-                f"loss requested at step {obs.index} with routing coin {coin}")
-        self.accessed_steps.append(obs.index)
+        self._open(obs.index, coin)
         return obs.latent_loss
+
+    def hold(self, first: int, losses: list[float]) -> None:
+        """Keep the latent losses of steps ``first``, ``first + 1``, ... for ``reveal``."""
+        self._first, self._held = first, losses
+
+    def reveal(self, t: int, coin: int) -> float:
+        """``observe`` for held step ``t``."""
+        self._open(t, coin)
+        return self._held[t - self._first]
+
+    def _open(self, t: int, coin: int) -> None:
+        if coin != 1:
+            raise LossGateViolation(f"loss requested at step {t} with routing coin {coin}")
+        self.accessed_steps.append(t)
 
     @property
     def access_count(self) -> int:
@@ -531,6 +561,42 @@ def route(obs: StreamObservation, threshold_used: float, rho_t: float,
             f"loss estimate {estimate} escapes its propensity bound at step {obs.index}")
     k = bisect_right(config.grid.grid_list, obs.uncertainty)
     return pi, 1, observed, k, config.epsilon - estimate
+
+
+def route_lanes(t: int, scores: list[float], draws: list[float], splits: list[int],
+                thresholds: list[float], rho_t: float, gates: list[LossGate],
+                config: RouterConfig) -> tuple[list[int], list[int], list[float]]:
+    """``route`` for R lanes at step ``t``, on numbers drawn ahead of time.
+
+    Lane r routes ``scores[r]`` against ``thresholds[r]``. ``draws[r]`` is
+    the ``random()`` its coin generator gives at this step, ``splits[r]``
+    is ``searchsorted(grid, scores[r], "right")``, and ``gates[r]`` holds
+    its latent loss for step ``t``, read only if the lane escalated.
+    Returns each lane's coin and its split ``k, low`` as in ``route``,
+    bit for bit, and makes ``route``'s checks; a failed check names the
+    lane and the step.
+    """
+    lanes = len(scores)
+    coins, k, low = [0] * lanes, [config.grid.n] * lanes, [config.epsilon] * lanes
+    scale = 1.0 - config.schedule.rho_min
+    bound = scale * (1.0 / rho_t)
+    for lane, (score, draw, used) in enumerate(zip(scores, draws, thresholds)):
+        if not math.isfinite(score):
+            raise InvalidObservation(
+                f"uncertainty score {score!r} at step {t} in lane {lane} is not finite")
+        pi = propensity(score, used, rho_t)
+        if draw >= pi:
+            continue
+        observed = gates[lane].reveal(t, 1)
+        if not 0.0 <= observed <= 1.0:
+            raise InvalidObservation(
+                f"observed loss {observed!r} at step {t} in lane {lane} is outside [0, 1]")
+        estimate = scale * (observed / pi)
+        if not 0.0 <= estimate <= bound:
+            raise WagerOutOfRange(f"loss estimate {estimate} escapes its propensity "
+                                  f"bound at step {t} in lane {lane}")
+        coins[lane], k[lane], low[lane] = 1, splits[lane], config.epsilon - estimate
+    return coins, k, low
 
 
 def step(state: RouterState, obs: StreamObservation,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -35,12 +36,13 @@ from .core import (
 from .engine import (
     AccountTable,
     LossGate,
+    LossGateViolation,
     RouterState,
     ThresholdAccount,
     adaptive_lambda,
     ips_payoff,
     payoff_bound,
-    route,
+    route_lanes,
     step,
     update_account,
 )
@@ -89,7 +91,11 @@ class UniformScore:
             raise ValueError(f"uniform support [{self.low}, {self.high}] must sit inside [0, 1]")
 
     def sample(self, rng: np.random.Generator, size=None):
-        return self.low + (self.high - self.low) * rng.random(size)
+        return self.at(rng.random(size))
+
+    def at(self, u):
+        """The score that a unit draw ``u`` (scalar or array) maps to."""
+        return self.low + (self.high - self.low) * u
 
     def pdf(self, v):
         v = np.asarray(v, dtype=float)
@@ -264,6 +270,15 @@ class SyntheticStreamSpec:
     def segment_at(self, t: int) -> StreamSegment:
         return self.segments[self.segment_index_at(t)]
 
+    def pieces(self, start: int, stop: int):
+        """Yield ``(first, end, segment)`` runs that cover steps [start, stop) in order."""
+        while start < stop:
+            i = self.segment_index_at(start)
+            bound = self._bounds[i]
+            end = stop if bound is None else min(stop, bound + 1)
+            yield start, end, self.segments[i]
+            start = end
+
 
 def uniform_linear(kappa: float = 1.0, tokens: TokenModel | None = None) -> SyntheticStreamSpec:
     """Scores uniform on [0, 1], loss probability kappa * score. Open-ended."""
@@ -311,6 +326,41 @@ def generate_event(spec: SyntheticStreamSpec, rng: np.random.Generator,
     tokens_cheap, tokens_expensive = seg.tokens.sample(rng)
     return StreamObservation(index=t, uncertainty=score, latent_loss=latent,
                              tokens_cheap=tokens_cheap, tokens_expensive=tokens_expensive)
+
+
+# Loss laws whose ``prob`` of an array of scores equals, bit for bit, its
+# ``prob`` of each score alone (tests check this for every law).
+_BLOCK_LOSSES = (LinearLoss, ConstantLoss, PowerLoss)
+
+
+def _draw_lanes(spec: SyntheticStreamSpec, streams, start: int,
+                stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and latent losses of steps [start, stop), one row per stream.
+
+    Bit for bit what ``generate_event`` draws step by step. A segment with
+    a ``UniformScore``, ``ConstantTokens`` and a loss law in
+    ``_BLOCK_LOSSES`` draws a (score, loss coin) pair per event and no
+    token, and numpy's ``random(2 * m)`` returns the same doubles as m such
+    pairs of scalar draws, so it is drawn in one call. Any other segment is
+    drawn one ``generate_event`` at a time. Each row has its own generator,
+    so filling the rows one after another changes no draw.
+    """
+    rows, m = len(streams), stop - start
+    scores, losses = np.empty((rows, m)), np.empty((rows, m))
+    for first, end, seg in spec.pieces(start, stop):
+        cols = slice(first - start, end - start)
+        blockwise = (type(seg.score) is UniformScore and type(seg.tokens) is ConstantTokens
+                     and type(seg.loss) in _BLOCK_LOSSES)
+        for stream, score_row, loss_row in zip(streams, scores[:, cols], losses[:, cols]):
+            if blockwise:
+                u = stream.random(2 * (end - first))
+                score_row[:] = seg.score.at(u[0::2])
+                np.less(u[1::2], seg.loss.prob(score_row), out=loss_row)
+                continue
+            for j, t in enumerate(range(first, end)):
+                obs = generate_event(spec, stream, t)
+                score_row[j], loss_row[j] = obs.uncertainty, obs.latent_loss
+    return scores, losses
 
 
 # ---------------------------------------------------------------------------
@@ -725,10 +775,20 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 WEIGHTED_NEEDS_ENGINE = "weighted risk is defined by the betting wagers; engine runs only"
 FIXED_WAGER_NEEDS_ENGINE = "a fixed wager replaces the betting wager; engine runs only"
 
+# Steps per chunk of draws in ``_engine_lanes``. At G=1001 and T=2000
+# (shared 2-core x86 box, best of three rounds) chunks of 32/128/256/512/
+# 2048 steps took 15.1/13.3/15.8/12.2/14.4 us per replication-step at 5
+# lanes and 11.3/9.8/10.1/10.2/10.5 us at 25, within the box's noise of
+# each other; only memory grows with the chunk, about 1 MB of arrays and
+# lists per chunk at 25 lanes.
+DRAW_CHUNK = 256
+
 # Replications per lockstep block in ``mc_safety``. At G=1001 and T=2000
-# (2-core x86 box, best of three) blocks of 16/25/32/50/100 took about
-# 13.4/13.0/13.9/14.4/18.2 us per replication-step; wider tables fall out
-# of cache. A block holds 8 (G, 25) tables and 25 gate access lists.
+# with lane routing (shared 2-core x86 box, best of three rounds) blocks of
+# 16/25/32/50/100 took about 10.5/10.4/10.0/9.9/11.6 us per
+# replication-step over 200 replications and 11.0/10.9/10.8/10.3/11.5 over
+# 100; no size below 100 won every round of both. A block holds 8 (G, 25)
+# tables and 25 gate access lists.
 MC_BLOCK = 25
 
 
@@ -750,55 +810,93 @@ def _safety_criterion(method: Method, spec: SyntheticStreamSpec,
     return criterion
 
 
+def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
+                  streams, coins, gates: list[LossGate], table: AccountTable):
+    """Advance bpac lanes; yield each step, its deployed indices and its coins.
+
+    Every ``DRAW_CHUNK`` steps, each lane draws its scores, latent losses
+    and coin draws for the chunk up front and puts the losses behind its
+    gate, and one call splits the grid at every score. Each step then
+    routes every lane with ``route_lanes``, settles every row in one
+    kernel call and certifies each row's threshold.
+    """
+    grid_values, schedule, eps = config.grid.values, config.schedule, config.epsilon
+    deployed = np.zeros(len(gates), dtype=np.intp)
+    for start in range(1, horizon + 1, DRAW_CHUNK):
+        stop = min(start + DRAW_CHUNK, horizon + 1)
+        scores, losses = _draw_lanes(spec, streams, start, stop)
+        for gate, row in zip(gates, losses.tolist()):
+            gate.hold(start, row)
+        splits = grid_values.searchsorted(scores, "right")
+        draws = np.array([coin.random(stop - start) for coin in coins])
+        for t, lane_scores, lane_draws, lane_splits in zip(
+                range(start, stop), scores.T.tolist(), draws.T.tolist(), splits.T.tolist()):
+            rho_t = rho_at(schedule, t)
+            escalated, k, low = route_lanes(t, lane_scores, lane_draws, lane_splits,
+                                            grid_values[deployed].tolist(), rho_t, gates,
+                                            config)
+            table.settle(k, eps, low, payoff_bound(eps, schedule.rho_min, rho_t))
+            deployed = table.select()
+            yield t, deployed, escalated
+
+
+def _baseline_lanes(method: Method, states: list[MeanState], spec: SyntheticStreamSpec,
+                    horizon: int, streams, gates: list[LossGate]):
+    """Advance baseline lanes one event and one ``MeanState`` step at a time.
+
+    Yields what ``_engine_lanes`` yields.
+    """
+    advance = naive_step if method is Method.O_NAIVE else hoeff_step
+    for t in range(1, horizon + 1):
+        events = [generate_event(spec, stream, t) for stream in streams]
+        escalated = [advance(state, obs, gate)[0].coin
+                     for obs, state, gate in zip(events, states, gates)]
+        yield t, np.array([state.deployed_index for state in states], dtype=np.intp), escalated
+
+
 def _lockstep_violated(args) -> list[bool]:
     """Violation flags of replications advanced together, one lane each.
 
     Every replication gets what ``run_replication`` would give it: its
     seed splits into its own stream and coin generators, and each step it
     draws its event, flips its coin and reads its loss through its own
-    gate. A baseline lane steps its own ``MeanState``. bpac lanes route
-    with ``step``'s order and checks (``route``), then one kernel call
-    settles every row and each row certifies its own threshold. So the
-    deployed thresholds equal the serial ones bit for bit.
+    gate. A baseline lane steps its own ``MeanState``; bpac lanes route
+    with ``route``'s order and checks, then one kernel call settles every
+    row and each row certifies its own threshold. So the deployed
+    thresholds equal the serial ones bit for bit. At the end each lane's
+    gate must have opened once per escalation, or ``LossGateViolation``
+    is raised.
     """
     method, config, spec, horizon, seeds, criterion, fixed_wager, hoeff_variant = args
     rows = len(seeds)
     streams, coins = zip(*(map(np.random.default_rng, seed.spawn(2)) for seed in seeds))
     gates = [LossGate() for _ in range(rows)]
-    grid_values, schedule, eps = config.grid.values, config.schedule, config.epsilon
     if method is Method.BPAC:
         table = AccountTable(config, rows, fixed_wager=fixed_wager)
+        lanes = _engine_lanes(config, spec, horizon, streams, coins, gates, table)
     else:
         variant = None if method is Method.O_NAIVE else hoeff_variant
         states = [MeanState.fresh(config, rng=coin, variant=variant) for coin in coins]
-        advance = naive_step if method is Method.O_NAIVE else hoeff_step
+        lanes = _baseline_lanes(method, states, spec, horizon, streams, gates)
+    eps = config.epsilon
     if criterion == "weighted":
-        tracker = RiskTracker(spec, schedule, config.grid, weighted=True, rows=rows)
+        tracker = RiskTracker(spec, config.schedule, config.grid, weighted=True, rows=rows)
     else:
-        unsafe = oracle_risk_grid(spec, grid_values, deployment_rate(schedule)) > eps
-    deployed = np.zeros(rows, dtype=np.intp)
+        unsafe = oracle_risk_grid(spec, config.grid.values,
+                                  deployment_rate(config.schedule)) > eps
     violated = np.zeros(rows, dtype=bool)
-    for t in range(1, horizon + 1):
-        events = [generate_event(spec, stream, t) for stream in streams]
-        if method is Method.BPAC:
-            rho_t = rho_at(schedule, t)
-            k, low = [], []
-            for obs, coin, gate, used in zip(events, coins, gates,
-                                             grid_values[deployed].tolist()):
-                _, _, _, kr, lr = route(obs, used, rho_t, coin, gate, config)
-                k.append(kr)
-                low.append(lr)
-            table.settle(k, eps, low, payoff_bound(eps, schedule.rho_min, rho_t))
-            deployed = table.select()
-        else:
-            for obs, state, gate in zip(events, states, gates):
-                advance(state, obs, gate)
-            deployed = np.array([state.deployed_index for state in states], dtype=np.intp)
+    escalations = [0] * rows
+    for t, deployed, escalated in lanes:
+        escalations = list(map(operator.add, escalations, escalated))
         if criterion == "weighted":
             tracker.absorb(t, table.accounts.last_lambda)
             violated |= tracker.weighted_risk_at(deployed) > eps
         else:
             violated |= unsafe[deployed]
+    for lane, (gate, count) in enumerate(zip(gates, escalations)):
+        if gate.access_count != count:
+            raise LossGateViolation(f"the loss gate of lane {lane} opened "
+                                    f"{gate.access_count} times for {count} escalations")
     return violated.tolist()
 
 
@@ -819,9 +917,14 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
     Replication i always runs on the i-th child of ``base_seed``.
     Replications advance in lockstep blocks of ``MC_BLOCK``: bpac rows on
     one account table, baselines on one ``MeanState`` each. ``workers`` > 1
-    spreads the blocks over a process pool.
+    spreads the blocks over a process pool. A block whose gates did not
+    open exactly once per escalation raises ``LossGateViolation``; an
+    empty study (``horizon`` or ``n_reps`` below 1) raises ``ValueError``.
     """
     method = parse_method(method)
+    if horizon < 1 or n_reps < 1:
+        raise ValueError(f"a coverage study needs horizon >= 1 and n_reps >= 1, "
+                         f"got {horizon} and {n_reps}")
     if fixed_wager is not None and method is not Method.BPAC:
         raise ValueError(FIXED_WAGER_NEEDS_ENGINE)
     criterion = _safety_criterion(method, spec, criterion)
@@ -840,7 +943,7 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
         flags = [f for job in jobs for f in _lockstep_violated(job)]
 
     violations = int(sum(flags))
-    freq = violations / n_reps if n_reps else 0.0
+    freq = violations / n_reps
     ci_low, ci_high = wilson_interval(violations, n_reps)
     return {
         "method": method.value,

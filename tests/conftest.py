@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import bpac.simulation
 from bpac import ConstantSchedule, RouterConfig, ThresholdGrid, uniform_linear
+from bpac.engine import route_lanes
 
 
 @pytest.fixture
@@ -27,3 +29,16 @@ def uniform_spec():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def peeking_route(monkeypatch):
+    """A known-invalid lane route for ``mc_safety``: it also reads the loss of
+    the first lane that stayed cheap, which only the gate audit can see."""
+    def peeking(t, scores, draws, splits, thresholds, rho_t, gates, config):
+        coins, k, low = route_lanes(t, scores, draws, splits, thresholds, rho_t, gates, config)
+        if 0 in coins:
+            gates[coins.index(0)].reveal(t, 1)
+        return coins, k, low
+
+    monkeypatch.setattr(bpac.simulation, "route_lanes", peeking)

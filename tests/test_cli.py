@@ -260,6 +260,25 @@ class TestErrorPaths:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["mc-safety", "compare"])
+    def test_zero_horizon_is_refused_where_a_verdict_is_reported(self, tmp_path, command):
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(command, "--out", str(out), "--horizon", "0")
+        assert code == EXIT_INVALID
+        assert stdout == ""
+        assert stderr_error(err)["kind"] == "args"
+        assert stderr_error(err)["key"] == "--horizon"
+        assert not out.exists()
+
+    @pytest.mark.usefixtures("peeking_route")
+    def test_failed_gate_audit_is_runtime(self):
+        code, stdout, err = run_cli("mc-safety", "--horizon", "300", "--n-reps", "2")
+        assert code == EXIT_RUNTIME
+        assert stdout == ""
+        assert stderr_error(err)["kind"] == "runtime"
+        assert "loss gate" in stderr_error(err)["message"]
+
+
 class TestReplay:
     def test_replay_outputs_and_gate_accounting(self, tmp_path, ):
         rng = np.random.default_rng(12)

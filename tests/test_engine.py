@@ -32,7 +32,7 @@ from bpac import (
     update_account,
 )
 from bpac.engine import (AccountTable, Decision, Route, _fixed_sequence_index,
-                         _mixture_index)
+                         _mixture_index, route, route_lanes)
 
 EPS = 0.08
 RHO_MIN = 0.05
@@ -406,6 +406,109 @@ class TestInvalidObservation:
                 assert charge < 0
                 assert np.all(state.accounts.sum_payoff == before + charge)
         assert escalated > 0
+
+
+class FixedDraw:
+    """A coin generator whose next ``random()`` is a given number."""
+
+    def __init__(self, draw: float):
+        self.draw = draw
+
+    def random(self) -> float:
+        return self.draw
+
+
+def route_lane_by_lane(t, scores, draws, losses, thresholds, rho_t, config):
+    """``route`` on each lane alone: per lane its result or its error, and its gate."""
+    out = []
+    for score, draw, loss, used in zip(scores, draws, losses, thresholds):
+        gate = LossGate()
+        try:
+            _, coin, _, k, low = route(make_obs(t, score, loss), used, rho_t,
+                                       FixedDraw(draw), gate, config)
+            out.append(((coin, k, low), gate.accessed_steps))
+        except (InvalidObservation, WagerOutOfRange) as exc:
+            out.append((type(exc), gate.accessed_steps))
+            break
+    return out
+
+
+def held_gates(t, losses):
+    """One gate per lane, each holding its lane's loss of step ``t``."""
+    gates = [LossGate() for _ in losses]
+    for gate, loss in zip(gates, losses):
+        gate.hold(t, [loss])
+    return gates
+
+
+LANE_CONFIG = RouterConfig(grid=ThresholdGrid.from_step(step=0.125),
+                           schedule=ConstantSchedule(0.05))
+
+
+def lane_splits(scores):
+    return LANE_CONFIG.grid.values.searchsorted(scores, "right").tolist()
+
+
+@st.composite
+def lane_steps(draw):
+    grid = LANE_CONFIG.grid.grid_list
+    lanes = draw(st.integers(1, 6))
+    score = st.one_of(st.sampled_from(grid), st.floats(-0.5, 1.5),
+                      st.sampled_from([-1e-300, 1.0 + 1e-12]))
+    coin = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.05]))
+    loss = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    column = lambda values: st.lists(values, min_size=lanes, max_size=lanes)  # noqa: E731
+    return (draw(st.integers(1, 10**6)), draw(column(score)), draw(column(coin)),
+            draw(column(loss)), draw(column(st.sampled_from(grid))),
+            draw(st.sampled_from([0.05, 0.3, 0.7, 1.0])))
+
+
+class TestRouteLanes:
+    """``route_lanes`` is ``route`` applied lane by lane, on numbers drawn ahead of time."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=lane_steps())
+    def test_equals_route_lane_by_lane(self, case):
+        t, scores, draws, losses, thresholds, rho_t = case
+        expected = route_lane_by_lane(t, scores, draws, losses, thresholds, rho_t,
+                                      LANE_CONFIG)
+        gates = held_gates(t, losses)
+        coins, k, low = route_lanes(t, scores, draws, lane_splits(scores), thresholds, rho_t,
+                                    gates, LANE_CONFIG)
+        assert list(zip(coins, k, low)) == [result for result, _ in expected]
+        assert [gate.accessed_steps for gate in gates] == [steps for _, steps in expected]
+        assert [gate.accessed_steps for gate in gates] == [[t] * coin for coin in coins]
+
+    @pytest.mark.parametrize("score, loss, rho_t, error, message", [
+        (math.nan, 0.0, 0.05, InvalidObservation, "not finite"),
+        (-math.inf, 0.0, 0.05, InvalidObservation, "not finite"),
+        (0.9, 1.5, 0.05, InvalidObservation, "outside"),
+        (0.9, math.nan, 0.05, InvalidObservation, "outside"),
+        # a rate above 1 shrinks the propensity bound below a sure escalation's estimate
+        (0.9, 1.0, 2.0, WagerOutOfRange, "propensity bound"),
+    ])
+    def test_a_failed_check_names_the_lane_and_the_step(self, score, loss, rho_t, error,
+                                                        message):
+        # lane 0 stays cheap unless the rate is above 1, lane 1 escalates on loss 0
+        case = (7, [0.2, 0.6, score], [0.9, 0.0, 0.0], [0.0, 0.0, loss], [0.5] * 3, rho_t)
+        expected = route_lane_by_lane(*case, LANE_CONFIG)
+        assert expected[-1][0] is error and len(expected) == 3
+        t, scores, draws, losses, thresholds, _ = case
+        gates = held_gates(t, losses)
+        with pytest.raises(error, match="step 7 in lane 2") as info:
+            route_lanes(t, scores, draws, lane_splits(scores), thresholds, rho_t, gates,
+                        LANE_CONFIG)
+        assert message in str(info.value)
+        assert [gate.accessed_steps for gate in gates] == [steps for _, steps in expected]
+
+    def test_gate_reveals_held_losses_only_on_escalation(self):
+        gate = LossGate()
+        gate.hold(11, [0.0, 1.0, 0.25])
+        assert gate.reveal(12, 1) == 1.0
+        with pytest.raises(LossGateViolation, match="step 13"):
+            gate.reveal(13, 0)
+        assert gate.reveal(13, 1) == 0.25
+        assert gate.accessed_steps == [12, 13]
 
 
 def bits(x) -> np.ndarray:

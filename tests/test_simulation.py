@@ -30,8 +30,10 @@ from bpac.core import (
     deployment_rate,
     rho_at,
 )
-from bpac.engine import AccountTable, ips_payoff, propensity
+from bpac.engine import (AccountTable, InvalidObservation, LossGateViolation, ips_payoff,
+                         propensity)
 from bpac.simulation import (
+    LOSS_KINDS,
     BetaScore,
     ConstantLoss,
     ConstantTokens,
@@ -47,6 +49,8 @@ from bpac.simulation import (
     UniformScore,
     UniformTokens,
     UnknownMethod,
+    _BLOCK_LOSSES,
+    _draw_lanes,
     _quad_mean_loss_below,
     easy_hard,
     generate_event,
@@ -440,6 +444,11 @@ class TestMcSafety:
             mc_safety("bpac", RouterConfig(), uniform_linear(), horizon=10,
                       n_reps=1, criterion="mystery")
 
+    @pytest.mark.parametrize("horizon, n_reps", [(0, 5), (10, 0), (-1, 3)])
+    def test_empty_study_rejected(self, horizon, n_reps):
+        with pytest.raises(ValueError, match="horizon >= 1 and n_reps >= 1"):
+            mc_safety("bpac", RouterConfig(), uniform_linear(), horizon, n_reps)
+
     @pytest.mark.parametrize("method", ["o_naive", "ips_hoeff"])
     def test_baseline_on_shift_rejected_before_any_replication(self, method, monkeypatch):
         def no_replication(*args, **kwargs):
@@ -491,13 +500,40 @@ def serial_verdicts(config, spec, horizon, n_reps, base_seed, criterion, fixed_w
     return np.array(u_hat).T, flags
 
 
+def lockstep_u_hat(monkeypatch, config, spec, horizon, n_reps, **kwargs):
+    """``mc_safety``'s report and the deployed thresholds of its bpac lanes, (T, n_reps)."""
+    select = AccountTable.select
+    deployed = []
+
+    def recording(table):
+        out = select(table)
+        deployed.append(out)
+        return out
+
+    monkeypatch.setattr(AccountTable, "select", recording)
+    report = mc_safety("bpac", config, spec, horizon, n_reps, **kwargs)
+    monkeypatch.setattr(AccountTable, "select", select)
+    steps = np.concatenate([np.stack(deployed[i:i + horizon])
+                            for i in range(0, len(deployed), horizon)], axis=1)
+    return report, config.grid.values[steps]
+
+
+# Segments drawn one event at a time (Beta scores, integer tokens) between
+# segments drawn in blocks.
+FALLBACK_SPEC = SyntheticStreamSpec(segments=(
+    StreamSegment(30, BetaScore(2.0, 3.0), LinearLoss(0.9), UniformTokens(1, 5, 10, 20)),
+    StreamSegment(20, UniformScore(), LinearLoss(), UniformTokens(1, 1, 2, 2)),
+    StreamSegment(None, UniformScore(0.1, 0.9), PowerLoss(0.8, 1.7))), name="fallback")
+
+
 class TestLockstep:
     """``mc_safety`` runs every method in lockstep blocks; it must match serial replications."""
 
+    @pytest.mark.parametrize("chunk", [7, bpac.simulation.DRAW_CHUNK])
     @pytest.mark.parametrize("fixed_wager", [None, 0.02])
     @pytest.mark.parametrize("criterion", ["deployment", "weighted"])
     @pytest.mark.parametrize("config", [LOOSE, LOOSE_MIXTURE], ids=["fixed", "mixture"])
-    def test_blocks_match_serial_replications(self, config, criterion, fixed_wager,
+    def test_blocks_match_serial_replications(self, config, criterion, fixed_wager, chunk,
                                               monkeypatch):
         spec = uniform_linear() if criterion == "deployment" else easy_hard(break_at=100)
         horizon, n_reps, base_seed = 300, 10, 7
@@ -505,23 +541,51 @@ class TestLockstep:
                                        criterion, fixed_wager)
         if config.selection_mode is SelectionMode.FIXED_SEQUENCE:
             assert 0 < sum(flags) < n_reps
-        select = AccountTable.select
+        monkeypatch.setattr(bpac.simulation, "DRAW_CHUNK", chunk)
         for block in (1, 3, 7):
-            deployed = []
-
-            def recording(table):
-                out = select(table)
-                deployed.append(out)
-                return out
-
             monkeypatch.setattr(bpac.simulation, "MC_BLOCK", block)
-            monkeypatch.setattr(AccountTable, "select", recording)
-            report = mc_safety("bpac", config, spec, horizon, n_reps, base_seed=base_seed,
-                               criterion=criterion, fixed_wager=fixed_wager)
+            report, lanes = lockstep_u_hat(monkeypatch, config, spec, horizon, n_reps,
+                                           base_seed=base_seed, criterion=criterion,
+                                           fixed_wager=fixed_wager)
             assert report["violations"] == sum(flags)
-            steps = np.concatenate([np.stack(deployed[i:i + horizon])
-                                    for i in range(0, len(deployed), horizon)], axis=1)
-            assert np.array_equal(config.grid.values[steps], u_hat)
+            assert np.array_equal(lanes, u_hat)
+
+    @pytest.mark.parametrize("chunk", [7, bpac.simulation.DRAW_CHUNK])
+    def test_fallback_spec_matches_serial_replications(self, chunk, monkeypatch):
+        horizon, n_reps, base_seed = 200, 8, 0
+        u_hat, flags = serial_verdicts(LOOSE, FALLBACK_SPEC, horizon, n_reps, base_seed,
+                                       "weighted", None)
+        assert 0 < sum(flags) < n_reps
+        monkeypatch.setattr(bpac.simulation, "DRAW_CHUNK", chunk)
+        monkeypatch.setattr(bpac.simulation, "MC_BLOCK", 4)
+        report, lanes = lockstep_u_hat(monkeypatch, LOOSE, FALLBACK_SPEC, horizon, n_reps,
+                                       base_seed=base_seed)
+        assert report["violations"] == sum(flags)
+        assert np.array_equal(lanes, u_hat)
+
+    def test_non_finite_score_names_its_lane_and_step(self, monkeypatch):
+        def nan_at_9(spec, rng, t):
+            event = generate_event(spec, rng, t)
+            return dataclasses.replace(event, uncertainty=math.nan) if t == 9 else event
+
+        monkeypatch.setattr(bpac.simulation, "generate_event", nan_at_9)
+        with pytest.raises(InvalidObservation, match="step 9 in lane 0 is not finite"):
+            mc_safety("bpac", LOOSE, FALLBACK_SPEC, 20, 3)
+
+    def test_scores_on_grid_points_split_like_serial_replications(self, monkeypatch):
+        # Every score is a grid point, where a left split would differ from bisect_right.
+        grid = LOOSE.grid.values
+        monkeypatch.setattr(UniformScore, "at", lambda self, u: grid[
+            np.minimum(np.asarray(u) * grid.size, grid.size - 1).astype(int)])
+        horizon, n_reps, base_seed = 150, 6, 7
+        u_hat, flags = serial_verdicts(LOOSE, uniform_linear(), horizon, n_reps, base_seed,
+                                       "deployment", None)
+        assert 0 < sum(flags) < n_reps
+        monkeypatch.setattr(bpac.simulation, "DRAW_CHUNK", 32)
+        report, lanes = lockstep_u_hat(monkeypatch, LOOSE, uniform_linear(), horizon, n_reps,
+                                       base_seed=base_seed)
+        assert report["violations"] == sum(flags)
+        assert np.array_equal(lanes, u_hat)
 
     @pytest.mark.parametrize("method,variant", [("o_naive", "per_point"),
                                                 ("ips_hoeff", "per_point"),
@@ -575,6 +639,79 @@ class TestLockstep:
                              workers=workers) for workers in (1, 2)]
         assert reports[0] == reports[1]
         assert reports[0]["violations"] > 0
+
+
+class TestGateAudit:
+    @pytest.mark.usefixtures("peeking_route")
+    def test_a_loss_read_on_a_cheap_lane_fails_the_audit(self):
+        with pytest.raises(LossGateViolation, match="loss gate of lane 0 opened"):
+            mc_safety("bpac", LOOSE, uniform_linear(), 100, 4)
+
+
+# Segment ends at 40 and 65 fall inside the draw chunks below.
+BLOCK_SPEC = SyntheticStreamSpec(segments=(
+    StreamSegment(40, UniformScore(0.1, 0.9), ConstantLoss(0.3)),
+    StreamSegment(25, UniformScore(), PowerLoss(0.8, 2.5)),
+    StreamSegment(None, UniformScore(0.2, 1.0), PowerLoss(1.0, 0.5))), name="block")
+
+# Laws of every loss kind, with parameters that take numpy's general paths.
+LOSS_LAWS = {
+    "linear": [LinearLoss(), LinearLoss(0.37)],
+    "constant": [ConstantLoss(0.3), ConstantLoss(0.0)],
+    "power": [PowerLoss(), PowerLoss(0.8, 2.5), PowerLoss(1.0, 0.5), PowerLoss(0.9, 3.7)],
+}
+
+
+class TestBlockDraws:
+    """``_draw_lanes`` gives each lane's events bit for bit, in chunks."""
+
+    @pytest.mark.parametrize("spec", [uniform_linear(), easy_hard(break_at=50), BLOCK_SPEC,
+                                      FALLBACK_SPEC], ids=lambda spec: spec.name)
+    def test_chunks_equal_events_bit_for_bit(self, spec):
+        seeds = (3, 4, 5)
+        streams = [np.random.default_rng(seed) for seed in seeds]
+        chunks = [_draw_lanes(spec, streams, start, stop)
+                  for start, stop in ((1, 45), (45, 58), (58, 121))]
+        scores, losses = (np.concatenate(part, axis=1) for part in zip(*chunks))
+        for seed, stream, score_row, loss_row in zip(seeds, streams, scores, losses):
+            rng = np.random.default_rng(seed)
+            events = [generate_event(spec, rng, t) for t in range(1, 121)]
+            assert score_row.tobytes() == np.array([e.uncertainty for e in events]).tobytes()
+            assert loss_row.tobytes() == np.array([e.latent_loss for e in events]).tobytes()
+            # and each lane's generator has made exactly the same draws
+            assert stream.bit_generator.state == rng.bit_generator.state
+
+    def test_every_loss_kind_is_checked(self):
+        assert LOSS_LAWS.keys() == LOSS_KINDS.keys()
+        assert all(type(law) is LOSS_KINDS[kind]
+                   for kind, laws in LOSS_LAWS.items() for law in laws)
+
+    @pytest.mark.parametrize("law", [law for laws in LOSS_LAWS.values() for law in laws],
+                             ids=repr)
+    def test_vector_prob_equals_scalar_prob_or_law_falls_back(self, law, monkeypatch):
+        scores = np.concatenate([np.random.default_rng(0).random(5000),
+                                 [0.0, 1.0, 5e-324, 0.5, 1.0 - 2.0 ** -53]])
+        if type(law) in _BLOCK_LOSSES:
+            scalar = np.array([float(law.prob(float(score))) for score in scores])
+            assert np.asarray(law.prob(scores), dtype=float).tobytes() == scalar.tobytes()
+            return
+        drawn = []
+        monkeypatch.setattr(bpac.simulation, "generate_event",
+                            lambda spec, rng, t: drawn.append(t) or generate_event(spec, rng, t))
+        spec = SyntheticStreamSpec(segments=(StreamSegment(None, UniformScore(), law),))
+        _draw_lanes(spec, [np.random.default_rng(1)], 1, 11)
+        assert drawn == list(range(1, 11))
+
+    def test_only_other_segments_draw_event_by_event(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(bpac.simulation, "generate_event",
+                            lambda spec, rng, t: drawn.append(t) or generate_event(spec, rng, t))
+        streams = [np.random.default_rng(1), np.random.default_rng(2)]
+        _draw_lanes(FALLBACK_SPEC, streams, 1, 80)
+        assert sorted(drawn) == sorted(list(range(1, 51)) * 2)
+        drawn.clear()
+        _draw_lanes(uniform_linear(), streams, 1, 80)
+        assert drawn == []
 
 
 def test_scipy_special_stays_unloaded_without_beta_laws():
