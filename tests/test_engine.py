@@ -457,7 +457,10 @@ def lane_steps(draw):
                       st.sampled_from([-1e-300, 1.0 + 1e-12]))
     coin = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.05]))
     loss = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-    column = lambda values: st.lists(values, min_size=lanes, max_size=lanes)  # noqa: E731
+
+    def column(values):
+        return st.lists(values, min_size=lanes, max_size=lanes)
+
     return (draw(st.integers(1, 10**6)), draw(column(score)), draw(column(coin)),
             draw(column(loss)), draw(column(st.sampled_from(grid))),
             draw(st.sampled_from([0.05, 0.3, 0.7, 1.0])))
