@@ -787,8 +787,8 @@ DRAW_CHUNK = 256
 # with lane routing (shared 2-core x86 box, best of three rounds) blocks of
 # 16/25/32/50/100 took about 10.5/10.4/10.0/9.9/11.6 us per
 # replication-step over 200 replications and 11.0/10.9/10.8/10.3/11.5 over
-# 100; no size below 100 won every round of both. A block holds 8 (G, 25)
-# tables and 25 gate access lists.
+# 100; no size won every round of both sweeps. A block holds 8 (G, 25)
+# tables, 25 gate access lists and one chunk of draws.
 MC_BLOCK = 25
 
 
