@@ -96,7 +96,7 @@ def mean_step(state: MeanState, obs: StreamObservation,
         raise OutOfOrderObservation(
             f"expected observation index {t}, got {obs.index}")
     cfg = state.config
-    threshold_used = float(cfg.grid.values[state.deployed_index])
+    threshold_used = cfg.grid.grid_list[state.deployed_index]
     pi, coin, observed, k, _ = route(obs, threshold_used, state.rho, state.rng, gate, cfg)
     if observed:
         state.sums[k:] += ((1.0 - state.rho) * observed / pi if state.slack_count
@@ -105,5 +105,4 @@ def mean_step(state: MeanState, obs: StreamObservation,
              if state.slack_count else 0.0)
     state.t = t
     state.deployed_index = _mean_index(state.sums, t, cfg.epsilon, slack)
-    return Decision(propensity=pi, coin=coin, observed_loss=observed,
-                    threshold_used=threshold_used), state
+    return Decision(pi, coin, observed, threshold_used), state

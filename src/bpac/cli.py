@@ -78,11 +78,10 @@ def _load_config_arg(args) -> RouterConfig:
 
 
 def _resolve_seeds(args, config: RouterConfig) -> list[int]:
-    if getattr(args, "seeds", None):
-        return [int(part) for part in args.seeds.split(",") if part]
-    if getattr(args, "n_seeds", None) is not None:
-        base = args.base_seed
-        return list(range(base, base + args.n_seeds))
+    if args.seeds:
+        return args.seeds
+    if args.n_seeds is not None:
+        return list(range(args.base_seed, args.base_seed + args.n_seeds))
     return [config.seed]
 
 
@@ -96,6 +95,20 @@ def _int_at_least(low: int):
         if value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
         return value
+    return parse
+
+
+def _comma_list(convert):
+    """argparse type for a non-empty comma-separated list of ``convert`` values."""
+    def parse(text: str) -> list:
+        try:
+            values = [convert(part) for part in text.split(",") if part]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}")
+        return values
     return parse
 
 
@@ -216,11 +229,10 @@ def cmd_sweep(args) -> int:
     spec = load_stream_spec(args.spec)
     method = parse_method(args.method)
     seeds = _resolve_seeds(args, base_config)
-    epsilons = [float(part) for part in args.epsilons.split(",") if part]
     out = _ensure_out(args.out)
 
     cells = []
-    for eps in epsilons:
+    for eps in args.epsilons:
         config = validate_config(dataclasses.replace(base_config, epsilon=eps))
         subdir = _ensure_out(out / f"epsilon_{eps:g}")
         rows = []
@@ -234,11 +246,11 @@ def cmd_sweep(args) -> int:
 
     summary = {"command": "sweep", "method": method.value,
                "spec": spec_to_dict(spec), "horizon": args.horizon,
-               "seeds": seeds, "epsilons": epsilons,
+               "seeds": seeds, "epsilons": args.epsilons,
                "base_config": config_to_dict(base_config), "cells": cells}
     write_summary_json(out / "sweep_summary.json", summary)
     print(json.dumps({"command": "sweep", "out": str(out),
-                      "epsilons": epsilons}, sort_keys=True))
+                      "epsilons": args.epsilons}, sort_keys=True))
     return EXIT_OK
 
 
@@ -332,7 +344,7 @@ def cmd_ablate(args) -> int:
             "config": config_to_dict(config),
             "config_hash": config_digest(config),
             "aggregate": _aggregate(rows),
-            "violation_fraction": exceed / len(seeds) if seeds else 0.0,
+            "violation_fraction": exceed / len(seeds),
             "replications": rows,
         })
 
@@ -368,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory")
 
     def seed_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seeds", default=None,
+        p.add_argument("--seeds", type=_comma_list(int), default=None,
                        help="comma-separated replication seeds; wins over --n-seeds")
         p.add_argument("--n-seeds", type=_int_at_least(1), default=None,
                        help="run seeds base..base+K-1")
@@ -396,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream_flags(p, 1000)
     method_flags(p)
     seed_flags(p)
-    p.add_argument("--emit-wealth-every", type=int, default=100,
+    p.add_argument("--emit-wealth-every", type=_int_at_least(0), default=100,
                    help="log-wealth snapshot cadence; 0 disables")
     p.set_defaults(func=cmd_simulate)
 
@@ -406,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     method_flags(p)
     p.add_argument("--coin-seed", type=int, default=None,
                    help="seed for exploration coins (default: config seed)")
-    p.add_argument("--emit-wealth-every", type=int, default=0)
+    p.add_argument("--emit-wealth-every", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("mc-safety", help="risk-coverage frequency over replications")
@@ -427,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream_flags(p, 2000)
     method_flags(p)
     seed_flags(p)
-    p.add_argument("--epsilons", default="0.05,0.08,0.1",
+    p.add_argument("--epsilons", type=_comma_list(float), default="0.05,0.08,0.1",
                    help="comma-separated risk budgets")
     p.set_defaults(func=cmd_sweep)
 
@@ -440,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="preset design sweeps")
     common(p, default_out="runs/ablate")
-    stream_flags(p, 2000)
+    stream_flags(p, 2000, least_horizon=1)
     seed_flags(p)
     p.add_argument("--preset", required=True,
                    help="lambda, rho, or twarm")

@@ -11,10 +11,10 @@ rules read the next deployed threshold off the wealth table.
 ``ips_payoff``, ``adaptive_lambda`` and ``update_account`` are the
 reference account arithmetic over numpy scalars-or-arrays: they settle a
 single account in tests, replications in ``pinned_threshold_study``, and
-are what the kernel must match bit for bit. ``AccountTable.settle`` is
-that kernel: one fused in-place pass that touches only live accounts, over
-a single run's grid (what ``step`` settles) or over R runs' grids at once
-(Monte Carlo replications in lockstep).
+are what the kernel must match bit for bit. ``AccountTable.settle(k, low,
+rho_t)`` is that kernel, with epsilon and ``payoff_bound`` read off its
+config: one fused in-place pass that touches only live accounts, over a
+single run's grid (what ``step`` settles) or over R runs' grids at once.
 
 Live-prefix invariant. The grid is strictly increasing, and one step's
 payoff is epsilon below the score and epsilon minus a non-negative
@@ -37,9 +37,9 @@ The single-run path takes four more shortcuts, each exact:
   rounding a product by a fixed negative scalar is monotone. So no
   account can be ruined unless ``low`` times that bound is ``<= -1``, and
   only then is the largest wager past the split reduced.
-- Under the fixed-sequence rule the first account below the bar lies in
-  ``[0, a)`` unless every account there clears it; only then is the rest
-  of the grid scanned.
+- Under the fixed-sequence rule ``select`` applies the rule to the live
+  prefix ``[0, a)`` first. A gap there is the grid's first gap, so the
+  whole grid is scanned only when the prefix gives ``a - 1``.
 
 ``route_lanes`` routes R lanes of a Monte Carlo study (``mc_safety``) on
 numbers drawn ahead of time, a chunk of steps at once, and is exact too:
@@ -232,6 +232,29 @@ def ips_payoff(loss, coin, pi, uncertainty, threshold: float, rho_min: float,
     return epsilon - estimate
 
 
+def _at(t: int, lane: int | None = None) -> str:
+    """Where a failed routing check happened, for its message."""
+    return f"at step {t}" if lane is None else f"at step {t} in lane {lane}"
+
+
+def _escalation_low(observed: float, pi: float, rho_t: float, config: RouterConfig,
+                    t: int, lane: int | None = None) -> float:
+    """Epsilon minus the IPS estimate of an escalated query's ``observed`` loss.
+
+    The loss must lie in [0, 1], and then the estimate in the payoff range
+    [0, (1 - rho_min) / rho_t] that the wager cap relies on.
+    """
+    if not 0.0 <= observed <= 1.0:
+        raise InvalidObservation(
+            f"observed loss {observed!r} {_at(t, lane)} is outside [0, 1]")
+    scale = 1.0 - config.schedule.rho_min
+    estimate = scale * (observed / pi)
+    if not 0.0 <= estimate <= scale * (1.0 / rho_t):
+        raise WagerOutOfRange(
+            f"loss estimate {estimate} escapes its propensity bound {_at(t, lane)}")
+    return config.epsilon - estimate
+
+
 def adaptive_lambda(account: ThresholdAccount, m_t: float, cap: float):
     """Wager for the next payoff, from past payoffs only (reference).
 
@@ -319,8 +342,9 @@ class AccountTable:
         ablation knob); it must leave every reachable payoff survivable.
         """
         require_increasing_grid(config.grid)
+        self.epsilon, self.rho_min = config.epsilon, config.schedule.rho_min
         if fixed_wager is not None:
-            worst = max((1.0 - config.schedule.rho_min) / r - config.epsilon
+            worst = max((1.0 - self.rho_min) / r - self.epsilon
                         for r in config.schedule.emitted_rates())
             if not 0.0 <= fixed_wager < 1.0 / worst:
                 raise WagerOutOfRange(
@@ -342,11 +366,10 @@ class AccountTable:
         self._work = np.empty(shape)
         if rows is None:
             # Per-step constants of the single-run path, made once: the
-            # reversed sums for the prefix search, the (2, 1) payoff columns
-            # [p, p * p] of each side of the split, and a selection mask.
+            # reversed sums for the prefix search and the (2, 1) payoff
+            # columns [p, p * p] of each side of the split.
             self._s1_reversed = self._s1[::-1]
             self._high_column, self._low_column = np.empty((2, 2, 1))
-            self._qualified = np.empty(n, dtype=bool)
         else:
             self._pay = np.empty(shape)
             self._positive = np.empty(shape, dtype=bool)
@@ -358,17 +381,19 @@ class AccountTable:
         self._extent = 0
         self._spare_extent = 0
 
-    def settle(self, k, high: float, low, m_t: float) -> None:
-        """Settle every account in place: payoff ``high`` on ``[0, k)``, ``low`` on ``[k, n)``.
+    def settle(self, k, low, rho_t: float) -> None:
+        """Settle every account in place: epsilon on ``[0, k)``, ``low`` on ``[k, n)``.
 
         ``k`` and ``low`` are scalars for a single run and length-R
         sequences for a table, one split per row. Matches ``adaptive_lambda``
-        followed by ``update_account`` bit for bit, row by row. Under the
-        live-prefix invariant (module docstring) the adaptive wager, the
-        ``log1p`` and the wealth update run on ``[0, a)`` only, where
-        ``a`` is the largest live prefix of any row; each row bets exactly
-        0 past its own prefix. Raises before any account changes.
+        at ``payoff_bound`` of the step's rate ``rho_t``, then ``update_account``,
+        bit for bit, row by row. Under the live-prefix invariant (module
+        docstring) the adaptive wager, the ``log1p`` and the wealth update
+        run on ``[0, a)`` only, where ``a`` is the largest live prefix of
+        any row; each row bets exactly 0 past its own prefix. Raises before
+        any account changes.
         """
+        high, m_t = self.epsilon, payoff_bound(self.epsilon, self.rho_min, rho_t)
         if self._lw.ndim == 1:
             self._settle_run(k, high, low, m_t)
         else:
@@ -482,11 +507,9 @@ class AccountTable:
                 return _mixture_index(lw, self.log_bars)
             a = self._extent
             if 0 < a < lw.size:
-                # The first gap in the live prefix, when there is one.
-                qualified = np.greater_equal(lw[:a], self.log_bars, self._qualified[:a])
-                first_gap = int(qualified.argmin())
-                if not qualified[first_gap]:
-                    return max(first_gap - 1, 0)
+                index = _fixed_sequence_index(lw[:a], self.log_bars)
+                if index < a - 1:
+                    return index
             return _fixed_sequence_index(lw, self.log_bars)
         if self.mixture:
             return _mixture_rows(lw, self.log_bars)
@@ -542,7 +565,7 @@ def route(obs: StreamObservation, threshold_used: float, rho_t: float,
     """
     if not math.isfinite(obs.uncertainty):
         raise InvalidObservation(
-            f"uncertainty score {obs.uncertainty!r} at step {obs.index} is not finite")
+            f"uncertainty score {obs.uncertainty!r} {_at(obs.index)} is not finite")
     pi = propensity(obs.uncertainty, threshold_used, rho_t)
     # One draw per step no matter the branch, so trajectories with the
     # same seed stay aligned across configs. pi == 1 escalates surely
@@ -550,17 +573,8 @@ def route(obs: StreamObservation, threshold_used: float, rho_t: float,
     if rng.random() >= pi:
         return pi, 0, None, config.grid.n, config.epsilon
     observed = gate.observe(obs, 1)
-    if not 0.0 <= observed <= 1.0:
-        raise InvalidObservation(
-            f"observed loss {observed!r} at step {obs.index} is outside [0, 1]")
-    rho_min = config.schedule.rho_min
-    estimate = (1.0 - rho_min) * (observed / pi)
-    # Payoff range check; estimate is shared by every account this step.
-    if not 0.0 <= estimate <= (1.0 - rho_min) * (1.0 / rho_t):
-        raise WagerOutOfRange(
-            f"loss estimate {estimate} escapes its propensity bound at step {obs.index}")
-    k = bisect_right(config.grid.grid_list, obs.uncertainty)
-    return pi, 1, observed, k, config.epsilon - estimate
+    low = _escalation_low(observed, pi, rho_t, config, obs.index)
+    return pi, 1, observed, bisect_right(config.grid.grid_list, obs.uncertainty), low
 
 
 def route_lanes(t: int, scores: list[float], draws: list[float], splits: list[int],
@@ -578,24 +592,16 @@ def route_lanes(t: int, scores: list[float], draws: list[float], splits: list[in
     """
     lanes = len(scores)
     coins, k, low = [0] * lanes, [config.grid.n] * lanes, [config.epsilon] * lanes
-    scale = 1.0 - config.schedule.rho_min
-    bound = scale * (1.0 / rho_t)
     for lane, (score, draw, used) in enumerate(zip(scores, draws, thresholds)):
         if not math.isfinite(score):
             raise InvalidObservation(
-                f"uncertainty score {score!r} at step {t} in lane {lane} is not finite")
+                f"uncertainty score {score!r} {_at(t, lane)} is not finite")
         pi = propensity(score, used, rho_t)
         if draw >= pi:
             continue
         observed = gates[lane].reveal(t, 1)
-        if not 0.0 <= observed <= 1.0:
-            raise InvalidObservation(
-                f"observed loss {observed!r} at step {t} in lane {lane} is outside [0, 1]")
-        estimate = scale * (observed / pi)
-        if not 0.0 <= estimate <= bound:
-            raise WagerOutOfRange(f"loss estimate {estimate} escapes its propensity "
-                                  f"bound at step {t} in lane {lane}")
-        coins[lane], k[lane], low[lane] = 1, splits[lane], config.epsilon - estimate
+        coins[lane], k[lane], low[lane] = 1, splits[lane], _escalation_low(
+            observed, pi, rho_t, config, t, lane)
     return coins, k, low
 
 
@@ -609,12 +615,9 @@ def step(state: RouterState, obs: StreamObservation,
     computed from pre-step sums, then certify the next threshold. The
     state is mutated in place and returned for convenience.
 
-    Settlement is one fused in-place kernel. An escalated step charges
-    the candidates strictly above the score, ``grid[k:]`` with
-    ``k = bisect_right(grid, score)``, and pays the rest epsilon; the
-    wager and wealth update run only on the live prefix of accounts with
-    positive cumulative payoff, which is exact by the live-prefix
-    invariant in the module docstring.
+    Settlement is one ``AccountTable.settle`` call: an escalated step
+    charges ``grid[k:]``, with ``k = bisect_right(grid, score)``, and pays
+    the rest epsilon.
 
     A score must be finite; any finite score is accepted. Above 1 it sits
     at or above every candidate, so the query always escalates and every
@@ -632,9 +635,7 @@ def step(state: RouterState, obs: StreamObservation,
     rho_t = rho_at(cfg.schedule, t)
     threshold_used = cfg.grid.grid_list[state.deployed_index]
     pi, coin, observed, k, low = route(obs, threshold_used, rho_t, state.rng, gate, cfg)
-    eps = cfg.epsilon
-    table = state.table
-    table.settle(k, eps, low, payoff_bound(eps, cfg.schedule.rho_min, rho_t))
-    state.deployed_index = table.select()
+    state.table.settle(k, low, rho_t)
+    state.deployed_index = state.table.select()
     state.t = t
     return Decision(pi, coin, observed, threshold_used), state

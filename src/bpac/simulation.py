@@ -120,14 +120,12 @@ class BetaScore:
         from scipy import special  # see mean_loss_below
 
         v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
         inside = (v >= 0) & (v <= 1)
         vi = np.clip(v, 1e-300, 1.0)
-        out = np.where(inside,
-                       np.exp((self.a - 1) * np.log(vi) + (self.b - 1) * np.log1p(-np.clip(v, 0.0, 1 - 1e-16))
-                              - special.betaln(self.a, self.b)),
-                       0.0)
-        return out
+        return np.where(inside,
+                        np.exp((self.a - 1) * np.log(vi) + (self.b - 1) * np.log1p(-np.clip(v, 0.0, 1 - 1e-16))
+                               - special.betaln(self.a, self.b)),
+                        0.0)
 
 
 ScoreLaw = Union[UniformScore, BetaScore]
@@ -486,7 +484,7 @@ class RiskTracker:
         self.schedule = schedule
         self.grid_values = grid.values
         self.weighted = weighted
-        self._base: dict[int, np.ndarray] = {}
+        # Keyed by (segment, rate); rate 0 holds the segment's E[loss * 1{score < u}].
         self._risk_cache: dict[tuple[int, float], np.ndarray] = {}
         n = grid.values.size
         self.steps = 0
@@ -504,13 +502,12 @@ class RiskTracker:
         key = (seg_idx, rho_t)
         cached = self._risk_cache.get(key)
         if cached is None:
-            base = self._base.get(seg_idx)
+            base = self._risk_cache.get((seg_idx, 0.0))
             if base is None:
                 seg = self.spec.segments[seg_idx]
-                base = np.asarray(mean_loss_below(seg.score, seg.loss, self.grid_values))
-                self._base[seg_idx] = base
-            cached = (1.0 - rho_t) * base
-            self._risk_cache[key] = cached
+                base = self._risk_cache[seg_idx, 0.0] = np.asarray(
+                    mean_loss_below(seg.score, seg.loss, self.grid_values))
+            cached = self._risk_cache[key] = (1.0 - rho_t) * base
         return cached
 
     def absorb(self, t: int, wagers: np.ndarray | None = None) -> np.ndarray:
@@ -820,7 +817,7 @@ def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
     routes every lane with ``route_lanes``, settles every row in one
     kernel call and certifies each row's threshold.
     """
-    grid_values, schedule, eps = config.grid.values, config.schedule, config.epsilon
+    grid_values, schedule = config.grid.values, config.schedule
     deployed = np.zeros(len(gates), dtype=np.intp)
     for start in range(1, horizon + 1, DRAW_CHUNK):
         stop = min(start + DRAW_CHUNK, horizon + 1)
@@ -835,7 +832,7 @@ def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
             escalated, k, low = route_lanes(t, lane_scores, lane_draws, lane_splits,
                                             grid_values[deployed].tolist(), rho_t, gates,
                                             config)
-            table.settle(k, eps, low, payoff_bound(eps, schedule.rho_min, rho_t))
+            table.settle(k, low, rho_t)
             deployed = table.select()
             yield t, deployed, escalated
 
@@ -964,7 +961,6 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
 def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
                            config: RouterConfig, horizon: int, n_reps: int,
                            *, base_seed: int = 0,
-                           record_at: tuple[int, ...] = (),
                            collect_payoffs: bool = False) -> dict[str, Any]:
     """Betting account behavior at one threshold, deployment pinned to it.
 
@@ -979,7 +975,6 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
     rho_min = schedule.rho_min
     bar = -math.log(config.alpha)
     crossed = np.zeros(n_reps, dtype=bool)
-    wealth_at: dict[int, np.ndarray] = {}
     payoffs = np.empty((horizon, n_reps)) if collect_payoffs else None
 
     for t in range(1, horizon + 1):
@@ -996,15 +991,12 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
         wager = adaptive_lambda(acc, m_t, config.betting_cap)
         update_account(acc, wager, payoff)
         crossed |= acc.log_wealth >= bar
-        if t in record_at:
-            wealth_at[t] = np.exp(np.asarray(acc.log_wealth)).copy()
 
     return {
         "threshold": threshold,
         "log_wealth": np.asarray(acc.log_wealth),
         "crossed": crossed,
         "crossing_frequency": float(crossed.mean()) if n_reps else 0.0,
-        "wealth_at": wealth_at,
         "payoffs": payoffs,
     }
 

@@ -248,6 +248,8 @@ class TestErrorPaths:
         ("simulate", [["--horizon", "-3"], ["--n-seeds", "-2"]]),
         ("compare", [["--n-seeds", "0"], ["--horizon", "-3"]]),
         ("mc-safety", [["--n-reps", "0"], ["--n-reps", "-1"]]),
+        ("simulate", [["--emit-wealth-every", "-5"]]),
+        ("replay", [["--emit-wealth-every", "-1"]]),
     ])
     def test_out_of_range_counts_exit_invalid(self, tmp_path, command, flags):
         out = tmp_path / "x"
@@ -260,14 +262,28 @@ class TestErrorPaths:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("command", ["mc-safety", "compare"])
+    @pytest.mark.parametrize("command", ["mc-safety", "compare", "ablate --preset lambda"])
     def test_zero_horizon_is_refused_where_a_verdict_is_reported(self, tmp_path, command):
         out = tmp_path / "x"
-        code, stdout, err = run_cli(command, "--out", str(out), "--horizon", "0")
+        code, stdout, err = run_cli(*command.split(), "--out", str(out), "--horizon", "0")
         assert code == EXIT_INVALID
         assert stdout == ""
         assert stderr_error(err)["kind"] == "args"
         assert stderr_error(err)["key"] == "--horizon"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", ["simulate --seeds ,", "sweep --seeds ,",
+                                      "sweep --epsilons ,", "compare --seeds ,",
+                                      "ablate --preset lambda --seeds ,"])
+    def test_empty_comma_list_exits_invalid(self, tmp_path, argv):
+        """A list flag with no values would run, average or judge zero cases."""
+        command, *flags = argv.split()
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(command, "--out", str(out), "--horizon", "5", *flags)
+        assert code == EXIT_INVALID
+        assert stdout == ""
+        assert stderr_error(err)["kind"] == "args"
+        assert stderr_error(err)["key"] == flags[-2]
         assert not out.exists()
 
     @pytest.mark.usefixtures("peeking_route")

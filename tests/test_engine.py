@@ -608,7 +608,8 @@ def assert_same_bits(table_acc, row, single_acc):
 
 
 class TestAccountTable:
-    M_T = payoff_bound(EPS, RHO_MIN, 0.05)
+    RHO = 0.05
+    M_T = payoff_bound(EPS, RHO_MIN, RHO)
     # {step: (k, low)} charges per row; every other step pays epsilon everywhere.
     CHARGES = [
         {3: (6, -1.0), 5: (2, -1.0)},   # live prefix 8 -> 6 -> 2, then regrows
@@ -636,9 +637,9 @@ class TestAccountTable:
                 prefixes[r].append(live[r])
             if rows is None:
                 (k, low), = splits
-                table.settle(k, EPS, low, self.M_T)
+                table.settle(k, low, self.RHO)
             else:
-                table.settle([k for k, _ in splits], EPS, [low for _, low in splits], self.M_T)
+                table.settle([k for k, _ in splits], [low for _, low in splits], self.RHO)
             for r, shadow in enumerate(shadows):
                 assert_same_bits(table.accounts, None if rows is None else r, shadow)
                 lam = np.asarray(table.accounts.last_lambda).reshape(len(charges), 8)[r]
@@ -654,16 +655,16 @@ class TestAccountTable:
         its array check; a table charges one row and checks every row."""
         table = AccountTable(self.config(), rows, fixed_wager=0.04)
         if rows is None:
-            table.settle(8, EPS, EPS, self.M_T)
+            table.settle(8, EPS, self.RHO)
         else:
-            table.settle([8, 8, 8], EPS, [EPS, EPS, EPS], self.M_T)
+            table.settle([8, 8, 8], [EPS, EPS, EPS], self.RHO)
         before = {name: getattr(table.accounts, name).copy()
                   for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda")}
         with pytest.raises(WagerOutOfRange):
             if rows is None:
-                table.settle(0, EPS, -30.0, self.M_T)
+                table.settle(0, -30.0, self.RHO)
             else:
-                table.settle([8, 0, 8], EPS, [EPS, -30.0, EPS], self.M_T)
+                table.settle([8, 0, 8], [EPS, -30.0, EPS], self.RHO)
         for name, value in before.items():
             assert np.array_equal(getattr(table.accounts, name), value), name
 
@@ -673,11 +674,14 @@ class TestAccountTable:
         config = self.config()
         table = AccountTable(config)
         shadow = ThresholdAccount.table(8)
-        # With m_t = 1 the cap allows wagers up to 0.9; after one step every
-        # wager is about 0.08, so -2 * 0.9 <= -1 but -2 * 0.08 > -1.
+        # At rate 0.7 m_t is about 1.28 and the cap allows wagers up to about
+        # 0.70; after one step every wager is about 0.08, so -2 * 0.70 <= -1
+        # but -2 * 0.08 > -1.
+        m_t = payoff_bound(EPS, RHO_MIN, 0.7)
+        assert -2.0 * config.betting_cap / m_t <= -1.0
         for k, low in [(8, EPS), (3, -2.0)]:
-            table.settle(k, EPS, low, 1.0)
-            reference_settle(shadow, k, EPS, low, 1.0, config.betting_cap)
+            table.settle(k, low, 0.7)
+            reference_settle(shadow, k, EPS, low, m_t, config.betting_cap)
             assert_same_bits(table.accounts, None, shadow)
 
 
@@ -715,13 +719,11 @@ class TestTableParity:
         table = AccountTable(config, rows, fixed_wager=fixed_wager)
         singles = [AccountTable(config, fixed_wager=fixed_wager) for _ in range(rows)]
         for t, splits in enumerate(plan, start=1):
-            m_t = payoff_bound(config.epsilon, config.schedule.rho_min,
-                               rho_at(config.schedule, t))
+            rho_t = rho_at(config.schedule, t)
             live = np.count_nonzero(table.accounts.sum_payoff > 0.0, axis=1)
-            table.settle([k for k, _ in splits], config.epsilon,
-                         [low for _, low in splits], m_t)
+            table.settle([k for k, _ in splits], [low for _, low in splits], rho_t)
             for r, (single, (k, low)) in enumerate(zip(singles, splits)):
-                single.settle(k, config.epsilon, low, m_t)
+                single.settle(k, low, rho_t)
                 assert_same_bits(table.accounts, r, single.accounts)
                 if fixed_wager is None:
                     tail = table.accounts.last_lambda[r, live[r]:]
