@@ -78,9 +78,16 @@ def _mean_index(sums: np.ndarray, t: int, epsilon: float, slack: float) -> int:
 
     Greedy: unobserved losses count as zero, so without a slack wide
     enough to cover that, the region below a deployed threshold starves.
+
+    The qualifying indices are a prefix of the grid. Each observed loss
+    charges ``grid[k:]`` a non-negative amount, so ``sums`` never
+    decreases along the grid; dividing by t and adding the slack round
+    monotonically, so ``sums / t + slack`` never decreases either, and
+    one ``searchsorted`` finds the end of the prefix where it is at most
+    epsilon.
     """
-    hits = np.flatnonzero(sums / t + slack <= epsilon)
-    return int(hits[-1]) if hits.size else 0
+    n = int((sums / t + slack).searchsorted(epsilon, "right"))
+    return n - 1 if n else 0
 
 
 def mean_step(state: MeanState, obs: StreamObservation,

@@ -112,6 +112,23 @@ def _comma_list(convert):
     return parse
 
 
+def _seed_list(text: str) -> list[int]:
+    """argparse type for ``--seeds``: distinct non-negative integers, comma-separated.
+
+    A repeated seed would run and count one replication twice, and its
+    second trajectory file would overwrite the first.
+    """
+    seeds = _comma_list(int)(text)
+    seen: set[int] = set()
+    for seed in seeds:
+        if seed < 0:
+            raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {seed}")
+        if seed in seen:
+            raise argparse.ArgumentTypeError(f"seeds must be distinct, got {seed} twice")
+        seen.add(seed)
+    return seeds
+
+
 def _ensure_out(path: Path) -> Path:
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -380,11 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory")
 
     def seed_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seeds", type=_comma_list(int), default=None,
+        p.add_argument("--seeds", type=_seed_list, default=None,
                        help="comma-separated replication seeds; wins over --n-seeds")
         p.add_argument("--n-seeds", type=_int_at_least(1), default=None,
                        help="run seeds base..base+K-1")
-        p.add_argument("--base-seed", type=int, default=0)
+        p.add_argument("--base-seed", type=_int_at_least(0), default=0)
 
     def stream_flags(p: argparse.ArgumentParser, default_horizon: int,
                      least_horizon: int = 0) -> None:
@@ -416,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, default_out="runs/replay")
     p.add_argument("--trace", type=Path, required=True, help="trace CSV path")
     method_flags(p)
-    p.add_argument("--coin-seed", type=int, default=None,
+    p.add_argument("--coin-seed", type=_int_at_least(0), default=None,
                    help="seed for exploration coins (default: config seed)")
     p.add_argument("--emit-wealth-every", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_replay)
@@ -427,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream_flags(p, 2000, least_horizon=1)
     method_flags(p)
     p.add_argument("--n-reps", type=_int_at_least(1), default=200)
-    p.add_argument("--base-seed", type=int, default=0)
+    p.add_argument("--base-seed", type=_int_at_least(0), default=0)
     p.add_argument("--criterion", default="auto",
                    help="auto, deployment, or weighted")
     p.add_argument("--workers", type=int, default=None,

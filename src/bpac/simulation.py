@@ -330,30 +330,73 @@ def generate_event(spec: SyntheticStreamSpec, rng: np.random.Generator,
 # ``prob`` of each score alone (tests check this for every law).
 _BLOCK_LOSSES = (LinearLoss, ConstantLoss, PowerLoss)
 
+# Steps per chunk of draws, in ``stream_events`` (serial replications and
+# baseline lanes) and in ``_engine_lanes`` (bpac lanes). At G=1001 and
+# T=2000 (shared 2-core x86 box, best of three rounds) bpac lanes in chunks
+# of 32/128/256/512/2048 steps took 15.1/13.3/15.8/12.2/14.4 us per
+# replication-step at 5 lanes and 11.3/9.8/10.1/10.2/10.5 us at 25, within
+# the box's noise of each other; only memory grows with the chunk, about
+# 1 MB of arrays and lists per chunk at 25 lanes.
+DRAW_CHUNK = 256
+
+
+def _block_draw(seg: StreamSegment, stream: np.random.Generator,
+                m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Scores and latent losses of the next m events of ``seg``, or None.
+
+    Bit for bit what ``generate_event`` draws event by event. A segment
+    with a ``UniformScore``, ``ConstantTokens`` and a loss law in
+    ``_BLOCK_LOSSES`` draws a (score, loss coin) pair per event and no
+    token, and numpy's ``random(2 * m)`` returns the same doubles as m
+    such pairs of scalar draws, so it is drawn in one call. Any other
+    segment returns None without drawing, and the caller draws it one
+    ``generate_event`` at a time.
+    """
+    if not (type(seg.score) is UniformScore and type(seg.tokens) is ConstantTokens
+            and type(seg.loss) in _BLOCK_LOSSES):
+        return None
+    u = stream.random(2 * m)
+    scores = seg.score.at(u[0::2])
+    return scores, np.less(u[1::2], seg.loss.prob(scores), out=np.empty(m))
+
+
+def stream_events(spec: SyntheticStreamSpec, stream: np.random.Generator, horizon: int):
+    """Events 1..horizon of ``spec``, drawn ``DRAW_CHUNK`` steps at a time.
+
+    Yields what ``generate_event`` gives step by step, bit for bit, and
+    leaves ``stream`` in the same state at every chunk end: each piece of
+    a chunk that ``_block_draw`` covers is one draw call, and any other
+    piece is drawn one ``generate_event`` at a time.
+    """
+    for start in range(1, horizon + 1, DRAW_CHUNK):
+        for first, end, seg in spec.pieces(start, min(start + DRAW_CHUNK, horizon + 1)):
+            drawn = _block_draw(seg, stream, end - first)
+            if drawn is None:
+                for t in range(first, end):
+                    yield generate_event(spec, stream, t)
+                continue
+            cheap, expensive = seg.tokens.cheap, seg.tokens.expensive
+            for t, score, latent in zip(range(first, end), *(col.tolist() for col in drawn)):
+                yield StreamObservation(t, score, latent, cheap, expensive)
+
 
 def _draw_lanes(spec: SyntheticStreamSpec, streams, start: int,
                 stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Scores and latent losses of steps [start, stop), one row per stream.
 
-    Bit for bit what ``generate_event`` draws step by step. A segment with
-    a ``UniformScore``, ``ConstantTokens`` and a loss law in
-    ``_BLOCK_LOSSES`` draws a (score, loss coin) pair per event and no
-    token, and numpy's ``random(2 * m)`` returns the same doubles as m such
-    pairs of scalar draws, so it is drawn in one call. Any other segment is
-    drawn one ``generate_event`` at a time. Each row has its own generator,
-    so filling the rows one after another changes no draw.
+    Bit for bit what ``generate_event`` draws step by step: each piece is
+    drawn with ``_block_draw`` where it can be, else one event at a time.
+    Each row has its own generator, so filling the rows one after another
+    changes no draw.
     """
     rows, m = len(streams), stop - start
     scores, losses = np.empty((rows, m)), np.empty((rows, m))
     for first, end, seg in spec.pieces(start, stop):
         cols = slice(first - start, end - start)
-        blockwise = (type(seg.score) is UniformScore and type(seg.tokens) is ConstantTokens
-                     and type(seg.loss) in _BLOCK_LOSSES)
         for stream, score_row, loss_row in zip(streams, scores[:, cols], losses[:, cols]):
-            if blockwise:
-                u = stream.random(2 * (end - first))
-                score_row[:] = seg.score.at(u[0::2])
-                np.less(u[1::2], seg.loss.prob(score_row), out=loss_row)
+            drawn = _block_draw(seg, stream, end - first)
+            if drawn is not None:
+                score_row[:], loss_row[:] = drawn
                 continue
             for j, t in enumerate(range(first, end)):
                 obs = generate_event(spec, stream, t)
@@ -618,8 +661,13 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
     """Feed events to one method's state machine, recording every column.
 
     ``events`` is any iterable of observations with contiguous indices
-    from 1. Risk columns need the generating laws, so they are NaN when
-    no spec is supplied (recorded traces).
+    from 1. Each step keeps only what it decides or reads: the deployed
+    index, the coin, the propensity, the event's score and latent loss,
+    the running metrics and the risk tracker's readouts. The columns that
+    follow from those (``t``, ``rho``, ``u_hat``, ``deploy_risk``,
+    ``realized_loss``) are built as whole arrays after the last step.
+    Risk columns need the generating laws, so they are NaN when no spec
+    is supplied (recorded traces).
     """
     if fixed_wager is not None and method is not Method.BPAC:
         raise ValueError(FIXED_WAGER_NEEDS_ENGINE)
@@ -644,57 +692,65 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
                                          deployment_rate(config.schedule))
         tracker = RiskTracker(spec, config.schedule, config.grid,
                               weighted=track_weighted_risk)
+    snap_every = emit_wealth_every if method is Method.BPAC else 0
 
-    cols: dict[str, list] = {name: [] for name in _COLUMNS if name != "t"}
+    deployed, xi, pi, score, latent, ecp, tp, er = ([] for _ in range(8))
+    cond_risk, weighted_risk, mean_cond_risk = [], [], []
     acc = MetricAccumulator()
     snapshots: list[tuple[int, np.ndarray]] = []
 
     for obs in events:
-        t = obs.index
         decision, state = advance(state, obs, gate)
         acc.update(decision, obs)
-
         idx = state.deployed_index
-        cols["uncertainty"].append(obs.uncertainty)
-        cols["rho"].append(rho_at(config.schedule, t) if method is Method.BPAC
-                           else state.rho)
-        cols["pi"].append(decision.propensity)
-        cols["xi"].append(decision.coin)
-        cols["u_hat"].append(grid_values[idx])
-        cols["latent_loss"].append(obs.latent_loss)
-        cols["realized_loss"].append((1 - decision.coin) * obs.latent_loss)
-        cols["ecp"].append(acc.ecp)
-        cols["tp"].append(acc.tp_or_nan())
-        cols["er"].append(acc.er)
-        cols["deploy_risk"].append(risk_grid[idx] if risk_grid is not None
-                                   else math.nan)
-        if tracker is None:
-            cols["cond_risk"].append(math.nan)
-            cols["weighted_risk"].append(math.nan)
-            cols["mean_cond_risk"].append(math.nan)
-        else:
+        deployed.append(idx)
+        xi.append(decision.coin)
+        pi.append(decision.propensity)
+        score.append(obs.uncertainty)
+        latent.append(obs.latent_loss)
+        ecp.append(acc.ecp)
+        tp.append(acc.tp_or_nan())
+        er.append(acc.er)
+        if tracker is not None:
             if track_weighted_risk:
-                r_vec = tracker.absorb(t, np.asarray(state.accounts.last_lambda))
-                cols["weighted_risk"].append(tracker.weighted_risk_at(idx))
+                r_vec = tracker.absorb(obs.index, state.accounts.last_lambda)
+                weighted_risk.append(tracker.weighted_risk_at(idx))
             else:
-                r_vec = tracker.absorb(t)
-                cols["weighted_risk"].append(math.nan)
-            cols["cond_risk"].append(r_vec[idx])
+                r_vec = tracker.absorb(obs.index)
+            cond_risk.append(r_vec.item(idx))
             # unweighted running mean of past conditional risks at the
             # current threshold, the companion readout to weighted_risk
-            cols["mean_cond_risk"].append(tracker.risk_sum[idx] / tracker.steps)
+            mean_cond_risk.append(tracker.risk_sum.item(idx) / tracker.steps)
+        if snap_every and obs.index % snap_every == 0:
+            snapshots.append((obs.index, state.accounts.log_wealth.copy()))
 
-        if (method is Method.BPAC and emit_wealth_every > 0
-                and t % emit_wealth_every == 0):
-            snapshots.append((t, np.asarray(state.accounts.log_wealth).copy()))
+    n = len(xi)
+    deployed = np.array(deployed, dtype=np.intp)
+    xi = np.array(xi, dtype=np.int64)
+    latent = np.array(latent, dtype=float)
 
+    def readout(values: list) -> np.ndarray:
+        """A risk tracker column, NaN where the tracker recorded nothing."""
+        return np.array(values, dtype=float) if values else np.full(n, math.nan)
+
+    if method is Method.BPAC:
+        rho = np.array([rho_at(config.schedule, t) for t in range(1, n + 1)], dtype=float)
+    else:
+        rho = np.full(n, state.rho)
     return Trajectory(method=method.value, seed=seed_label,
                       config_hash=config_digest(config),
-                      t=np.arange(1, len(cols["xi"]) + 1, dtype=np.int64),
+                      t=np.arange(1, n + 1, dtype=np.int64),
+                      uncertainty=np.array(score, dtype=float), rho=rho,
+                      pi=np.array(pi, dtype=float), xi=xi, u_hat=grid_values[deployed],
+                      latent_loss=latent, realized_loss=(1 - xi) * latent,
+                      ecp=np.array(ecp, dtype=float), tp=np.array(tp, dtype=float),
+                      er=np.array(er, dtype=float),
+                      deploy_risk=(np.full(n, math.nan) if risk_grid is None
+                                   else risk_grid[deployed]),
+                      cond_risk=readout(cond_risk), weighted_risk=readout(weighted_risk),
+                      mean_cond_risk=readout(mean_cond_risk),
                       wealth_snapshots=snapshots,
-                      gate_accesses=gate.access_count,
-                      **{name: np.array(col, dtype=np.int64 if name == "xi" else float)
-                         for name, col in cols.items()})
+                      gate_accesses=gate.access_count)
 
 
 def run_replication(method, config: RouterConfig, spec: SyntheticStreamSpec,
@@ -727,7 +783,7 @@ def run_replication(method, config: RouterConfig, spec: SyntheticStreamSpec,
     if track_weighted_risk and method is not Method.BPAC:
         raise ValueError(WEIGHTED_NEEDS_ENGINE)
 
-    events = (generate_event(spec, stream_rng, t) for t in range(1, horizon + 1))
+    events = stream_events(spec, stream_rng, horizon)
     return _drive(method, config, events, coin_rng, spec=spec,
                   fixed_wager=fixed_wager, hoeff_variant=hoeff_variant,
                   emit_wealth_every=emit_wealth_every,
@@ -771,14 +827,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 WEIGHTED_NEEDS_ENGINE = "weighted risk is defined by the betting wagers; engine runs only"
 FIXED_WAGER_NEEDS_ENGINE = "a fixed wager replaces the betting wager; engine runs only"
-
-# Steps per chunk of draws in ``_engine_lanes``. At G=1001 and T=2000
-# (shared 2-core x86 box, best of three rounds) chunks of 32/128/256/512/
-# 2048 steps took 15.1/13.3/15.8/12.2/14.4 us per replication-step at 5
-# lanes and 11.3/9.8/10.1/10.2/10.5 us at 25, within the box's noise of
-# each other; only memory grows with the chunk, about 1 MB of arrays and
-# lists per chunk at 25 lanes.
-DRAW_CHUNK = 256
 
 # Replications per lockstep block in ``mc_safety``. At G=1001 and T=2000
 # with lane routing (shared 2-core x86 box, best of three rounds) blocks of
@@ -839,13 +887,14 @@ def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
 
 def _baseline_lanes(method: Method, states: list[MeanState], spec: SyntheticStreamSpec,
                     horizon: int, streams, gates: list[LossGate]):
-    """Advance baseline lanes one event and one ``MeanState`` step at a time.
+    """Advance baseline lanes one ``MeanState`` step at a time.
 
-    Yields what ``_engine_lanes`` yields.
+    Each lane reads its events from its own ``stream_events``. Yields what
+    ``_engine_lanes`` yields.
     """
     advance = naive_step if method is Method.O_NAIVE else hoeff_step
-    for t in range(1, horizon + 1):
-        events = [generate_event(spec, stream, t) for stream in streams]
+    sources = [stream_events(spec, stream, horizon) for stream in streams]
+    for t, events in enumerate(zip(*sources), 1):
         escalated = [advance(state, obs, gate)[0].coin
                      for obs, state, gate in zip(events, states, gates)]
         yield t, np.array([state.deployed_index for state in states], dtype=np.intp), escalated

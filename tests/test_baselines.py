@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bpac import (
     ConfigError,
@@ -40,6 +42,24 @@ class TestNaiveSelect:
     def test_nothing_qualifies(self):
         sums = np.array([2.0, 3.0, 4.0])
         assert _mean_index(sums, 10, 0.08, 0.0) == 0
+
+    # Charges from a few values make ties between grid points and with the
+    # budget; a slack of 0 is o_naive's.
+    @settings(deadline=None, max_examples=300)
+    @given(n=st.integers(1, 40),
+           charges=st.lists(st.tuples(st.integers(0, 40),
+                                      st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.9, 3.7])),
+                            max_size=30),
+           t=st.integers(1, 50),
+           epsilon=st.sampled_from([0.0, 0.05, 0.08, 0.125, 0.5]),
+           slack=st.sampled_from([0.0, 0.0, 0.03, 0.08, 2.0]))
+    @example(n=3, charges=[(0, 5.0)], t=10, epsilon=0.08, slack=0.0)  # none qualifies
+    def test_prefix_search_equals_last_qualifying_index(self, n, charges, t, epsilon, slack):
+        sums = np.zeros(n)
+        for k, amount in charges:
+            sums[k:] += amount
+        hits = np.flatnonzero(sums / t + slack <= epsilon)
+        assert _mean_index(sums, t, epsilon, slack) == (int(hits[-1]) if hits.size else 0)
 
 
 class TestHoeffSelect:

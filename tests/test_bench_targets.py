@@ -21,3 +21,24 @@ def test_every_traced_attribute_exists():
     missing = [f"{owner.__name__}.{attr}" for owner, attr in pairs
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_compare_steps_each_traced_layer_once_per_method_step(tmp_path, capsys):
+    """The benchmark's compare workload reads its per-layer view from these
+    wrappers. A driver that stopped calling a wrapped name would read 0 there
+    without failing any output check."""
+    import bpac.cli
+
+    spans = load_spans()
+    recorder = spans.Recorder()
+    with spans.tracing(recorder):
+        code = bpac.cli.main(["compare", "--out", str(tmp_path), "--spec", "easy_hard",
+                              "--horizon", "30", "--seeds", "1,2"])
+    capsys.readouterr()
+    assert code == 0
+    calls = {name: row["calls"] for name, row in recorder.summary().items()}
+    per_method = 30 * 2
+    assert calls["engine.step"] == per_method
+    assert calls["baselines.naive_step"] == per_method
+    assert calls["baselines.hoeff_step"] == per_method
+    assert calls["metrics.MetricAccumulator.update"] == 3 * per_method

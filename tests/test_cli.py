@@ -16,7 +16,7 @@ import bpac.cli
 import bpac.simulation
 from bpac.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 from bpac.records import read_trajectory
-from bpac.simulation import generate_event, uniform_linear
+from bpac.simulation import UniformScore, generate_event, uniform_linear
 from bpac.traces import write_trace
 
 
@@ -232,17 +232,31 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("method", ["bpac", "o_naive", "ips_hoeff"])
     def test_non_finite_score_is_runtime(self, tmp_path, monkeypatch, method):
-        def nan_event(spec, rng, t):
-            event = generate_event(spec, rng, t)
-            return dataclasses.replace(event, uncertainty=float("nan"))
+        events = bpac.simulation.stream_events
 
-        monkeypatch.setattr(bpac.simulation, "generate_event", nan_event)
+        def nan_events(spec, stream, horizon):
+            for event in events(spec, stream, horizon):
+                yield dataclasses.replace(event, uncertainty=float("nan"))
+
+        monkeypatch.setattr(bpac.simulation, "stream_events", nan_events)
         code, _, err = run_cli("simulate", "--out", str(tmp_path / "x"),
                                "--horizon", "10", "--method", method)
         assert code == EXIT_RUNTIME
         error = stderr_error(err)
         assert error["kind"] == "runtime"
         assert "not finite" in error["message"]
+
+    @pytest.mark.parametrize("method", ["bpac", "o_naive", "ips_hoeff"])
+    def test_non_finite_block_drawn_score_is_runtime(self, tmp_path, monkeypatch, method):
+        # uniform_linear is drawn in blocks, whose scores come from UniformScore.at
+        monkeypatch.setattr(UniformScore, "at", lambda self, u: np.where(
+            np.arange(np.size(u)) == 3, np.nan, np.asarray(u, dtype=float)))
+        code, _, err = run_cli("simulate", "--out", str(tmp_path / "x"),
+                               "--horizon", "10", "--method", method)
+        assert code == EXIT_RUNTIME
+        error = stderr_error(err)
+        assert error["kind"] == "runtime"
+        assert "step 4 is not finite" in error["message"]
 
     @pytest.mark.parametrize("command, flags", [
         ("simulate", [["--horizon", "-3"], ["--n-seeds", "-2"]]),
@@ -280,6 +294,35 @@ class TestErrorPaths:
         command, *flags = argv.split()
         out = tmp_path / "x"
         code, stdout, err = run_cli(command, "--out", str(out), "--horizon", "5", *flags)
+        assert code == EXIT_INVALID
+        assert stdout == ""
+        assert stderr_error(err)["kind"] == "args"
+        assert stderr_error(err)["key"] == flags[-2]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "compare", "ablate --preset lambda"])
+    def test_duplicate_seeds_exit_invalid(self, tmp_path, command):
+        """A repeated seed would be run and counted twice, and its second
+        trajectory file would overwrite the first."""
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(*command.split(), "--out", str(out), "--horizon", "5",
+                                    "--seeds", "1,2,1")
+        assert code == EXIT_INVALID
+        assert stdout == ""
+        assert stderr_error(err)["kind"] == "args"
+        assert stderr_error(err)["key"] == "--seeds"
+        assert "distinct" in stderr_error(err)["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "simulate --seeds -1", "simulate --seeds 2,-1", "sweep --seeds -1",
+        "compare --seeds -1", "ablate --preset lambda --seeds -1",
+        "simulate --n-seeds 2 --base-seed -5", "compare --base-seed -5",
+        "mc-safety --base-seed -5", "replay --trace absent.csv --coin-seed -1"])
+    def test_negative_seed_exits_invalid_at_parse_time(self, tmp_path, argv):
+        command, *flags = argv.split()
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(command, "--out", str(out), *flags)
         assert code == EXIT_INVALID
         assert stdout == ""
         assert stderr_error(err)["kind"] == "args"

@@ -68,6 +68,7 @@ from bpac.simulation import (
     run_replication,
     spec_from_dict,
     spec_to_dict,
+    stream_events,
     uniform_linear,
     wilson_interval,
 )
@@ -454,7 +455,7 @@ class TestMcSafety:
         def no_replication(*args, **kwargs):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(bpac.simulation, "generate_event", no_replication)
+        monkeypatch.setattr(bpac.simulation, "stream_events", no_replication)
         with pytest.raises(NonStationarySpec, match=method) as info:
             mc_safety(method, RouterConfig(), easy_hard(), horizon=40, n_reps=2)
         assert "single-segment" in str(info.value) and "wagers" in str(info.value)
@@ -468,7 +469,7 @@ class TestMcSafety:
         def no_replication(*args, **kwargs):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(bpac.simulation, "generate_event", no_replication)
+        monkeypatch.setattr(bpac.simulation, "stream_events", no_replication)
         with pytest.raises(ValueError, match="engine runs only"):
             mc_safety(method, RouterConfig(), uniform_linear(), horizon=40,
                       n_reps=2, fixed_wager=5.0)
@@ -712,6 +713,61 @@ class TestBlockDraws:
         drawn.clear()
         _draw_lanes(uniform_linear(), streams, 1, 80)
         assert drawn == []
+
+
+def per_event(spec, stream, horizon):
+    """The reference event source: one ``generate_event`` per step."""
+    return (generate_event(spec, stream, t) for t in range(1, horizon + 1))
+
+
+class TestEventSource:
+    """``stream_events`` gives ``generate_event``'s stream, drawn in chunks."""
+
+    @pytest.mark.parametrize("chunk", [7, bpac.simulation.DRAW_CHUNK])
+    @pytest.mark.parametrize("spec", [uniform_linear(), easy_hard(break_at=50), BLOCK_SPEC,
+                                      FALLBACK_SPEC], ids=lambda spec: spec.name)
+    def test_events_equal_generate_event(self, spec, chunk, monkeypatch):
+        monkeypatch.setattr(bpac.simulation, "DRAW_CHUNK", chunk)
+        stream, rng = np.random.default_rng(9), np.random.default_rng(9)
+        events = list(stream_events(spec, stream, 300))
+        assert events == list(per_event(spec, rng, 300))
+        assert all(type(e.uncertainty) is float and type(e.latent_loss) is float
+                   for e in events)
+        assert stream.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", [7, bpac.simulation.DRAW_CHUNK])
+    @pytest.mark.parametrize("method", ["bpac", "o_naive", "ips_hoeff"])
+    @pytest.mark.parametrize("spec", [uniform_linear(), easy_hard(break_at=50), FALLBACK_SPEC],
+                             ids=lambda spec: spec.name)
+    def test_replications_equal_per_event_generation(self, spec, method, chunk, monkeypatch):
+        def run():
+            return run_replication(method, LOOSE_EXPLORING, spec, 300, seed=5,
+                                   emit_wealth_every=25,
+                                   track_weighted_risk=method == "bpac")
+
+        monkeypatch.setattr(bpac.simulation, "DRAW_CHUNK", chunk)
+        chunked = run()
+        monkeypatch.setattr(bpac.simulation, "stream_events", per_event)
+        reference = run()
+        for name in bpac.simulation._COLUMNS:
+            assert getattr(chunked, name).tobytes() == getattr(reference, name).tobytes(), name
+        assert chunked.digest() == reference.digest()
+        assert chunked.gate_accesses == reference.gate_accesses == chunked.xi.sum()
+        assert chunked.u_hat.max() > 0
+        if method == "bpac":
+            assert len(chunked.wealth_snapshots) == 12
+            assert np.all(np.isfinite(chunked.weighted_risk))
+
+    def test_only_other_segments_draw_event_by_event(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(bpac.simulation, "generate_event",
+                            lambda spec, rng, t: drawn.append(t) or generate_event(spec, rng, t))
+        for method in ("bpac", "o_naive"):
+            run_replication(method, LOOSE, FALLBACK_SPEC, 80, seed=1)
+            assert drawn == list(range(1, 51))
+            drawn.clear()
+            run_replication(method, LOOSE, easy_hard(break_at=50), 80, seed=1)
+            assert drawn == []
 
 
 def test_scipy_special_stays_unloaded_without_beta_laws():
