@@ -8,6 +8,8 @@ escalated queries, and randomized exploration plus inverse-propensity
 weighting keeps the accounts honest about the losses nobody observed.
 """
 
+from types import ModuleType as _ModuleType
+
 from .baselines import MeanState, hoeff_slack, mean_step
 from .core import (
     DEFAULT_ALPHA,
@@ -96,89 +98,6 @@ from .traces import TraceFormatError, load_trace, write_trace
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_ALPHA",
-    "DEFAULT_BETTING_CAP",
-    "DEFAULT_EPSILON",
-    "BetaScore",
-    "ConfigError",
-    "ConstantLoss",
-    "ConstantSchedule",
-    "ConstantTokens",
-    "Decision",
-    "InvalidObservation",
-    "LinearLoss",
-    "LossGate",
-    "LossGateViolation",
-    "MeanState",
-    "Method",
-    "MetricAccumulator",
-    "NonStationarySpec",
-    "OutOfOrderObservation",
-    "PowerLoss",
-    "Prior",
-    "RegretReport",
-    "RiskTracker",
-    "Route",
-    "RouterConfig",
-    "RouterState",
-    "SelectionMode",
-    "SpecError",
-    "StreamExhausted",
-    "StreamObservation",
-    "StreamSegment",
-    "SyntheticStreamSpec",
-    "ThresholdAccount",
-    "ThresholdGrid",
-    "TokenDivisionByZero",
-    "TRAJECTORY_COLUMNS",
-    "TraceFormatError",
-    "Trajectory",
-    "TwoStageSchedule",
-    "UniformScore",
-    "UniformTokens",
-    "UnknownMethod",
-    "Violation",
-    "WagerOutOfRange",
-    "adaptive_lambda",
-    "config_digest",
-    "config_from_dict",
-    "config_to_dict",
-    "deployment_rate",
-    "easy_hard",
-    "generate_event",
-    "graded_parts_loss",
-    "hoeff_slack",
-    "ips_payoff",
-    "judge_margin_loss",
-    "load_config",
-    "load_stream_spec",
-    "load_trace",
-    "mc_safety",
-    "mean_loss_below",
-    "mean_step",
-    "oracle_risk",
-    "oracle_risk_grid",
-    "oracle_threshold",
-    "payoff_bound",
-    "pinned_threshold_study",
-    "propensity",
-    "read_trajectory",
-    "regret_bound",
-    "regret_harness",
-    "replay_trace",
-    "rho_at",
-    "run_replication",
-    "spec_from_dict",
-    "spec_to_dict",
-    "step",
-    "uniform_linear",
-    "update_account",
-    "validate_config",
-    "wilson_interval",
-    "write_summary_json",
-    "write_trace",
-    "write_trajectory",
-    "write_wealth_snapshots",
-    "zero_one_loss",
-]
+# Every name imported above is public; the submodules bound by those imports are not.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

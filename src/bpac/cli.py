@@ -34,7 +34,6 @@ from .core import (
 )
 from .engine import (InvalidObservation, LossGateViolation, OutOfOrderObservation,
                      WagerOutOfRange)
-from .metrics import TokenDivisionByZero
 from .records import (
     write_summary_json,
     write_table,
@@ -328,14 +327,13 @@ def _ablate_variants(preset: str, base: RouterConfig):
                              dataclasses.replace(base, schedule=ConstantSchedule(rho)),
                              {}))
         return variants
-    if preset == "twarm":
-        sched = base.schedule if isinstance(base.schedule, TwoStageSchedule) \
-            else TwoStageSchedule()
-        return [(f"twarm_{tw}",
-                 dataclasses.replace(base, schedule=dataclasses.replace(sched, t_warm=tw)),
-                 {})
-                for tw in (10, 50, 100, 200, 300, 500)]
-    raise ValueError(f"unknown ablation preset {preset!r}; expected one of {ABLATE_PRESETS}")
+    # "twarm": the parser admits only ABLATE_PRESETS
+    sched = base.schedule if isinstance(base.schedule, TwoStageSchedule) \
+        else TwoStageSchedule()
+    return [(f"twarm_{tw}",
+             dataclasses.replace(base, schedule=dataclasses.replace(sched, t_warm=tw)),
+             {})
+            for tw in (10, 50, 100, 200, 300, 500)]
 
 
 def cmd_ablate(args) -> int:
@@ -412,11 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="steps per run" + ("; 0 gives an empty run"
                                                if least_horizon == 0 else ""))
 
+    def hoeff_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--hoeff-variant", default="per_point",
+                       choices=("per_point", "union_over_grid"),
+                       help="the ips_hoeff slack: one threshold per step, or the whole grid")
+
     def method_flags(p: argparse.ArgumentParser, default: str = "bpac") -> None:
         p.add_argument("--method", default=default,
                        help="bpac, o_naive, or ips_hoeff")
-        p.add_argument("--hoeff-variant", default="per_point",
-                       help="per_point or union_over_grid")
+        hoeff_flag(p)
         p.add_argument("--fixed-wager", type=float, default=None,
                        help="freeze the wager instead of the adaptive rule (engine only)")
 
@@ -445,10 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     method_flags(p)
     p.add_argument("--n-reps", type=_int_at_least(1), default=200)
     p.add_argument("--base-seed", type=_int_at_least(0), default=0)
-    p.add_argument("--criterion", default="auto",
-                   help="auto, deployment, or weighted")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process pool size (default: serial)")
+    p.add_argument("--criterion", default="auto", choices=("auto", "deployment", "weighted"))
+    p.add_argument("--workers", type=_int_at_least(1), default=None,
+                   help="largest process pool, capped at one process per block and "
+                        "per CPU (default: serial)")
     p.set_defaults(func=cmd_mc_safety)
 
     p = sub.add_parser("sweep", help="sensitivity of outcomes to the risk budget")
@@ -464,15 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, default_out="runs/compare")
     stream_flags(p, 2000, least_horizon=1)
     seed_flags(p)
-    p.add_argument("--hoeff-variant", default="per_point")
+    hoeff_flag(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("ablate", help="preset design sweeps")
     common(p, default_out="runs/ablate")
     stream_flags(p, 2000, least_horizon=1)
     seed_flags(p)
-    p.add_argument("--preset", required=True,
-                   help="lambda, rho, or twarm")
+    p.add_argument("--preset", required=True, choices=ABLATE_PRESETS)
     p.set_defaults(func=cmd_ablate)
 
     return parser
@@ -506,8 +507,7 @@ def main(argv=None) -> int:
                     key=None if exc.filename is None else str(exc.filename))
         return EXIT_INVALID
     except (StreamExhausted, NonStationarySpec, WagerOutOfRange,
-            OutOfOrderObservation, InvalidObservation, LossGateViolation,
-            TokenDivisionByZero) as exc:
+            OutOfOrderObservation, InvalidObservation, LossGateViolation) as exc:
         _emit_error("runtime", str(exc))
         return EXIT_RUNTIME
     except ValueError as exc:

@@ -185,11 +185,7 @@ def coin_generator(config: RouterConfig, rng=None) -> np.random.Generator:
     """Routing-coin generator from ``rng``: a Generator is used as is, a
     SeedSequence or an int seeds a new one, and None seeds ``config.seed``.
     """
-    if rng is None:
-        rng = config.seed
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+    return np.random.default_rng(config.seed if rng is None else rng)
 
 
 def require_increasing_grid(grid: ThresholdGrid) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -340,68 +341,46 @@ _BLOCK_LOSSES = (LinearLoss, ConstantLoss, PowerLoss)
 DRAW_CHUNK = 256
 
 
-def _block_draw(seg: StreamSegment, stream: np.random.Generator,
-                m: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Scores and latent losses of the next m events of ``seg``, or None.
+def _draw(spec: SyntheticStreamSpec, stream: np.random.Generator, start: int,
+          stop: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """Scores, latent losses and token pairs of one lane's events [start, stop).
 
-    Bit for bit what ``generate_event`` draws event by event. A segment
-    with a ``UniformScore``, ``ConstantTokens`` and a loss law in
-    ``_BLOCK_LOSSES`` draws a (score, loss coin) pair per event and no
-    token, and numpy's ``random(2 * m)`` returns the same doubles as m
-    such pairs of scalar draws, so it is drawn in one call. Any other
-    segment returns None without drawing, and the caller draws it one
-    ``generate_event`` at a time.
+    Bit for bit what ``generate_event`` draws, and ``stream`` ends in the
+    same state. A piece of a segment with a ``UniformScore``,
+    ``ConstantTokens`` and a ``_BLOCK_LOSSES`` law draws a (score, loss
+    coin) pair per event and no token; numpy's ``random(2 * m)`` returns
+    the same doubles as m such pairs, so it is one call. Any other piece
+    is drawn one ``generate_event`` at a time.
     """
-    if not (type(seg.score) is UniformScore and type(seg.tokens) is ConstantTokens
-            and type(seg.loss) in _BLOCK_LOSSES):
-        return None
-    u = stream.random(2 * m)
-    scores = seg.score.at(u[0::2])
-    return scores, np.less(u[1::2], seg.loss.prob(scores), out=np.empty(m))
+    scores, losses, tokens = np.empty(stop - start), np.empty(stop - start), []
+    for first, end, seg in spec.pieces(start, stop):
+        at = slice(first - start, end - start)
+        if (type(seg.score) is UniformScore and type(seg.tokens) is ConstantTokens
+                and type(seg.loss) in _BLOCK_LOSSES):
+            u = stream.random(2 * (end - first))
+            scores[at] = seg.score.at(u[0::2])
+            np.less(u[1::2], seg.loss.prob(scores[at]), out=losses[at])
+            tokens += [(seg.tokens.cheap, seg.tokens.expensive)] * (end - first)
+            continue
+        for j, t in enumerate(range(first, end), at.start):
+            obs = generate_event(spec, stream, t)
+            scores[j], losses[j] = obs.uncertainty, obs.latent_loss
+            tokens.append((obs.tokens_cheap, obs.tokens_expensive))
+    return scores, losses, tokens
 
 
 def stream_events(spec: SyntheticStreamSpec, stream: np.random.Generator, horizon: int):
-    """Events 1..horizon of ``spec``, drawn ``DRAW_CHUNK`` steps at a time.
+    """Events 1..horizon of ``spec``, drawn ``DRAW_CHUNK`` steps at a time by ``_draw``.
 
     Yields what ``generate_event`` gives step by step, bit for bit, and
-    leaves ``stream`` in the same state at every chunk end: each piece of
-    a chunk that ``_block_draw`` covers is one draw call, and any other
-    piece is drawn one ``generate_event`` at a time.
+    leaves ``stream`` in the same state at every chunk end.
     """
     for start in range(1, horizon + 1, DRAW_CHUNK):
-        for first, end, seg in spec.pieces(start, min(start + DRAW_CHUNK, horizon + 1)):
-            drawn = _block_draw(seg, stream, end - first)
-            if drawn is None:
-                for t in range(first, end):
-                    yield generate_event(spec, stream, t)
-                continue
-            cheap, expensive = seg.tokens.cheap, seg.tokens.expensive
-            for t, score, latent in zip(range(first, end), *(col.tolist() for col in drawn)):
-                yield StreamObservation(t, score, latent, cheap, expensive)
-
-
-def _draw_lanes(spec: SyntheticStreamSpec, streams, start: int,
-                stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and latent losses of steps [start, stop), one row per stream.
-
-    Bit for bit what ``generate_event`` draws step by step: each piece is
-    drawn with ``_block_draw`` where it can be, else one event at a time.
-    Each row has its own generator, so filling the rows one after another
-    changes no draw.
-    """
-    rows, m = len(streams), stop - start
-    scores, losses = np.empty((rows, m)), np.empty((rows, m))
-    for first, end, seg in spec.pieces(start, stop):
-        cols = slice(first - start, end - start)
-        for stream, score_row, loss_row in zip(streams, scores[:, cols], losses[:, cols]):
-            drawn = _block_draw(seg, stream, end - first)
-            if drawn is not None:
-                score_row[:], loss_row[:] = drawn
-                continue
-            for j, t in enumerate(range(first, end)):
-                obs = generate_event(spec, stream, t)
-                score_row[j], loss_row[j] = obs.uncertainty, obs.latent_loss
-    return scores, losses
+        stop = min(start + DRAW_CHUNK, horizon + 1)
+        scores, losses, tokens = _draw(spec, stream, start, stop)
+        for t, score, latent, (cheap, expensive) in zip(range(start, stop), scores.tolist(),
+                                                        losses.tolist(), tokens):
+            yield StreamObservation(t, score, latent, cheap, expensive)
 
 
 # ---------------------------------------------------------------------------
@@ -473,27 +452,25 @@ def _quad_mean_loss_below(score: ScoreLaw, loss: LossLaw, u_arr: np.ndarray):
     return np.array([one(x) for x in np.ravel(u_arr)]).reshape(u_arr.shape)
 
 
-def oracle_risk(spec: SyntheticStreamSpec, u: float, rho: float) -> float:
-    """True deployed risk of threshold u on a single-segment stream.
+def _segment_risk(seg: StreamSegment, grid_values, rho: float):
+    """Deployed risk ``(1 - rho) * E[loss * 1{score < u}]`` of thresholds u on
+    ``seg``: an exploring below-threshold query still escalates with
+    probability rho and then costs nothing."""
+    return (1.0 - rho) * mean_loss_below(seg.score, seg.loss, grid_values)
 
-    The deployment factor (1 - rho) reflects that an exploring below-
-    threshold query still escalates with probability rho and then costs
-    nothing.
-    """
-    if not spec.is_iid:
-        raise NonStationarySpec(
-            "oracle_risk needs a single-segment stream; use the weighted tracker instead")
-    seg = spec.segments[0]
-    return (1.0 - rho) * float(mean_loss_below(seg.score, seg.loss, u))
+
+def oracle_risk(spec: SyntheticStreamSpec, u: float, rho: float) -> float:
+    """True deployed risk of threshold u on a single-segment stream."""
+    return float(oracle_risk_grid(spec, u, rho))
 
 
 def oracle_risk_grid(spec: SyntheticStreamSpec, grid_values: np.ndarray,
                      rho: float) -> np.ndarray:
+    """``_segment_risk`` of a single-segment stream; the weighted tracker covers the rest."""
     if not spec.is_iid:
         raise NonStationarySpec(
-            "oracle_risk_grid needs a single-segment stream")
-    seg = spec.segments[0]
-    return (1.0 - rho) * np.asarray(mean_loss_below(seg.score, seg.loss, grid_values))
+            "oracle risk needs a single-segment stream; use the weighted tracker instead")
+    return _segment_risk(spec.segments[0], grid_values, rho)
 
 
 def oracle_threshold(spec: SyntheticStreamSpec, epsilon: float, rho: float,
@@ -527,7 +504,7 @@ class RiskTracker:
         self.schedule = schedule
         self.grid_values = grid.values
         self.weighted = weighted
-        # Keyed by (segment, rate); rate 0 holds the segment's E[loss * 1{score < u}].
+        # ``_segment_risk`` of the grid, keyed by (segment, rate).
         self._risk_cache: dict[tuple[int, float], np.ndarray] = {}
         n = grid.values.size
         self.steps = 0
@@ -545,12 +522,8 @@ class RiskTracker:
         key = (seg_idx, rho_t)
         cached = self._risk_cache.get(key)
         if cached is None:
-            base = self._risk_cache.get((seg_idx, 0.0))
-            if base is None:
-                seg = self.spec.segments[seg_idx]
-                base = self._risk_cache[seg_idx, 0.0] = np.asarray(
-                    mean_loss_below(seg.score, seg.loss, self.grid_values))
-            cached = self._risk_cache[key] = (1.0 - rho_t) * base
+            cached = self._risk_cache[key] = _segment_risk(
+                self.spec.segments[seg_idx], self.grid_values, rho_t)
         return cached
 
     def absorb(self, t: int, wagers: np.ndarray | None = None) -> np.ndarray:
@@ -653,6 +626,28 @@ class Trajectory:
 _COLUMNS = tuple(f.name for f in fields(Trajectory) if f.type == "np.ndarray")
 
 
+def _fresh(method: Method, config: RouterConfig, coin, fixed_wager: float | None = None,
+           hoeff_variant: str = "per_point"):
+    """A fresh state of ``method``, its coins seeded by ``coin``, and the step
+    that advances it, looked up by name at call time so that wrappers see it.
+    """
+    if method is Method.BPAC:
+        return RouterState.fresh(config, rng=coin, fixed_wager=fixed_wager), step
+    if fixed_wager is not None:
+        raise ValueError(FIXED_WAGER_NEEDS_ENGINE)
+    if method is Method.O_NAIVE:
+        return MeanState.fresh(config, rng=coin), naive_step
+    return MeanState.fresh(config, rng=coin, variant=hoeff_variant), hoeff_step
+
+
+def _audit_gates(gates: list[LossGate], escalations: list[int]) -> None:
+    """Raise ``LossGateViolation`` unless each lane's gate opened once per escalation."""
+    for lane, (gate, count) in enumerate(zip(gates, escalations)):
+        if gate.access_count != count:
+            raise LossGateViolation(f"the loss gate of lane {lane} opened "
+                                    f"{gate.access_count} times for {count} escalations")
+
+
 def _drive(method: Method, config: RouterConfig, events, coin_rng,
            *, spec: SyntheticStreamSpec | None = None,
            fixed_wager: float | None = None, hoeff_variant: str = "per_point",
@@ -667,25 +662,14 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
     follow from those (``t``, ``rho``, ``u_hat``, ``deploy_risk``,
     ``realized_loss``) are built as whole arrays after the last step.
     Risk columns need the generating laws, so they are NaN when no spec
-    is supplied (recorded traces).
+    is supplied (recorded traces). At the end the gate must have opened
+    once per escalation, or ``LossGateViolation`` is raised.
     """
-    if fixed_wager is not None and method is not Method.BPAC:
-        raise ValueError(FIXED_WAGER_NEEDS_ENGINE)
+    state, advance = _fresh(method, config, coin_rng, fixed_wager, hoeff_variant)
     gate = LossGate()
-    state: Any
-    if method is Method.BPAC:
-        state = RouterState.fresh(config, rng=coin_rng, fixed_wager=fixed_wager)
-        advance = step
-    elif method is Method.O_NAIVE:
-        state = MeanState.fresh(config, rng=coin_rng)
-        advance = naive_step
-    else:
-        state = MeanState.fresh(config, rng=coin_rng, variant=hoeff_variant)
-        advance = hoeff_step
 
     grid_values = config.grid.values
-    risk_grid = None
-    tracker = None
+    risk_grid = tracker = None
     if spec is not None:
         if spec.is_iid:
             risk_grid = oracle_risk_grid(spec, grid_values,
@@ -727,16 +711,15 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
     n = len(xi)
     deployed = np.array(deployed, dtype=np.intp)
     xi = np.array(xi, dtype=np.int64)
+    _audit_gates([gate], [int(xi.sum())])
     latent = np.array(latent, dtype=float)
 
     def readout(values: list) -> np.ndarray:
         """A risk tracker column, NaN where the tracker recorded nothing."""
         return np.array(values, dtype=float) if values else np.full(n, math.nan)
 
-    if method is Method.BPAC:
-        rho = np.array([rho_at(config.schedule, t) for t in range(1, n + 1)], dtype=float)
-    else:
-        rho = np.full(n, state.rho)
+    rho = (np.array([rho_at(config.schedule, t) for t in range(1, n + 1)], dtype=float)
+           if method is Method.BPAC else np.full(n, state.rho))
     return Trajectory(method=method.value, seed=seed_label,
                       config_hash=config_digest(config),
                       t=np.arange(1, n + 1, dtype=np.int64),
@@ -770,25 +753,19 @@ def run_replication(method, config: RouterConfig, spec: SyntheticStreamSpec,
         raise StreamExhausted(
             f"horizon {horizon} exceeds the stream's total length {spec.total_length}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    if isinstance(ss.entropy, int) and ss.spawn_key == ():
-        seed_label = ss.entropy
-    else:
-        seed_label = int(ss.generate_state(1)[0])
-    stream_ss, coin_ss = ss.spawn(2)
-    stream_rng = np.random.default_rng(stream_ss)
-    coin_rng = np.random.default_rng(coin_ss)
+    seed_label = (ss.entropy if isinstance(ss.entropy, int) and ss.spawn_key == ()
+                  else int(ss.generate_state(1)[0]))
+    stream_rng, coin_rng = map(np.random.default_rng, ss.spawn(2))
 
     if track_weighted_risk is None:
         track_weighted_risk = method is Method.BPAC and not spec.is_iid
     if track_weighted_risk and method is not Method.BPAC:
         raise ValueError(WEIGHTED_NEEDS_ENGINE)
 
-    events = stream_events(spec, stream_rng, horizon)
-    return _drive(method, config, events, coin_rng, spec=spec,
-                  fixed_wager=fixed_wager, hoeff_variant=hoeff_variant,
+    return _drive(method, config, stream_events(spec, stream_rng, horizon), coin_rng,
+                  spec=spec, fixed_wager=fixed_wager, hoeff_variant=hoeff_variant,
                   emit_wealth_every=emit_wealth_every,
-                  track_weighted_risk=track_weighted_risk,
-                  seed_label=seed_label)
+                  track_weighted_risk=track_weighted_risk, seed_label=seed_label)
 
 
 def replay_trace(method, config: RouterConfig, events, *,
@@ -859,19 +836,20 @@ def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
                   streams, coins, gates: list[LossGate], table: AccountTable):
     """Advance bpac lanes; yield each step, its deployed indices and its coins.
 
-    Every ``DRAW_CHUNK`` steps, each lane draws its scores, latent losses
-    and coin draws for the chunk up front and puts the losses behind its
-    gate, and one call splits the grid at every score. Each step then
-    routes every lane with ``route_lanes``, settles every row in one
-    kernel call and certifies each row's threshold.
+    Every ``DRAW_CHUNK`` steps, each lane draws its scores and latent
+    losses (``_draw``) and its coin draws for the chunk up front and puts
+    the losses behind its gate, and one call splits the grid at every
+    score. Each step then routes every lane with ``route_lanes``, settles
+    every row in one kernel call and certifies each row's threshold.
     """
     grid_values, schedule = config.grid.values, config.schedule
     deployed = np.zeros(len(gates), dtype=np.intp)
     for start in range(1, horizon + 1, DRAW_CHUNK):
         stop = min(start + DRAW_CHUNK, horizon + 1)
-        scores, losses = _draw_lanes(spec, streams, start, stop)
-        for gate, row in zip(gates, losses.tolist()):
-            gate.hold(start, row)
+        scores = np.empty((len(gates), stop - start))
+        for stream, gate, row in zip(streams, gates, scores):
+            row[:], losses, _ = _draw(spec, stream, start, stop)
+            gate.hold(start, losses.tolist())
         splits = grid_values.searchsorted(scores, "right")
         draws = np.array([coin.random(stop - start) for coin in coins])
         for t, lane_scores, lane_draws, lane_splits in zip(
@@ -885,19 +863,18 @@ def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
             yield t, deployed, escalated
 
 
-def _baseline_lanes(method: Method, states: list[MeanState], spec: SyntheticStreamSpec,
+def _baseline_lanes(lanes: list[tuple[MeanState, Any]], spec: SyntheticStreamSpec,
                     horizon: int, streams, gates: list[LossGate]):
-    """Advance baseline lanes one ``MeanState`` step at a time.
+    """Advance baseline lanes, each a (state, step) pair from ``_fresh``.
 
     Each lane reads its events from its own ``stream_events``. Yields what
     ``_engine_lanes`` yields.
     """
-    advance = naive_step if method is Method.O_NAIVE else hoeff_step
     sources = [stream_events(spec, stream, horizon) for stream in streams]
     for t, events in enumerate(zip(*sources), 1):
         escalated = [advance(state, obs, gate)[0].coin
-                     for obs, state, gate in zip(events, states, gates)]
-        yield t, np.array([state.deployed_index for state in states], dtype=np.intp), escalated
+                     for obs, (state, advance), gate in zip(events, lanes, gates)]
+        yield t, np.array([state.deployed_index for state, _ in lanes], dtype=np.intp), escalated
 
 
 def _lockstep_violated(args) -> list[bool]:
@@ -906,12 +883,11 @@ def _lockstep_violated(args) -> list[bool]:
     Every replication gets what ``run_replication`` would give it: its
     seed splits into its own stream and coin generators, and each step it
     draws its event, flips its coin and reads its loss through its own
-    gate. A baseline lane steps its own ``MeanState``; bpac lanes route
-    with ``route``'s order and checks, then one kernel call settles every
-    row and each row certifies its own threshold. So the deployed
-    thresholds equal the serial ones bit for bit. At the end each lane's
-    gate must have opened once per escalation, or ``LossGateViolation``
-    is raised.
+    gate. A baseline lane steps its own state from ``_fresh``; bpac lanes
+    route with ``route``'s order and checks, then one kernel call settles
+    every row and each row certifies its own threshold. So the deployed
+    thresholds equal the serial ones bit for bit, and the gates are
+    audited as in ``_drive``.
     """
     method, config, spec, horizon, seeds, criterion, fixed_wager, hoeff_variant = args
     rows = len(seeds)
@@ -921,9 +897,8 @@ def _lockstep_violated(args) -> list[bool]:
         table = AccountTable(config, rows, fixed_wager=fixed_wager)
         lanes = _engine_lanes(config, spec, horizon, streams, coins, gates, table)
     else:
-        variant = None if method is Method.O_NAIVE else hoeff_variant
-        states = [MeanState.fresh(config, rng=coin, variant=variant) for coin in coins]
-        lanes = _baseline_lanes(method, states, spec, horizon, streams, gates)
+        lanes = _baseline_lanes([_fresh(method, config, coin, hoeff_variant=hoeff_variant)
+                                 for coin in coins], spec, horizon, streams, gates)
     eps = config.epsilon
     if criterion == "weighted":
         tracker = RiskTracker(spec, config.schedule, config.grid, weighted=True, rows=rows)
@@ -939,10 +914,7 @@ def _lockstep_violated(args) -> list[bool]:
             violated |= tracker.weighted_risk_at(deployed) > eps
         else:
             violated |= unsafe[deployed]
-    for lane, (gate, count) in enumerate(zip(gates, escalations)):
-        if gate.access_count != count:
-            raise LossGateViolation(f"the loss gate of lane {lane} opened "
-                                    f"{gate.access_count} times for {count} escalations")
+    _audit_gates(gates, escalations)
     return violated.tolist()
 
 
@@ -963,9 +935,11 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
     Replication i always runs on the i-th child of ``base_seed``.
     Replications advance in lockstep blocks of ``MC_BLOCK``: bpac rows on
     one account table, baselines on one ``MeanState`` each. ``workers`` > 1
-    spreads the blocks over a process pool. A block whose gates did not
-    open exactly once per escalation raises ``LossGateViolation``; an
-    empty study (``horizon`` or ``n_reps`` below 1) raises ``ValueError``.
+    spreads the blocks over a process pool of at most ``workers``
+    processes, and never more than the blocks or the CPUs. A block whose
+    gates did not open exactly once per escalation raises
+    ``LossGateViolation``; an empty study (``horizon`` or ``n_reps`` below
+    1) raises ``ValueError``.
     """
     method = parse_method(method)
     if horizon < 1 or n_reps < 1:
@@ -981,15 +955,15 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
     seeds = np.random.SeedSequence(base_seed).spawn(n_reps)
     jobs = [(method, config, spec, horizon, seeds[i:i + MC_BLOCK], criterion,
              fixed_wager, hoeff_variant) for i in range(0, n_reps, MC_BLOCK)]
-    if workers and workers > 1:
+    pool_size = min(workers or 1, len(jobs), os.cpu_count() or 1)
+    if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             flags = [f for block in pool.map(_lockstep_violated, jobs) for f in block]
     else:
         flags = [f for job in jobs for f in _lockstep_violated(job)]
 
     violations = int(sum(flags))
-    freq = violations / n_reps
     ci_low, ci_high = wilson_interval(violations, n_reps)
     return {
         "method": method.value,
@@ -999,7 +973,7 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
         "n_reps": n_reps,
         "T": horizon,
         "violations": violations,
-        "frequency": freq,
+        "frequency": violations / n_reps,
         "ci_low": ci_low,
         "ci_high": ci_high,
         "config_hash": config_digest(config),

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import bpac.baselines
+import bpac.engine
 import bpac.simulation
 from bpac import ConstantSchedule, RouterConfig, ThresholdGrid, uniform_linear
-from bpac.engine import route_lanes
+from bpac.engine import route, route_lanes
 
 
 @pytest.fixture
@@ -42,3 +44,18 @@ def peeking_route(monkeypatch):
         return coins, k, low
 
     monkeypatch.setattr(bpac.simulation, "route_lanes", peeking)
+
+
+@pytest.fixture
+def peeking_serial_route(monkeypatch):
+    """A known-invalid ``route`` for serial runs of every method: on a step
+    that stayed cheap it also reads the loss, which only the gate audit can
+    see."""
+    def peeking(obs, threshold_used, rho_t, rng, gate, config):
+        out = route(obs, threshold_used, rho_t, rng, gate, config)
+        if out[1] == 0:
+            gate.observe(obs, 1)
+        return out
+
+    monkeypatch.setattr(bpac.engine, "route", peeking)
+    monkeypatch.setattr(bpac.baselines, "route", peeking)

@@ -264,6 +264,7 @@ class TestErrorPaths:
         ("mc-safety", [["--n-reps", "0"], ["--n-reps", "-1"]]),
         ("simulate", [["--emit-wealth-every", "-5"]]),
         ("replay", [["--emit-wealth-every", "-1"]]),
+        ("mc-safety", [["--workers", "0"], ["--workers", "-3"]]),
     ])
     def test_out_of_range_counts_exit_invalid(self, tmp_path, command, flags):
         out = tmp_path / "x"
@@ -329,6 +330,34 @@ class TestErrorPaths:
         assert stderr_error(err)["key"] == flags[-2]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        "simulate", "simulate --method ips_hoeff", "replay --trace absent.csv",
+        "sweep", "compare", "mc-safety --method o_naive"])
+    def test_unknown_hoeff_variant_exits_invalid_at_parse_time(self, tmp_path, argv):
+        command, *flags = argv.split()
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(command, "--out", str(out), "--horizon", "5", *flags,
+                                    "--hoeff-variant", "bogus")
+        assert code == EXIT_INVALID
+        assert stdout == ""
+        assert stderr_error(err)["kind"] == "args"
+        assert stderr_error(err)["key"] == "--hoeff-variant"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["bpac", "o_naive", "ips_hoeff"])
+    @pytest.mark.usefixtures("peeking_serial_route")
+    def test_failed_serial_gate_audit_is_runtime(self, tmp_path, method):
+        # explores at 0.7 with a wide budget, so every method deploys above 0
+        config = write_config(tmp_path, epsilon=0.15, alpha=0.9,
+                              schedule={"kind": "constant", "rho": 0.7})
+        code, stdout, err = run_cli("simulate", "--out", str(tmp_path / "x"), "--config",
+                                    str(config), "--horizon", "100", "--method", method)
+        assert code == EXIT_RUNTIME
+        assert stdout == ""
+        assert stderr_error(err)["kind"] == "runtime"
+        assert "loss gate of lane 0" in stderr_error(err)["message"]
+        assert not list((tmp_path / "x").iterdir())
+
     @pytest.mark.usefixtures("peeking_route")
     def test_failed_gate_audit_is_runtime(self):
         code, stdout, err = run_cli("mc-safety", "--horizon", "300", "--n-reps", "2")
@@ -387,11 +416,15 @@ class TestMcSafety:
         assert (out / "mc_safety_summary.json").exists()
 
     def test_bad_criterion(self, tmp_path, ):
-        code, _, err = run_cli(
-            "mc-safety", "--horizon", "40", "--n-reps", "2",
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            "mc-safety", "--horizon", "40", "--n-reps", "2", "--out", str(out),
             "--criterion", "sideways")
         assert code == EXIT_INVALID
+        assert stdout == ""
         assert stderr_error(err)["kind"] == "args"
+        assert stderr_error(err)["key"] == "--criterion"
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["o_naive", "ips_hoeff"])
     def test_baseline_on_shifting_stream_is_runtime(self, method):
@@ -458,11 +491,15 @@ class TestAblate:
                    for v in summary["variants"])
 
     def test_unknown_preset(self, tmp_path, ):
-        code, _, err = run_cli(
-            "ablate", "--out", str(tmp_path / "x"), "--horizon", "10",
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            "ablate", "--out", str(out), "--horizon", "10",
             "--preset", "everything")
         assert code == EXIT_INVALID
+        assert stdout == ""
         assert stderr_error(err)["kind"] == "args"
+        assert stderr_error(err)["key"] == "--preset"
+        assert not out.exists()
 
 
 class TestResultTables:

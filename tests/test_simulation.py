@@ -9,6 +9,7 @@ exceeded at u = 0.411 on the default 1001-point lattice.
 import dataclasses
 import json
 import math
+import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -50,7 +51,7 @@ from bpac.simulation import (
     UniformTokens,
     UnknownMethod,
     _BLOCK_LOSSES,
-    _draw_lanes,
+    _draw,
     _quad_mean_loss_below,
     easy_hard,
     generate_event,
@@ -633,6 +634,26 @@ class TestLockstep:
                            base_seed=1000)
         assert report["violations"] == 2
 
+    def test_one_block_study_starts_no_process(self, monkeypatch):
+        started = count_started_processes(monkeypatch)
+        serial = mc_safety("bpac", LOOSE, uniform_linear(), 50, 3, base_seed=5)
+        assert mc_safety("bpac", LOOSE, uniform_linear(), 50, 3, base_seed=5,
+                         workers=4) == serial
+        assert started == []
+
+    @pytest.mark.parametrize("cpus", [None, 64])
+    def test_pool_is_capped_by_blocks_and_cpus(self, cpus, monkeypatch):
+        if cpus is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cap = min(3, os.cpu_count() or 1)
+        monkeypatch.setattr(bpac.simulation, "MC_BLOCK", 1)
+        serial = mc_safety("o_naive", LOOSE, uniform_linear(), 30, 3, base_seed=5)
+        started = count_started_processes(monkeypatch)
+        assert mc_safety("o_naive", LOOSE, uniform_linear(), 30, 3, base_seed=5,
+                         workers=8) == serial
+        assert len(started) <= cap
+        assert (len(started) > 0) == (cap > 1)
+
     @pytest.mark.parametrize("method", ["bpac", "o_naive"])
     def test_worker_pool_report_equals_serial(self, method, monkeypatch):
         monkeypatch.setattr(bpac.simulation, "MC_BLOCK", 3)
@@ -642,11 +663,34 @@ class TestLockstep:
         assert reports[0]["violations"] > 0
 
 
+def count_started_processes(monkeypatch) -> list:
+    """Record every process started from now on, by wrapping ``BaseProcess.start``."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting(process):
+        started.append(process)
+        return start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+    return started
+
+
 class TestGateAudit:
     @pytest.mark.usefixtures("peeking_route")
     def test_a_loss_read_on_a_cheap_lane_fails_the_audit(self):
         with pytest.raises(LossGateViolation, match="loss gate of lane 0 opened"):
             mc_safety("bpac", LOOSE, uniform_linear(), 100, 4)
+
+    @pytest.mark.parametrize("method", ["bpac", "o_naive", "ips_hoeff"])
+    @pytest.mark.usefixtures("peeking_serial_route")
+    def test_a_loss_read_on_a_cheap_step_fails_the_serial_audit(self, method):
+        with pytest.raises(LossGateViolation, match="loss gate of lane 0 opened"):
+            run_replication(method, LOOSE_EXPLORING, uniform_linear(), 60, seed=1)
+        rng = np.random.default_rng(2)
+        events = [generate_event(uniform_linear(), rng, t) for t in range(1, 61)]
+        with pytest.raises(LossGateViolation, match="loss gate of lane 0 opened"):
+            replay_trace(method, LOOSE_EXPLORING, events, coin_seed=3)
 
 
 # Segment ends at 40 and 65 fall inside the draw chunks below.
@@ -664,22 +708,24 @@ LOSS_LAWS = {
 
 
 class TestBlockDraws:
-    """``_draw_lanes`` gives each lane's events bit for bit, in chunks."""
+    """``_draw`` gives one lane's events bit for bit, in chunks."""
 
     @pytest.mark.parametrize("spec", [uniform_linear(), easy_hard(break_at=50), BLOCK_SPEC,
                                       FALLBACK_SPEC], ids=lambda spec: spec.name)
     def test_chunks_equal_events_bit_for_bit(self, spec):
-        seeds = (3, 4, 5)
-        streams = [np.random.default_rng(seed) for seed in seeds]
-        chunks = [_draw_lanes(spec, streams, start, stop)
-                  for start, stop in ((1, 45), (45, 58), (58, 121))]
-        scores, losses = (np.concatenate(part, axis=1) for part in zip(*chunks))
-        for seed, stream, score_row, loss_row in zip(seeds, streams, scores, losses):
+        for seed in (3, 4, 5):
+            stream = np.random.default_rng(seed)
+            chunks = [_draw(spec, stream, start, stop)
+                      for start, stop in ((1, 45), (45, 58), (58, 121))]
+            scores, losses, tokens = zip(*chunks)
             rng = np.random.default_rng(seed)
             events = [generate_event(spec, rng, t) for t in range(1, 121)]
-            assert score_row.tobytes() == np.array([e.uncertainty for e in events]).tobytes()
-            assert loss_row.tobytes() == np.array([e.latent_loss for e in events]).tobytes()
-            # and each lane's generator has made exactly the same draws
+            assert (np.concatenate(scores).tobytes()
+                    == np.array([e.uncertainty for e in events]).tobytes())
+            assert (np.concatenate(losses).tobytes()
+                    == np.array([e.latent_loss for e in events]).tobytes())
+            assert sum(tokens, []) == [(e.tokens_cheap, e.tokens_expensive) for e in events]
+            # and the lane's generator has made exactly the same draws
             assert stream.bit_generator.state == rng.bit_generator.state
 
     def test_every_loss_kind_is_checked(self):
@@ -700,18 +746,18 @@ class TestBlockDraws:
         monkeypatch.setattr(bpac.simulation, "generate_event",
                             lambda spec, rng, t: drawn.append(t) or generate_event(spec, rng, t))
         spec = SyntheticStreamSpec(segments=(StreamSegment(None, UniformScore(), law),))
-        _draw_lanes(spec, [np.random.default_rng(1)], 1, 11)
+        _draw(spec, np.random.default_rng(1), 1, 11)
         assert drawn == list(range(1, 11))
 
     def test_only_other_segments_draw_event_by_event(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(bpac.simulation, "generate_event",
                             lambda spec, rng, t: drawn.append(t) or generate_event(spec, rng, t))
-        streams = [np.random.default_rng(1), np.random.default_rng(2)]
-        _draw_lanes(FALLBACK_SPEC, streams, 1, 80)
-        assert sorted(drawn) == sorted(list(range(1, 51)) * 2)
+        stream = np.random.default_rng(1)
+        _draw(FALLBACK_SPEC, stream, 1, 80)
+        assert drawn == list(range(1, 51))
         drawn.clear()
-        _draw_lanes(uniform_linear(), streams, 1, 80)
+        _draw(uniform_linear(), stream, 1, 80)
         assert drawn == []
 
 
