@@ -38,7 +38,6 @@ from .engine import (
     LossGate,
     LossGateViolation,
     OutOfOrderObservation,
-    Route,
     RouterState,
     ThresholdAccount,
     WagerOutOfRange,
@@ -50,7 +49,7 @@ from .engine import (
     update_account,
 )
 from .losses import graded_parts_loss, judge_margin_loss, zero_one_loss
-from .metrics import MetricAccumulator, TokenDivisionByZero
+from .metrics import MetricAccumulator
 from .records import (
     TRAJECTORY_COLUMNS,
     read_trajectory,

@@ -33,7 +33,7 @@ from .core import (
     validate_config,
 )
 from .engine import (InvalidObservation, LossGateViolation, OutOfOrderObservation,
-                     WagerOutOfRange)
+                     WagerOutOfRange, check_fixed_wager)
 from .records import (
     write_summary_json,
     write_table,
@@ -245,11 +245,13 @@ def cmd_sweep(args) -> int:
     spec = load_stream_spec(args.spec)
     method = parse_method(args.method)
     seeds = _resolve_seeds(args, base_config)
+    # Every budget cell is checked before the first replication runs.
+    configs = [validate_config(dataclasses.replace(base_config, epsilon=eps))
+               for eps in args.epsilons]
     out = _ensure_out(args.out)
 
     cells = []
-    for eps in args.epsilons:
-        config = validate_config(dataclasses.replace(base_config, epsilon=eps))
+    for eps, config in zip(args.epsilons, configs):
         subdir = _ensure_out(out / f"epsilon_{eps:g}")
         rows = []
         for seed in seeds:
@@ -340,11 +342,14 @@ def cmd_ablate(args) -> int:
     base = _load_config_arg(args)
     spec = load_stream_spec(args.spec)
     seeds = _resolve_seeds(args, base)
+    # Every variant is checked before the first replication runs.
+    plan = _ablate_variants(args.preset, base)
+    for _, config, kwargs in plan:
+        check_fixed_wager(validate_config(config), kwargs.get("fixed_wager"))
     out = _ensure_out(args.out)
 
     variants = []
-    for name, config, kwargs in _ablate_variants(args.preset, base):
-        config = validate_config(config)
+    for name, config, kwargs in plan:
         rows = []
         exceed = 0
         for seed in seeds:
@@ -455,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sensitivity of outcomes to the risk budget")
     common(p, default_out="runs/sweep")
-    stream_flags(p, 2000)
+    stream_flags(p, 2000, least_horizon=1)
     method_flags(p)
     seed_flags(p)
     p.add_argument("--epsilons", type=_comma_list(float), default="0.05,0.08,0.1",

@@ -102,15 +102,6 @@ class ThresholdGrid:
     def n(self) -> int:
         return int(self.values.size)
 
-    def floor_index(self, x: float) -> int:
-        """Index of the largest grid value <= x. Total on [0, 1]."""
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"threshold query {x!r} outside [0, 1]")
-        return max(int(np.searchsorted(self.values, x, side="right")) - 1, 0)
-
-    def floor(self, x: float) -> float:
-        return float(self.values[self.floor_index(x)])
-
 
 @dataclass(frozen=True, eq=False)
 class Prior:

@@ -58,7 +58,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -95,16 +94,12 @@ class InvalidObservation(ValueError):
 
 
 class LossGateViolation(RuntimeError):
-    """A loss was read on a step routed to the cheap model.
+    """A loss was read on a step routed to the cheap model, or out of order.
 
-    Raised when the engine asks the gate with coin 0, and when a gate's
-    record of accesses disagrees with the routing record.
+    Raised when the engine asks the gate with coin 0 or for a step no
+    later than the last one it opened, and when a gate's count of
+    accesses disagrees with the routing record.
     """
-
-
-class Route(str, Enum):
-    CHEAP = "cheap"
-    EXPENSIVE = "expensive"
 
 
 @dataclass(frozen=True)
@@ -115,10 +110,6 @@ class Decision:
     coin: int
     observed_loss: float | None
     threshold_used: float
-
-    @property
-    def route(self) -> Route:
-        return Route.EXPENSIVE if self.coin == 1 else Route.CHEAP
 
 
 @dataclass
@@ -147,14 +138,16 @@ class LossGate:
     """Single doorway between the stream's latent losses and the engine.
 
     The gate opens only on steps whose coin actually routed the query to
-    the expensive model, and it records every access, so a trajectory can
-    be audited against the routing record afterwards. ``observe`` reads the
-    loss off an event; a lane driven on losses drawn ahead of time puts
-    them behind the gate with ``hold`` and reads one with ``reveal``.
+    the expensive model, each step at most once and in step order, and it
+    counts its openings, so a trajectory can be audited against the
+    routing record afterwards. ``observe`` reads the loss off an event; a
+    lane driven on losses drawn ahead of time puts them behind the gate
+    with ``hold`` and reads one with ``reveal``.
     """
 
     def __init__(self) -> None:
-        self.accessed_steps: list[int] = []
+        self.access_count = 0
+        self._last = 0
         self._first = 1
         self._held: list[float] = []
 
@@ -174,11 +167,11 @@ class LossGate:
     def _open(self, t: int, coin: int) -> None:
         if coin != 1:
             raise LossGateViolation(f"loss requested at step {t} with routing coin {coin}")
-        self.accessed_steps.append(t)
-
-    @property
-    def access_count(self) -> int:
-        return len(self.accessed_steps)
+        if t <= self._last:
+            raise LossGateViolation(
+                f"loss requested at step {t} after the gate opened at step {self._last}")
+        self._last = t
+        self.access_count += 1
 
 
 def coin_generator(config: RouterConfig, rng=None) -> np.random.Generator:
@@ -314,6 +307,18 @@ def _mixture_rows(log_wealth: np.ndarray, log_bars: np.ndarray) -> np.ndarray:
     return np.where(hits[last, np.arange(last.size)], last, 0)
 
 
+def check_fixed_wager(config: RouterConfig, fixed_wager: float | None) -> None:
+    """Raise ``WagerOutOfRange`` unless ``fixed_wager`` is None (the adaptive
+    wager) or survives the worst payoff at every rate the schedule emits."""
+    if fixed_wager is None:
+        return
+    worst = max((1.0 - config.schedule.rho_min) / r - config.epsilon
+                for r in config.schedule.emitted_rates())
+    if not 0.0 <= fixed_wager < 1.0 / worst:
+        raise WagerOutOfRange(f"fixed wager {fixed_wager} must lie in [0, {1.0 / worst:.6g}) "
+                              "to survive the worst payoff")
+
+
 class AccountTable:
     """Betting accounts on one grid, settled by one kernel.
 
@@ -338,14 +343,8 @@ class AccountTable:
         ablation knob); it must leave every reachable payoff survivable.
         """
         require_increasing_grid(config.grid)
+        check_fixed_wager(config, fixed_wager)
         self.epsilon, self.rho_min = config.epsilon, config.schedule.rho_min
-        if fixed_wager is not None:
-            worst = max((1.0 - self.rho_min) / r - self.epsilon
-                        for r in config.schedule.emitted_rates())
-            if not 0.0 <= fixed_wager < 1.0 / worst:
-                raise WagerOutOfRange(
-                    f"fixed wager {fixed_wager} must lie in [0, {1.0 / worst:.6g}) "
-                    "to survive the worst payoff")
         self.fixed_wager = fixed_wager
         self.cap = config.betting_cap
         self.mixture = config.selection_mode is SelectionMode.MIXTURE

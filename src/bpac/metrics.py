@@ -8,10 +8,6 @@ from .core import StreamObservation
 from .engine import Decision
 
 
-class TokenDivisionByZero(ZeroDivisionError):
-    """Token premium queried before any expensive-model tokens accumulated."""
-
-
 @dataclass
 class MetricAccumulator:
     """Prefix sums behind the three headline metrics.
@@ -50,15 +46,8 @@ class MetricAccumulator:
 
     @property
     def tp(self) -> float:
-        """Tokens spent relative to always calling the expensive model."""
+        """Tokens spent relative to always calling the expensive model; NaN
+        until any expensive-model tokens arrive."""
         if self.expensive_tokens == 0:
-            raise TokenDivisionByZero(
-                "token premium undefined before any expensive-model tokens arrive")
-        return (self.cheap_tokens + self.expensive_tokens_billed) / self.expensive_tokens
-
-    def tp_or_nan(self) -> float:
-        try:
-            return self.tp
-        except TokenDivisionByZero:
             return float("nan")
-
+        return (self.cheap_tokens + self.expensive_tokens_billed) / self.expensive_tokens

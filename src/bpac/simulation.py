@@ -279,29 +279,27 @@ class SyntheticStreamSpec:
             start = end
 
 
-def uniform_linear(kappa: float = 1.0, tokens: TokenModel | None = None) -> SyntheticStreamSpec:
+def uniform_linear(kappa: float = 1.0) -> SyntheticStreamSpec:
     """Scores uniform on [0, 1], loss probability kappa * score. Open-ended."""
     return SyntheticStreamSpec(
         segments=(StreamSegment(length=None, score=UniformScore(),
-                                loss=LinearLoss(kappa=kappa),
-                                tokens=tokens or ConstantTokens()),),
+                                loss=LinearLoss(kappa=kappa)),),
         name="uniform_linear")
 
 
 def easy_hard(kappa_easy: float = 0.5, kappa_hard: float = 1.0,
-              break_at: int = 1000, tokens: TokenModel | None = None) -> SyntheticStreamSpec:
+              break_at: int = 1000) -> SyntheticStreamSpec:
     """Uniform scores whose loss law doubles in steepness after break_at.
 
     The score distribution never moves; what degrades is how much a given
     score level actually costs, the regime where a frozen offline
     threshold quietly goes stale.
     """
-    tok = tokens or ConstantTokens()
     return SyntheticStreamSpec(
         segments=(StreamSegment(length=break_at, score=UniformScore(),
-                                loss=LinearLoss(kappa=kappa_easy), tokens=tok),
+                                loss=LinearLoss(kappa=kappa_easy)),
                   StreamSegment(length=None, score=UniformScore(),
-                                loss=LinearLoss(kappa=kappa_hard), tokens=tok)),
+                                loss=LinearLoss(kappa=kappa_hard))),
         name="easy_hard")
 
 
@@ -651,8 +649,7 @@ def _audit_gates(gates: list[LossGate], escalations: list[int]) -> None:
 def _drive(method: Method, config: RouterConfig, events, coin_rng,
            *, spec: SyntheticStreamSpec | None = None,
            fixed_wager: float | None = None, hoeff_variant: str = "per_point",
-           emit_wealth_every: int = 0, track_weighted_risk: bool = False,
-           seed_label: int = -1) -> Trajectory:
+           emit_wealth_every: int = 0, seed_label: int = -1) -> Trajectory:
     """Feed events to one method's state machine, recording every column.
 
     ``events`` is any iterable of observations with contiguous indices
@@ -662,8 +659,10 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
     follow from those (``t``, ``rho``, ``u_hat``, ``deploy_risk``,
     ``realized_loss``) are built as whole arrays after the last step.
     Risk columns need the generating laws, so they are NaN when no spec
-    is supplied (recorded traces). At the end the gate must have opened
-    once per escalation, or ``LossGateViolation`` is raised.
+    is supplied (recorded traces), and ``weighted_risk`` is NaN too unless
+    a bpac run meets a multi-segment stream, the one case ``mc_safety``
+    scores by it. At the end the gate must have opened once per
+    escalation, or ``LossGateViolation`` is raised.
     """
     state, advance = _fresh(method, config, coin_rng, fixed_wager, hoeff_variant)
     gate = LossGate()
@@ -675,7 +674,7 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
             risk_grid = oracle_risk_grid(spec, grid_values,
                                          deployment_rate(config.schedule))
         tracker = RiskTracker(spec, config.schedule, config.grid,
-                              weighted=track_weighted_risk)
+                              weighted=method is Method.BPAC and not spec.is_iid)
     snap_every = emit_wealth_every if method is Method.BPAC else 0
 
     deployed, xi, pi, score, latent, ecp, tp, er = ([] for _ in range(8))
@@ -693,10 +692,10 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
         score.append(obs.uncertainty)
         latent.append(obs.latent_loss)
         ecp.append(acc.ecp)
-        tp.append(acc.tp_or_nan())
+        tp.append(acc.tp)
         er.append(acc.er)
         if tracker is not None:
-            if track_weighted_risk:
+            if tracker.weighted:
                 r_vec = tracker.absorb(obs.index, state.accounts.last_lambda)
                 weighted_risk.append(tracker.weighted_risk_at(idx))
             else:
@@ -739,8 +738,7 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
 def run_replication(method, config: RouterConfig, spec: SyntheticStreamSpec,
                     horizon: int, seed, *, fixed_wager: float | None = None,
                     hoeff_variant: str = "per_point",
-                    emit_wealth_every: int = 0,
-                    track_weighted_risk: bool | None = None) -> Trajectory:
+                    emit_wealth_every: int = 0) -> Trajectory:
     """Run one method over one freshly drawn stream.
 
     ``seed`` (int or SeedSequence) splits into independent stream and
@@ -757,15 +755,9 @@ def run_replication(method, config: RouterConfig, spec: SyntheticStreamSpec,
                   else int(ss.generate_state(1)[0]))
     stream_rng, coin_rng = map(np.random.default_rng, ss.spawn(2))
 
-    if track_weighted_risk is None:
-        track_weighted_risk = method is Method.BPAC and not spec.is_iid
-    if track_weighted_risk and method is not Method.BPAC:
-        raise ValueError(WEIGHTED_NEEDS_ENGINE)
-
     return _drive(method, config, stream_events(spec, stream_rng, horizon), coin_rng,
                   spec=spec, fixed_wager=fixed_wager, hoeff_variant=hoeff_variant,
-                  emit_wealth_every=emit_wealth_every,
-                  track_weighted_risk=track_weighted_risk, seed_label=seed_label)
+                  emit_wealth_every=emit_wealth_every, seed_label=seed_label)
 
 
 def replay_trace(method, config: RouterConfig, events, *,

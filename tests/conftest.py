@@ -5,7 +5,7 @@ import bpac.baselines
 import bpac.engine
 import bpac.simulation
 from bpac import ConstantSchedule, RouterConfig, ThresholdGrid, uniform_linear
-from bpac.engine import route, route_lanes
+from bpac.engine import LossGate, route, route_lanes
 
 
 @pytest.fixture
@@ -31,6 +31,22 @@ def uniform_spec():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def gate_steps(monkeypatch):
+    """Give every ``LossGate`` an ``accessed_steps`` list: the steps it opened at,
+    in order. The gate itself keeps only a count and its last step."""
+    opened = LossGate._open
+
+    def recording(gate, t, coin):
+        opened(gate, t, coin)
+        gate.accessed_steps.append(t)
+
+    monkeypatch.setattr(LossGate, "_open", recording)
+    monkeypatch.setattr(LossGate, "accessed_steps",
+                        property(lambda gate: gate.__dict__.setdefault("_steps", [])),
+                        raising=False)
 
 
 @pytest.fixture

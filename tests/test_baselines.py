@@ -108,6 +108,7 @@ class TestBaselineSteps:
     def config(self):
         return RouterConfig(schedule=ConstantSchedule(0.05))
 
+    @pytest.mark.usefixtures("gate_steps")
     def test_naive_one_coin_per_step(self):
         config = self.config()
         state = MeanState.fresh(config)
@@ -228,6 +229,7 @@ class TestInvalidObservation:
         assert not np.any(state.sums)
 
     @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.usefixtures("gate_steps")
     def test_out_of_order_rejected(self, variant):
         # Regression: indices 7, 7, 3 used to be routed as steps 1, 2, 3.
         state = MeanState.fresh(RouterConfig(), variant=variant)

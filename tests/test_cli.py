@@ -33,6 +33,15 @@ def stderr_error(err: str) -> dict:
     return json.loads(err.strip().splitlines()[-1])["error"]
 
 
+@pytest.fixture
+def no_replication(monkeypatch):
+    """Fail the test if the CLI starts a replication."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(bpac.cli, "run_replication", refuse)
+
+
 def write_config(tmp_path, **overrides):
     doc = {"epsilon": 0.08, "alpha": 0.1}
     doc.update(overrides)
@@ -277,7 +286,8 @@ class TestErrorPaths:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("command", ["mc-safety", "compare", "ablate --preset lambda"])
+    @pytest.mark.parametrize("command", ["mc-safety", "sweep", "compare",
+                                         "ablate --preset lambda"])
     def test_zero_horizon_is_refused_where_a_verdict_is_reported(self, tmp_path, command):
         out = tmp_path / "x"
         code, stdout, err = run_cli(*command.split(), "--out", str(out), "--horizon", "0")
@@ -457,6 +467,17 @@ class TestSweep:
         assert code == EXIT_INVALID
         assert stderr_error(err)["kind"] == "config"
 
+    @pytest.mark.usefixtures("no_replication")
+    def test_every_budget_cell_is_checked_before_any_run(self, tmp_path):
+        out = tmp_path / "x"
+        code, stdout, err = run_cli("sweep", "--out", str(out), "--horizon", "50",
+                                    "--n-seeds", "1", "--epsilons", "0.05,0.95")
+        assert code == EXIT_INVALID
+        assert stdout == ""
+        assert stderr_error(err)["kind"] == "config"
+        assert stderr_error(err)["violations"][0]["code"] == "EpsilonTooLarge"
+        assert not out.exists()
+
 
 class TestCompare:
     def test_three_methods_on_shared_streams(self, tmp_path, ):
@@ -489,6 +510,19 @@ class TestAblate:
         summary = json.loads((out / "ablate_summary.json").read_text())
         assert all(0.0 <= v["violation_fraction"] <= 1.0
                    for v in summary["variants"])
+
+    @pytest.mark.usefixtures("no_replication")
+    def test_infeasible_fixed_wager_is_refused_before_any_run(self, tmp_path):
+        # at rho_deploy 0.04 the worst payoff, -23.92, would ruin a wager of 0.05
+        config = write_config(tmp_path, schedule={"kind": "two_stage", "rho_deploy": 0.04})
+        out = tmp_path / "x"
+        code, stdout, err = run_cli("ablate", "--preset", "lambda", "--config", str(config),
+                                    "--out", str(out), "--horizon", "2000", "--n-seeds", "3")
+        assert code == EXIT_RUNTIME
+        assert stdout == ""
+        assert stderr_error(err)["kind"] == "runtime"
+        assert "fixed wager 0.05 must lie in [0, 0.041806)" in stderr_error(err)["message"]
+        assert not out.exists()
 
     def test_unknown_preset(self, tmp_path, ):
         out = tmp_path / "x"

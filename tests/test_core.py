@@ -64,14 +64,6 @@ class TestGrid:
         assert grid.values[0] == 0.0
         assert grid.values[-1] == 1.0
 
-    def test_floor_on_and_off_lattice(self):
-        grid = ThresholdGrid.default()
-        assert grid.floor(0.38) == pytest.approx(0.38, abs=1e-12)
-        assert grid.floor(0.3805) == pytest.approx(0.380, abs=1e-12)
-        assert grid.floor(0.0) == 0.0
-        assert grid.floor(1.0) == 1.0
-        assert grid.floor_index(0.0) == 0
-
     def test_values_are_a_read_only_copy(self):
         """The grid owns its values, so ``grid_list`` cannot drift from them."""
         source = np.linspace(0.0, 1.0, 5)
@@ -86,13 +78,6 @@ class TestGrid:
         assert not copy.values.flags.writeable
         assert copy.grid_list == grid.grid_list
 
-    def test_floor_rejects_outside_unit_interval(self):
-        grid = ThresholdGrid.default()
-        with pytest.raises(ValueError):
-            grid.floor(-0.1)
-        with pytest.raises(ValueError):
-            grid.floor(1.1)
-
     @pytest.mark.parametrize("doc", [{"start": -1e6, "step": 0.001}, {"step": 1e-12}])
     def test_oversized_grid_rejected_before_allocation(self, doc, monkeypatch):
         def no_allocation(*args, **kwargs):
@@ -104,14 +89,6 @@ class TestGrid:
         with pytest.raises(ConfigError) as err:
             config_from_dict({"grid": doc})
         assert err.value.violations[0].code == "BadGrid"
-
-    @given(x=st.floats(0.0, 1.0))
-    def test_floor_is_largest_value_not_above(self, x):
-        grid = ThresholdGrid.from_step(step=0.05)
-        idx = grid.floor_index(x)
-        assert grid.values[idx] <= x + 1e-12
-        if idx + 1 < grid.n:
-            assert grid.values[idx + 1] > x
 
 
 class TestValidation:

@@ -31,8 +31,7 @@ from bpac import (
     uniform_linear,
     update_account,
 )
-from bpac.engine import (AccountTable, Decision, Route, _fixed_sequence_index,
-                         _mixture_index, route, route_lanes)
+from bpac.engine import AccountTable, _fixed_sequence_index, _mixture_index, route, route_lanes
 
 EPS = 0.08
 RHO_MIN = 0.05
@@ -220,12 +219,6 @@ class TestStep:
         with pytest.raises(OutOfOrderObservation):
             step(state, make_obs(index=1), gate)
 
-    def test_route_follows_the_coin(self):
-        for coin, route in ((0, Route.CHEAP), (1, Route.EXPENSIVE)):
-            decision = Decision(propensity=0.05, coin=coin, observed_loss=None,
-                                threshold_used=0.5)
-            assert decision.route is route
-
     def test_direct_construction_steps_like_fresh(self, default_config, uniform_spec):
         # A state built without fresh() used to lack its account table.
         direct = RouterState(config=default_config, table=AccountTable(default_config),
@@ -244,6 +237,7 @@ class TestStep:
         with pytest.raises(LossGateViolation):
             gate.observe(make_obs(1, 0.5, 1.0), 0)
 
+    @pytest.mark.usefixtures("gate_steps")
     def test_gate_access_equals_escalations(self, default_config, uniform_spec):
         state = RouterState.fresh(default_config)
         gate = LossGate()
@@ -466,6 +460,7 @@ def lane_steps(draw):
             draw(st.sampled_from([0.05, 0.3, 0.7, 1.0])))
 
 
+@pytest.mark.usefixtures("gate_steps")
 class TestRouteLanes:
     """``route_lanes`` is ``route`` applied lane by lane, on numbers drawn ahead of time."""
 
@@ -512,6 +507,17 @@ class TestRouteLanes:
             gate.reveal(13, 0)
         assert gate.reveal(13, 1) == 0.25
         assert gate.accessed_steps == [12, 13]
+
+    @pytest.mark.parametrize("t", [13, 12])
+    def test_gate_opens_once_per_step_in_order(self, t):
+        gate = LossGate()
+        gate.hold(11, [0.0, 1.0, 0.25])
+        gate.reveal(13, 1)
+        with pytest.raises(LossGateViolation, match=f"step {t} after the gate opened at step 13"):
+            gate.reveal(t, 1)
+        with pytest.raises(LossGateViolation, match="after the gate opened at step 13"):
+            gate.observe(make_obs(t), 1)
+        assert gate.access_count == 1
 
 
 def bits(x) -> np.ndarray:

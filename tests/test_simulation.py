@@ -20,6 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bpac.baselines
+import bpac.engine
 import bpac.simulation
 from bpac.core import (
     ConstantSchedule,
@@ -32,7 +34,7 @@ from bpac.core import (
     rho_at,
 )
 from bpac.engine import (AccountTable, InvalidObservation, LossGateViolation, ips_payoff,
-                         propensity)
+                         propensity, route, route_lanes)
 from bpac.simulation import (
     LOSS_KINDS,
     BetaScore,
@@ -202,7 +204,7 @@ class TestRiskTracker:
         for t in range(1, 31):
             weighted.absorb(t, wagers=np.full(n, 0.02))
             plain.absorb(t)
-        idx = grid.floor_index(0.5)
+        idx = 5  # threshold 0.5
         expected = plain.risk_sum[idx] / plain.steps
         assert weighted.weighted_risk_at(idx) == pytest.approx(expected, rel=1e-12)
 
@@ -212,7 +214,7 @@ class TestRiskTracker:
         tracker = RiskTracker(spec, ConstantSchedule(0.05), grid, weighted=True)
         for t in range(1, 6):
             tracker.absorb(t, wagers=np.zeros(grid.n))
-        idx = grid.floor_index(1.0)
+        idx = 2  # threshold 1.0
         assert tracker.weighted_risk_at(idx) == pytest.approx(
             tracker.risk_sum[idx] / 5)
 
@@ -237,7 +239,7 @@ class TestRiskTracker:
         for t in range(1, 41):
             w = 0.001 if t <= 20 else 0.05
             tracker.absorb(t, wagers=np.full(n, w))
-        idx = grid.floor_index(0.8)
+        idx = 8  # threshold 0.8
         plain_mean = tracker.risk_sum[idx] / tracker.steps
         assert tracker.weighted_risk_at(idx) > plain_mean
 
@@ -355,11 +357,6 @@ class TestReplications:
         # the wager-weighted and unweighted averages are genuinely
         # different summaries once the segment flips
         assert np.any(np.abs(traj.weighted_risk - traj.mean_cond_risk) > 1e-6)
-
-    def test_weighted_tracking_is_engine_only(self):
-        with pytest.raises(ValueError):
-            run_replication("o_naive", RouterConfig(), easy_hard(), 50, seed=0,
-                            track_weighted_risk=True)
 
     @pytest.mark.parametrize("method", ["o_naive", "ips_hoeff"])
     def test_fixed_wager_is_engine_only(self, method):
@@ -494,8 +491,7 @@ def serial_verdicts(config, spec, horizon, n_reps, base_seed, criterion, fixed_w
     u_hat, flags = [], []
     for seed in np.random.SeedSequence(base_seed).spawn(n_reps):
         traj = run_replication(method, config, spec, horizon, seed, fixed_wager=fixed_wager,
-                               hoeff_variant=hoeff_variant,
-                               track_weighted_risk=criterion == "weighted")
+                               hoeff_variant=hoeff_variant)
         column = traj.weighted_risk if criterion == "weighted" else traj.deploy_risk
         u_hat.append(traj.u_hat)
         flags.append(bool(np.any(column > config.epsilon)))
@@ -692,6 +688,36 @@ class TestGateAudit:
         with pytest.raises(LossGateViolation, match="loss gate of lane 0 opened"):
             replay_trace(method, LOOSE_EXPLORING, events, coin_seed=3)
 
+    def test_a_second_read_of_an_escalated_lane_is_refused(self, monkeypatch):
+        def rereading(t, scores, draws, splits, thresholds, rho_t, gates, config):
+            coins, k, low = route_lanes(t, scores, draws, splits, thresholds, rho_t, gates,
+                                        config)
+            gates[coins.index(1)].reveal(t, 1)
+            return coins, k, low
+
+        # deployed threshold 0 at step 1: every lane escalates
+        monkeypatch.setattr(bpac.simulation, "route_lanes", rereading)
+        with pytest.raises(LossGateViolation, match="step 1 after the gate opened at step 1"):
+            mc_safety("bpac", LOOSE, uniform_linear(), 100, 4)
+
+    @pytest.mark.parametrize("method", ["bpac", "o_naive", "ips_hoeff"])
+    def test_a_second_read_of_an_escalated_step_is_refused(self, method, monkeypatch):
+        def rereading(obs, threshold_used, rho_t, rng, gate, config):
+            out = route(obs, threshold_used, rho_t, rng, gate, config)
+            if out[1] == 1:
+                gate.observe(obs, 1)
+            return out
+
+        monkeypatch.setattr(bpac.engine, "route", rereading)
+        monkeypatch.setattr(bpac.baselines, "route", rereading)
+        match = "step 1 after the gate opened at step 1"
+        with pytest.raises(LossGateViolation, match=match):
+            run_replication(method, LOOSE_EXPLORING, uniform_linear(), 60, seed=1)
+        rng = np.random.default_rng(2)
+        events = [generate_event(uniform_linear(), rng, t) for t in range(1, 61)]
+        with pytest.raises(LossGateViolation, match=match):
+            replay_trace(method, LOOSE_EXPLORING, events, coin_seed=3)
+
 
 # Segment ends at 40 and 65 fall inside the draw chunks below.
 BLOCK_SPEC = SyntheticStreamSpec(segments=(
@@ -788,8 +814,7 @@ class TestEventSource:
     def test_replications_equal_per_event_generation(self, spec, method, chunk, monkeypatch):
         def run():
             return run_replication(method, LOOSE_EXPLORING, spec, 300, seed=5,
-                                   emit_wealth_every=25,
-                                   track_weighted_risk=method == "bpac")
+                                   emit_wealth_every=25)
 
         monkeypatch.setattr(bpac.simulation, "DRAW_CHUNK", chunk)
         chunked = run()
@@ -802,6 +827,7 @@ class TestEventSource:
         assert chunked.u_hat.max() > 0
         if method == "bpac":
             assert len(chunked.wealth_snapshots) == 12
+        if method == "bpac" and not spec.is_iid:
             assert np.all(np.isfinite(chunked.weighted_risk))
 
     def test_only_other_segments_draw_event_by_event(self, monkeypatch):
