@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .core import (
     validate_config,
 )
 from .engine import (InvalidObservation, LossGateViolation, OutOfOrderObservation,
-                     WagerOutOfRange, check_fixed_wager)
+                     WagerOutOfRange)
 from .records import (
     write_summary_json,
     write_table,
@@ -46,6 +46,7 @@ from .simulation import (
     SpecError,
     StreamExhausted,
     UnknownMethod,
+    check_run,
     load_stream_spec,
     mc_safety,
     parse_method,
@@ -156,46 +157,83 @@ def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
 # Commands
 
 
+class Cell(NamedTuple):
+    """One variant of a multi-seed command. Every seed runs ``method``
+    under ``config``; the runs' files go to ``subdir`` of ``--out``, and a
+    cell whose ``subdir`` is None writes none."""
+
+    name: str
+    method: Method
+    config: RouterConfig
+    fixed_wager: float | None
+    subdir: str | None
+
+
+def _run_plan(args, cells: list[Cell], spec, seeds: list[int], fold=None,
+              **run) -> list[dict[str, Any]]:
+    """Run every cell on every seed; return each cell's replications and aggregate.
+
+    Every cell is checked before ``--out`` is created, so a refused plan
+    leaves no files. Each trajectory is written, then handed to
+    ``fold(cell, traj)`` and dropped, so memory does not grow with seeds.
+    ``run`` holds the remaining ``run_replication`` keywords.
+    """
+    for cell in cells:
+        check_run(cell.method, cell.config, spec, args.horizon, cell.fixed_wager)
+    out = _ensure_out(args.out)
+    blocks = []
+    for cell in cells:
+        folder = None if cell.subdir is None else _ensure_out(out / cell.subdir)
+        rows = []
+        for seed in seeds:
+            traj = run_replication(cell.method, cell.config, spec, args.horizon, seed,
+                                   fixed_wager=cell.fixed_wager, **run)
+            if folder is not None:
+                name = f"{cell.method.value}_seed{seed}.csv"
+                write_trajectory(folder / f"trajectory_{name}", traj)
+                if traj.wealth_snapshots:
+                    write_wealth_snapshots(folder / f"wealth_{name}", traj,
+                                           cell.config.grid.values)
+            if fold is not None:
+                fold(cell, traj)
+            rows.append(_final_row(traj, seed))
+        blocks.append({"replications": rows, "aggregate": _aggregate(rows)})
+    return blocks
+
+
+def _finish(args, summary: dict[str, Any], line: dict[str, Any]) -> int:
+    """Write ``<command>_summary.json`` under ``--out`` and print the stdout line."""
+    write_summary_json(args.out / f"{args.command}_summary.json",
+                       {"command": args.command, **summary})
+    print(json.dumps({"command": args.command, "out": str(args.out), **line},
+                     sort_keys=True))
+    return EXIT_OK
+
+
 def cmd_simulate(args) -> int:
     config = _load_config_arg(args)
     spec = load_stream_spec(args.spec)
     method = parse_method(args.method)
     seeds = _resolve_seeds(args, config)
-    out = _ensure_out(args.out)
-
-    rows = []
-    for seed in seeds:
-        traj = run_replication(method, config, spec, args.horizon, seed,
-                               fixed_wager=args.fixed_wager,
-                               hoeff_variant=args.hoeff_variant,
-                               emit_wealth_every=args.emit_wealth_every)
-        write_trajectory(out / f"trajectory_{method.value}_seed{seed}.csv", traj)
-        if traj.wealth_snapshots:
-            write_wealth_snapshots(out / f"wealth_{method.value}_seed{seed}.csv",
-                                   traj, config.grid.values)
-        rows.append(_final_row(traj, seed))
-
-    summary = {
-        "command": "simulate",
+    [block] = _run_plan(args, [Cell(method.value, method, config, args.fixed_wager, "")],
+                        spec, seeds, hoeff_variant=args.hoeff_variant,
+                        emit_wealth_every=args.emit_wealth_every)
+    return _finish(args, {
         "method": method.value,
         "spec": spec_to_dict(spec),
         "horizon": args.horizon,
         "seeds": seeds,
         "config": config_to_dict(config),
         "config_hash": config_digest(config),
-        "replications": rows,
-        "aggregate": _aggregate(rows),
-    }
-    write_summary_json(out / "simulate_summary.json", summary)
-    print(json.dumps({"command": "simulate", "out": str(out),
-                      "replications": len(rows)}, sort_keys=True))
-    return EXIT_OK
+        **block,
+    }, {"replications": len(seeds)})
 
 
 def cmd_replay(args) -> int:
     config = _load_config_arg(args)
     events = load_trace(args.trace)
     method = parse_method(args.method)
+    check_run(method, config, None, None, args.fixed_wager)
     out = _ensure_out(args.out)
 
     traj = replay_trace(method, config, events, coin_seed=args.coin_seed,
@@ -207,21 +245,15 @@ def cmd_replay(args) -> int:
         write_wealth_snapshots(out / f"replay_wealth_{method.value}.csv",
                                traj, config.grid.values)
     row = _final_row(traj, traj.seed)
-    summary = {
-        "command": "replay",
+    return _finish(args, {
         "method": method.value,
         "trace": str(args.trace),
         "events": len(events),
         "config": config_to_dict(config),
         "config_hash": config_digest(config),
         "result": row,
-    }
-    write_summary_json(out / "replay_summary.json", summary)
-    print(json.dumps({"command": "replay", "out": str(out),
-                      "events": len(events),
-                      "escalations": row["escalations"],
-                      "gate_accesses": row["gate_accesses"]}, sort_keys=True))
-    return EXIT_OK
+    }, {"events": len(events), "escalations": row["escalations"],
+        "gate_accesses": row["gate_accesses"]})
 
 
 def cmd_mc_safety(args) -> int:
@@ -245,137 +277,100 @@ def cmd_sweep(args) -> int:
     spec = load_stream_spec(args.spec)
     method = parse_method(args.method)
     seeds = _resolve_seeds(args, base_config)
-    # Every budget cell is checked before the first replication runs.
-    configs = [validate_config(dataclasses.replace(base_config, epsilon=eps))
-               for eps in args.epsilons]
-    out = _ensure_out(args.out)
+    cells = [Cell(f"epsilon_{eps:g}", method,
+                  validate_config(dataclasses.replace(base_config, epsilon=eps)),
+                  args.fixed_wager, f"epsilon_{eps:g}")
+             for eps in args.epsilons]
+    blocks = _run_plan(args, cells, spec, seeds, hoeff_variant=args.hoeff_variant)
+    return _finish(args, {
+        "method": method.value, "spec": spec_to_dict(spec), "horizon": args.horizon,
+        "seeds": seeds, "epsilons": args.epsilons,
+        "base_config": config_to_dict(base_config),
+        "cells": [{"epsilon": eps, "config_hash": config_digest(cell.config), **block}
+                  for eps, cell, block in zip(args.epsilons, cells, blocks)],
+    }, {"epsilons": args.epsilons})
 
-    cells = []
-    for eps, config in zip(args.epsilons, configs):
-        subdir = _ensure_out(out / f"epsilon_{eps:g}")
-        rows = []
-        for seed in seeds:
-            traj = run_replication(method, config, spec, args.horizon, seed,
-                                   hoeff_variant=args.hoeff_variant)
-            write_trajectory(subdir / f"trajectory_{method.value}_seed{seed}.csv", traj)
-            rows.append(_final_row(traj, seed))
-        cells.append({"epsilon": eps, "config_hash": config_digest(config),
-                      "replications": rows, "aggregate": _aggregate(rows)})
 
-    summary = {"command": "sweep", "method": method.value,
-               "spec": spec_to_dict(spec), "horizon": args.horizon,
-               "seeds": seeds, "epsilons": args.epsilons,
-               "base_config": config_to_dict(base_config), "cells": cells}
-    write_summary_json(out / "sweep_summary.json", summary)
-    print(json.dumps({"command": "sweep", "out": str(out),
-                      "epsilons": args.epsilons}, sort_keys=True))
-    return EXIT_OK
+CURVES = ("ecp", "er", "u_hat")
 
 
 def cmd_compare(args) -> int:
     config = _load_config_arg(args)
     spec = load_stream_spec(args.spec)
     seeds = _resolve_seeds(args, config)
-    out = _ensure_out(args.out)
-    methods = [Method.BPAC, Method.O_NAIVE, Method.IPS_HOEFF]
+    # Same seed split for every method: identical queries, losses, and
+    # exploration uniforms, so differences are method-only.
+    cells = [Cell(m.value, m, config, None, "")
+             for m in (Method.BPAC, Method.O_NAIVE, Method.IPS_HOEFF)]
+    sums = {cell.name: {name: np.zeros(args.horizon) for name in CURVES} for cell in cells}
 
-    per_method: dict[str, dict[str, Any]] = {}
-    means: dict[str, list[np.ndarray]] = {name: [] for name in ("ecp", "er", "u_hat")}
-    for method in methods:
-        rows = []
-        sums = {name: np.zeros(args.horizon) for name in means}
-        for seed in seeds:
-            # Same seed split for every method: identical queries, losses,
-            # and exploration uniforms, so differences are method-only.
-            traj = run_replication(method, config, spec, args.horizon, seed,
-                                   hoeff_variant=args.hoeff_variant)
-            write_trajectory(out / f"trajectory_{method.value}_seed{seed}.csv", traj)
-            for name in sums:
-                sums[name] += getattr(traj, name)
-            rows.append(_final_row(traj, seed))
-        per_method[method.value] = {"replications": rows,
-                                    "aggregate": _aggregate(rows)}
-        for name in means:
-            means[name].append(sums[name] / len(seeds))
+    def fold(cell: Cell, traj) -> None:
+        for name, total in sums[cell.name].items():
+            total += getattr(traj, name)
 
-    write_table(out / "compare_curves.csv", {
-        "t": np.tile(np.arange(1, args.horizon + 1), len(methods)),
-        "method": np.repeat([m.value for m in methods], args.horizon),
-        **{"mean_" + name: np.concatenate(curves) for name, curves in means.items()}})
-
-    summary = {"command": "compare", "spec": spec_to_dict(spec),
-               "horizon": args.horizon, "seeds": seeds,
-               "config": config_to_dict(config),
-               "config_hash": config_digest(config), "methods": per_method}
-    write_summary_json(out / "compare_summary.json", summary)
-    print(json.dumps({"command": "compare", "out": str(out),
-                      "methods": [m.value for m in methods]}, sort_keys=True))
-    return EXIT_OK
+    blocks = _run_plan(args, cells, spec, seeds, fold, hoeff_variant=args.hoeff_variant)
+    write_table(args.out / "compare_curves.csv", {
+        "t": np.tile(np.arange(1, args.horizon + 1), len(cells)),
+        "method": np.repeat(list(sums), args.horizon),
+        **{"mean_" + name: np.concatenate([curves[name] / len(seeds)
+                                           for curves in sums.values()])
+           for name in CURVES}})
+    return _finish(args, {
+        "spec": spec_to_dict(spec), "horizon": args.horizon, "seeds": seeds,
+        "config": config_to_dict(config), "config_hash": config_digest(config),
+        "methods": dict(zip(sums, blocks)),
+    }, {"methods": list(sums)})
 
 
 ABLATE_PRESETS = ("lambda", "rho", "twarm")
 
 
-def _ablate_variants(preset: str, base: RouterConfig):
-    """Named config/kwarg variants for each preset sweep."""
+def _ablate_cells(preset: str, base: RouterConfig) -> list[Cell]:
+    """The checked bpac variants of each preset design sweep; they write no
+    trajectories."""
     if preset == "lambda":
-        return [("adaptive", base, {}),
-                ("fixed_0.05", base, {"fixed_wager": 0.05})]
-    if preset == "rho":
+        variants = [("adaptive", base, None), ("fixed_0.05", base, 0.05)]
+    elif preset == "rho":
         variants = [("two_stage_default",
-                     dataclasses.replace(base, schedule=TwoStageSchedule()), {})]
+                     dataclasses.replace(base, schedule=TwoStageSchedule()), None)]
         for rho in (0.05, 0.2, 0.3, 0.7):
             variants.append((f"constant_{rho:g}",
                              dataclasses.replace(base, schedule=ConstantSchedule(rho)),
-                             {}))
-        return variants
-    # "twarm": the parser admits only ABLATE_PRESETS
-    sched = base.schedule if isinstance(base.schedule, TwoStageSchedule) \
-        else TwoStageSchedule()
-    return [(f"twarm_{tw}",
-             dataclasses.replace(base, schedule=dataclasses.replace(sched, t_warm=tw)),
-             {})
-            for tw in (10, 50, 100, 200, 300, 500)]
+                             None))
+    else:  # "twarm": the parser admits only ABLATE_PRESETS
+        sched = base.schedule if isinstance(base.schedule, TwoStageSchedule) \
+            else TwoStageSchedule()
+        variants = [(f"twarm_{tw}",
+                     dataclasses.replace(base, schedule=dataclasses.replace(sched, t_warm=tw)),
+                     None)
+                    for tw in (10, 50, 100, 200, 300, 500)]
+    return [Cell(name, Method.BPAC, validate_config(config), wager, None)
+            for name, config, wager in variants]
 
 
 def cmd_ablate(args) -> int:
     base = _load_config_arg(args)
     spec = load_stream_spec(args.spec)
     seeds = _resolve_seeds(args, base)
-    # Every variant is checked before the first replication runs.
-    plan = _ablate_variants(args.preset, base)
-    for _, config, kwargs in plan:
-        check_fixed_wager(validate_config(config), kwargs.get("fixed_wager"))
-    out = _ensure_out(args.out)
+    cells = _ablate_cells(args.preset, base)
+    exceed = {cell.name: 0 for cell in cells}
 
-    variants = []
-    for name, config, kwargs in plan:
-        rows = []
-        exceed = 0
-        for seed in seeds:
-            traj = run_replication(Method.BPAC, config, spec, args.horizon, seed,
-                                   **kwargs)
-            rows.append(_final_row(traj, seed))
-            risky = traj.deploy_risk if spec.is_iid else traj.weighted_risk
-            if np.any(risky > config.epsilon):
-                exceed += 1
-        variants.append({
-            "name": name,
-            "config": config_to_dict(config),
-            "config_hash": config_digest(config),
-            "aggregate": _aggregate(rows),
-            "violation_fraction": exceed / len(seeds),
-            "replications": rows,
-        })
+    def fold(cell: Cell, traj) -> None:
+        risky = traj.deploy_risk if spec.is_iid else traj.weighted_risk
+        if np.any(risky > cell.config.epsilon):
+            exceed[cell.name] += 1
 
-    summary = {"command": "ablate", "preset": args.preset,
-               "spec": spec_to_dict(spec), "horizon": args.horizon,
-               "seeds": seeds, "variants": variants}
-    write_summary_json(out / "ablate_summary.json", summary)
-    print(json.dumps({"command": "ablate", "preset": args.preset,
-                      "out": str(out),
-                      "variants": [v["name"] for v in variants]}, sort_keys=True))
-    return EXIT_OK
+    blocks = _run_plan(args, cells, spec, seeds, fold)
+    return _finish(args, {
+        "preset": args.preset, "spec": spec_to_dict(spec), "horizon": args.horizon,
+        "seeds": seeds,
+        "variants": [{"name": cell.name,
+                      "config": config_to_dict(cell.config),
+                      "config_hash": config_digest(cell.config),
+                      "violation_fraction": exceed[cell.name] / len(seeds),
+                      **block}
+                     for cell, block in zip(cells, blocks)],
+    }, {"preset": args.preset, "variants": list(exceed)})
 
 
 # ---------------------------------------------------------------------------

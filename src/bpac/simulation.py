@@ -41,6 +41,7 @@ from .engine import (
     RouterState,
     ThresholdAccount,
     adaptive_lambda,
+    check_fixed_wager,
     ips_payoff,
     payoff_bound,
     route_lanes,
@@ -624,6 +625,19 @@ class Trajectory:
 _COLUMNS = tuple(f.name for f in fields(Trajectory) if f.type == "np.ndarray")
 
 
+def check_run(method: Method, config: RouterConfig, spec: SyntheticStreamSpec | None,
+              horizon: int | None, fixed_wager: float | None) -> None:
+    """Refuse a run before it starts: a fixed wager on a baseline, then an
+    infeasible fixed wager, then a horizon past a bounded ``spec`` (None
+    for a recorded trace)."""
+    if fixed_wager is not None and method is not Method.BPAC:
+        raise ValueError("a fixed wager replaces the betting wager; engine runs only")
+    check_fixed_wager(config, fixed_wager)
+    if spec is not None and spec.total_length is not None and horizon > spec.total_length:
+        raise StreamExhausted(
+            f"horizon {horizon} exceeds the stream's total length {spec.total_length}")
+
+
 def _fresh(method: Method, config: RouterConfig, coin, fixed_wager: float | None = None,
            hoeff_variant: str = "per_point"):
     """A fresh state of ``method``, its coins seeded by ``coin``, and the step
@@ -631,8 +645,6 @@ def _fresh(method: Method, config: RouterConfig, coin, fixed_wager: float | None
     """
     if method is Method.BPAC:
         return RouterState.fresh(config, rng=coin, fixed_wager=fixed_wager), step
-    if fixed_wager is not None:
-        raise ValueError(FIXED_WAGER_NEEDS_ENGINE)
     if method is Method.O_NAIVE:
         return MeanState.fresh(config, rng=coin), naive_step
     return MeanState.fresh(config, rng=coin, variant=hoeff_variant), hoeff_step
@@ -747,9 +759,7 @@ def run_replication(method, config: RouterConfig, spec: SyntheticStreamSpec,
     responsible for having validated the config.
     """
     method = parse_method(method)
-    if spec.total_length is not None and horizon > spec.total_length:
-        raise StreamExhausted(
-            f"horizon {horizon} exceeds the stream's total length {spec.total_length}")
+    check_run(method, config, spec, horizon, fixed_wager)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seed_label = (ss.entropy if isinstance(ss.entropy, int) and ss.spawn_key == ()
                   else int(ss.generate_state(1)[0]))
@@ -772,6 +782,7 @@ def replay_trace(method, config: RouterConfig, events, *,
     because a recorded trace does not reveal its generating laws.
     """
     method = parse_method(method)
+    check_run(method, config, None, None, fixed_wager)
     seed = config.seed if coin_seed is None else coin_seed
     coin_rng = np.random.default_rng(np.random.SeedSequence(seed))
     return _drive(method, config, events, coin_rng, spec=None,
@@ -795,7 +806,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 
 WEIGHTED_NEEDS_ENGINE = "weighted risk is defined by the betting wagers; engine runs only"
-FIXED_WAGER_NEEDS_ENGINE = "a fixed wager replaces the betting wager; engine runs only"
 
 # Replications per lockstep block in ``mc_safety``. At G=1001 and T=2000
 # with lane routing (shared 2-core x86 box, best of three rounds) blocks of
@@ -931,18 +941,14 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
     processes, and never more than the blocks or the CPUs. A block whose
     gates did not open exactly once per escalation raises
     ``LossGateViolation``; an empty study (``horizon`` or ``n_reps`` below
-    1) raises ``ValueError``.
+    1) raises ``ValueError``, and ``check_run`` refuses before the criterion.
     """
     method = parse_method(method)
     if horizon < 1 or n_reps < 1:
         raise ValueError(f"a coverage study needs horizon >= 1 and n_reps >= 1, "
                          f"got {horizon} and {n_reps}")
-    if fixed_wager is not None and method is not Method.BPAC:
-        raise ValueError(FIXED_WAGER_NEEDS_ENGINE)
+    check_run(method, config, spec, horizon, fixed_wager)
     criterion = _safety_criterion(method, spec, criterion)
-    if spec.total_length is not None and horizon > spec.total_length:
-        raise StreamExhausted(
-            f"horizon {horizon} exceeds the stream's total length {spec.total_length}")
 
     seeds = np.random.SeedSequence(base_seed).spawn(n_reps)
     jobs = [(method, config, spec, horizon, seeds[i:i + MC_BLOCK], criterion,

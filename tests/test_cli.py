@@ -6,8 +6,10 @@ redirected at the sys level so the tests read the same bytes a shell would.
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,18 +165,22 @@ class TestErrorPaths:
         error = stderr_error(err)
         assert (error["kind"], error["key"]) == ("spec", key)
 
-    @pytest.mark.parametrize("command", ["simulate", "replay", "mc-safety"])
+    @pytest.mark.parametrize("command", ["simulate", "replay", "mc-safety", "sweep"])
     @pytest.mark.parametrize("method", ["o_naive", "ips_hoeff"])
     def test_fixed_wager_rejected_for_baselines(self, tmp_path, command, method):
         trace = tmp_path / "trace.csv"
         rng = np.random.default_rng(3)
         write_trace(trace, [generate_event(uniform_linear(), rng, t) for t in range(1, 11)])
-        source = {"simulate": ["--horizon", "10", "--out", str(tmp_path / "x")],
-                  "replay": ["--trace", str(trace), "--out", str(tmp_path / "x")],
-                  "mc-safety": ["--horizon", "10", "--n-reps", "2"]}[command]
-        code, _, err = run_cli(command, "--method", method, "--fixed-wager", "0.05", *source)
+        source = {"replay": ["--trace", str(trace)],
+                  "mc-safety": ["--horizon", "10", "--n-reps", "2"]}.get(
+                      command, ["--horizon", "10"])
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(command, "--method", method, "--fixed-wager", "0.02",
+                                    "--out", str(out), *source)
         assert code == EXIT_INVALID
+        assert stdout == ""
         assert stderr_error(err)["kind"] == "args"
+        assert not out.exists()
 
     def test_missing_trace_file(self, tmp_path, ):
         code, _, err = run_cli(
@@ -222,22 +228,34 @@ class TestErrorPaths:
         assert error["kind"] == "trace"
         assert error["key"] == "row:2"
 
-    def test_horizon_past_bounded_stream_is_runtime(self, tmp_path, ):
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "compare", "ablate --preset lambda"])
+    def test_horizon_past_bounded_stream_is_runtime(self, tmp_path, command):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"segments": [
             {"length": 20, "score": {"kind": "uniform"},
              "loss": {"kind": "linear"}}]}))
-        code, _, err = run_cli(
-            "simulate", "--out", str(tmp_path / "x"),
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            *command.split(), "--out", str(out),
             "--spec", str(spec_path), "--horizon", "21")
         assert code == EXIT_RUNTIME
+        assert stdout == ""
         assert stderr_error(err)["kind"] == "runtime"
+        assert "exceeds the stream's total length 20" in stderr_error(err)["message"]
+        assert not out.exists()
 
-    def test_infeasible_fixed_wager_is_runtime(self, tmp_path, ):
-        code, _, err = run_cli(
-            "simulate", "--out", str(tmp_path / "x"),
-            "--horizon", "10", "--fixed-wager", "0.9")
+    @pytest.mark.parametrize("command", ["simulate", "replay", "sweep"])
+    def test_infeasible_fixed_wager_is_runtime(self, tmp_path, command):
+        trace = tmp_path / "trace.csv"
+        rng = np.random.default_rng(3)
+        write_trace(trace, [generate_event(uniform_linear(), rng, t) for t in range(1, 11)])
+        source = ["--trace", str(trace)] if command == "replay" else ["--horizon", "10"]
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(command, "--out", str(out), "--fixed-wager", "0.5", *source)
         assert code == EXIT_RUNTIME
+        assert stdout == ""
+        assert "fixed wager 0.5 must lie in" in stderr_error(err)["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["bpac", "o_naive", "ips_hoeff"])
     def test_non_finite_score_is_runtime(self, tmp_path, monkeypatch, method):
@@ -467,6 +485,18 @@ class TestSweep:
         assert code == EXIT_INVALID
         assert stderr_error(err)["kind"] == "config"
 
+    def test_fixed_wager_reaches_every_budget_cell(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--config", str(write_config(tmp_path)), "--out", str(out),
+                       "--horizon", "300", "--seeds", "4", "--epsilons", "0.05,0.1",
+                       "--fixed-wager", "0.02")[0] == EXIT_OK
+        config = write_config(tmp_path, epsilon=0.05)
+        single = tmp_path / "single"
+        assert run_cli("simulate", "--config", str(config), "--out", str(single),
+                       "--horizon", "300", "--seeds", "4", "--fixed-wager", "0.02")[0] == EXIT_OK
+        name = "trajectory_bpac_seed4.csv"
+        assert (out / "epsilon_0.05" / name).read_bytes() == (single / name).read_bytes()
+
     @pytest.mark.usefixtures("no_replication")
     def test_every_budget_cell_is_checked_before_any_run(self, tmp_path):
         out = tmp_path / "x"
@@ -572,3 +602,41 @@ class TestResultTables:
             for j, name in enumerate(("ecp", "er", "u_hat"), start=2):
                 mean = sum((getattr(traj, name) for traj in trajs), np.zeros(40)) / 3
                 assert [float(row[j]) for row in curve] == mean.tolist()
+
+
+# sha256 of each run's stdout and of every file under its --out (relative
+# path, then bytes, in path order), recorded before simulate, sweep, compare
+# and ablate shared one executor. A refactor of the commands must keep them.
+PINNED_RUNS = [
+    ("simulate --horizon 60 --seeds 1,2 --emit-wealth-every 20",
+     "c88451ae67812f7177655dd5f5f3f34fd336ebf0fcb3eec42575252be2b3cfd8"),
+    ("simulate --method ips_hoeff --horizon 60 --seeds 1",
+     "563b2cdd23b9cca65c2dc451645915756537ef61798341c654c260ca6a26a05f"),
+    ("replay --trace trace.csv --coin-seed 3 --emit-wealth-every 20",
+     "22b8c765199c50b632dbcd7ac82adb6034e90d589c7c155eebb23afcebe69a90"),
+    ("mc-safety --horizon 60 --n-reps 3",
+     "bb8483948ba5f7928338d80e743bcd729c12195d5ec6156bb4a888cf8dee594f"),
+    ("sweep --horizon 60 --seeds 1,2 --epsilons 0.05,0.1",
+     "d8e86df7ed80874bd128360d046f454f48723186ce7e75db5ff4b98c7f63dac6"),
+    ("compare --spec easy_hard --horizon 60 --seeds 1,2",
+     "c33c6a945d0a3d61f431ff64714df8341d9671156d3ba54eed423a0f4e49c063"),
+    ("ablate --preset lambda --horizon 60 --seeds 1,2",
+     "1c2c3bec5db02905cc28bc02ae579e3556b74953f74760c0a4637e0e604eca8f"),
+    ("ablate --preset rho --horizon 60 --seeds 1",
+     "886e23def8d777f368c775d19b170fa2ec258ae45d6050fb01b52c2a56c354ce"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_RUNS, ids=[argv for argv, _ in PINNED_RUNS])
+def test_outputs_match_pinned_digests(tmp_path, monkeypatch, argv, digest):
+    # relative paths: stdout and replay_summary.json embed them
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(3)
+    write_trace("trace.csv", [generate_event(uniform_linear(), rng, t) for t in range(1, 61)])
+    code, stdout, err = run_cli(*argv.split(), "--out", "out")
+    assert (code, err) == (EXIT_OK, "")
+    h = hashlib.sha256(stdout.encode())
+    for path in sorted(p for p in Path("out").rglob("*") if p.is_file()):
+        h.update(path.as_posix().encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest() == digest
