@@ -507,7 +507,8 @@ def main(argv=None) -> int:
                     key=None if exc.filename is None else str(exc.filename))
         return EXIT_INVALID
     except (StreamExhausted, NonStationarySpec, WagerOutOfRange,
-            OutOfOrderObservation, InvalidObservation, LossGateViolation) as exc:
+            OutOfOrderObservation, InvalidObservation, LossGateViolation,
+            MemoryError) as exc:
         _emit_error("runtime", str(exc))
         return EXIT_RUNTIME
     except ValueError as exc:

@@ -3,6 +3,12 @@
 Every result CSV is written by ``write_table``: floats in their shortest
 round-trip form, rows in step order. JSON keys are sorted. So rerunning
 the same configuration yields byte-identical files.
+
+Most trajectory columns repeat a handful of values (rates, propensities,
+losses), so a float column formats each distinct bit pattern once and
+gathers its cells by index. Keying on the bits, not the value, keeps
+``0.0`` apart from ``-0.0`` and each NaN payload apart, so every cell is
+the same text that ``str`` of its own scalar gives.
 """
 
 from __future__ import annotations
@@ -40,9 +46,19 @@ def write_table(path: str | Path, columns: dict[str, Any],
     """
     lines = [] if comment is None else [f"# {comment}"]
     lines.append(",".join(columns))
-    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
+    cells = [_cells(np.asarray(col)) for col in columns.values()]
     lines.extend(map(",".join, zip(*cells)))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _cells(col: np.ndarray):
+    """``str`` of each element's Python scalar, each distinct float64 bit
+    pattern of a 1-D column formatted once."""
+    if col.dtype != np.float64 or col.ndim != 1:
+        return map(str, col.tolist())
+    bits, index = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array([str(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[index].tolist()
 
 
 def write_trajectory(path: str | Path, traj: Trajectory) -> None:

@@ -244,6 +244,17 @@ class TestErrorPaths:
         assert "exceeds the stream's total length 20" in stderr_error(err)["message"]
         assert not out.exists()
 
+    def test_unallocatable_horizon_is_runtime(self, tmp_path):
+        # compare sizes its curve sums from --horizon: 8 PB per array, more
+        # than any address space, so the allocation fails at once
+        out = tmp_path / "x"
+        code, stdout, err = run_cli("compare", "--out", str(out),
+                                    "--horizon", str(10 ** 15), "--n-seeds", "1")
+        assert code == EXIT_RUNTIME
+        assert stdout == ""
+        assert stderr_error(err)["kind"] == "runtime"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "replay", "sweep"])
     def test_infeasible_fixed_wager_is_runtime(self, tmp_path, command):
         trace = tmp_path / "trace.csv"

@@ -11,15 +11,22 @@ binomial standard errors of alpha while the mutant's exceeds that bound:
   that has not lost money.
 
 Acceptance 01's setting, at a fifth of its replications.
+
+Control (i), a wager chosen after its payoff, needs no Monte Carlo: an
+exact audit recomputes every settled wager from the previous step's sums
+with the reference ``adaptive_lambda`` and compares the bits, on a serial
+run and on lockstep lanes, and a mutant that peeks at the current payoff
+must fail it.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 import bpac.engine
-from bpac import RouterConfig, mc_safety, uniform_linear
-from bpac.engine import AccountTable
+from bpac import RouterConfig, easy_hard, mc_safety, run_replication, uniform_linear
+from bpac.engine import AccountTable, ThresholdAccount, adaptive_lambda, payoff_bound
 
 CONFIG = RouterConfig()
 HORIZON, N_REPS = 2000, 100
@@ -63,3 +70,81 @@ def test_coverage_catches_the_mutant(mutant, real_frequency, request):
     assert real_frequency <= BOUND
     request.getfixturevalue(mutant)
     assert violation_frequency() > BOUND
+
+
+AUDIT_HORIZON = 500
+
+
+def step_payoffs(table: AccountTable, k, low) -> np.ndarray:
+    """This step's payoff per account, shaped like ``table.accounts``' fields:
+    epsilon below each split ``k``, ``low`` from it on."""
+    points = np.arange(table.accounts.log_wealth.shape[-1])
+    return np.where(points < np.asarray(k)[..., None], table.epsilon,
+                    np.asarray(low, dtype=float)[..., None])
+
+
+def audit_wagers(monkeypatch) -> list[float]:
+    """Assert after every ``AccountTable.settle`` that each wager is the
+    reference wager of the sums before it, bit for bit; returns the list
+    of audited steps' rates, which grows as they settle."""
+    settle, audited = AccountTable.settle, []
+
+    def checked(table, k, low, rho_t):
+        accounts = table.accounts
+        past = ThresholdAccount(sum_payoff=accounts.sum_payoff.copy(),
+                                sum_payoff_sq=accounts.sum_payoff_sq.copy())
+        m_t = payoff_bound(table.epsilon, table.rho_min, rho_t)
+        expected = adaptive_lambda(past, m_t, table.cap)
+        settle(table, k, low, rho_t)
+        wagers = np.ascontiguousarray(table.accounts.last_lambda)
+        assert wagers.shape == expected.shape
+        assert np.array_equal(wagers.view(np.int64), expected.view(np.int64)), \
+            f"a wager differs from the reference at rate {rho_t}"
+        audited.append(rho_t)
+
+    monkeypatch.setattr(AccountTable, "settle", checked)
+    return audited
+
+
+@pytest.fixture
+def peeking_wager(monkeypatch):
+    """(i): bet on sums that already hold the current payoff."""
+    settle = AccountTable.settle
+
+    def peek(table, k, low, rho_t):
+        accounts, pay = table.accounts, step_payoffs(table, k, low)
+        s1, s2 = accounts.sum_payoff.copy(), accounts.sum_payoff_sq.copy()
+        accounts.sum_payoff[...] = s1 + pay
+        accounts.sum_payoff_sq[...] = s2 + np.square(pay)
+        settle(table, k, low, rho_t)
+        # Leave the sums as an honest settle would.
+        accounts.sum_payoff[...] = s1 + pay
+        accounts.sum_payoff_sq[...] = s2 + np.square(pay)
+
+    monkeypatch.setattr(AccountTable, "settle", peek)
+
+
+def serial_runs():
+    for spec, seed in ((uniform_linear(), 1), (easy_hard(), 2)):
+        run_replication("bpac", CONFIG, spec, AUDIT_HORIZON, seed)
+    return 2 * AUDIT_HORIZON
+
+
+def lockstep_lanes():
+    # 30 replications: one full block of 25 lanes and one of 5.
+    for spec in (uniform_linear(), easy_hard()):
+        mc_safety("bpac", CONFIG, spec, AUDIT_HORIZON, 30, base_seed=3)
+    return 2 * 2 * AUDIT_HORIZON
+
+
+@pytest.mark.parametrize("study", [serial_runs, lockstep_lanes])
+def test_every_wager_is_fixed_before_its_payoff(study, monkeypatch):
+    audited = audit_wagers(monkeypatch)
+    assert study() == len(audited)
+
+
+@pytest.mark.parametrize("study", [serial_runs, lockstep_lanes])
+def test_audit_catches_a_wager_that_peeks(study, peeking_wager, monkeypatch):
+    audit_wagers(monkeypatch)
+    with pytest.raises(AssertionError, match="differs from the reference"):
+        study()
