@@ -3,7 +3,9 @@
 
 Generates i.i.d. payoff streams from the engine's own arithmetic at a
 pinned threshold, measures regret at several horizons, and compares the
-growth ratio to the logarithmic target.
+growth ratio to the logarithmic target. An invalid config (``--epsilon``,
+``--cap``, ``--rho``), a threshold outside [0, 1] or fewer than one
+stream exits 2 with the reason, before any stream is drawn.
 """
 from __future__ import annotations
 
@@ -39,11 +41,14 @@ def main() -> None:
     config = dataclasses.replace(RouterConfig(), epsilon=args.epsilon,
                                  betting_cap=args.cap, schedule=schedule)
     spec = load_stream_spec(args.spec)
-    study = pinned_threshold_study(spec, args.threshold, config,
-                                   horizon=horizons[-1],
-                                   n_reps=args.n_streams,
-                                   base_seed=args.base_seed,
-                                   collect_payoffs=True)
+    try:
+        study = pinned_threshold_study(spec, args.threshold, config,
+                                       horizon=horizons[-1],
+                                       n_reps=args.n_streams,
+                                       base_seed=args.base_seed,
+                                       collect_payoffs=True)
+    except ValueError as err:  # ConfigError included
+        p.error(str(err))
     payoffs = study["payoffs"]
 
     print(f"u={args.threshold} rho={args.rho} streams={args.n_streams}")

@@ -42,7 +42,6 @@ from .engine import (
     ThresholdAccount,
     WagerOutOfRange,
     adaptive_lambda,
-    ips_payoff,
     payoff_bound,
     propensity,
     step,

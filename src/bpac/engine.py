@@ -8,13 +8,15 @@ an account whose wealth clears the confidence bar is evidence that its
 threshold keeps the deployed risk under the budget, and the selection
 rules read the next deployed threshold off the wealth table.
 
-``ips_payoff``, ``adaptive_lambda`` and ``update_account`` are the
-reference account arithmetic over numpy scalars-or-arrays: they settle a
-single account in tests, replications in ``pinned_threshold_study``, and
-are what the kernel must match bit for bit. ``AccountTable.settle(k, low,
-rho_t)`` is that kernel, with epsilon and ``payoff_bound`` read off its
-config: one fused in-place pass that touches only live accounts, over a
-single run's grid (what ``step`` settles) or over R runs' grids at once.
+``AccountTable.settle(k, low, rho_t)`` is the one settlement kernel,
+with epsilon and ``payoff_bound`` read off its config: one fused in-place
+pass that touches only live accounts, over a single run's grid (what
+``step`` settles) or over R runs' grids at once (``mc_safety``'s lockstep
+lanes, and ``pinned_threshold_study`` on a one-point grid).
+``adaptive_lambda`` and ``update_account`` are the reference wager and
+settlement over numpy scalars-or-arrays that the kernel must match bit
+for bit; they stay here because the benchmark times them by name, and
+``regret_harness`` replays the wager over prefix sums with the first.
 
 Live-prefix invariant. The grid is strictly increasing, and one step's
 payoff is epsilon below the score and epsilon minus a non-negative
@@ -127,12 +129,6 @@ class ThresholdAccount:
     sum_payoff_sq: float | np.ndarray = 0.0
     last_lambda: float | np.ndarray = 0.0
 
-    @classmethod
-    def table(cls, n: int) -> "ThresholdAccount":
-        """Fresh accounts for an n-point grid, all at wealth 1."""
-        return cls(log_wealth=np.zeros(n), sum_payoff=np.zeros(n),
-                   sum_payoff_sq=np.zeros(n), last_lambda=np.zeros(n))
-
 
 class LossGate:
     """Single doorway between the stream's latent losses and the engine.
@@ -204,21 +200,6 @@ def propensity(uncertainty: float, deployed: float, rho_t: float) -> float:
 def payoff_bound(epsilon: float, rho_min: float, rho_t: float) -> float:
     """Largest payoff magnitude possible at this step's exploration rate."""
     return max(epsilon, (1.0 - rho_min) / rho_t - epsilon)
-
-
-def ips_payoff(loss, coin, pi, uncertainty, threshold: float, rho_min: float,
-               epsilon: float):
-    """Payoff credited to one threshold's account for one step (reference).
-
-    The loss estimate reweights the observed loss by the deployed
-    propensity, so its conditional mean matches the would-be deployment
-    risk of ``threshold`` even though the routing ran at a different
-    threshold. Steps that stayed cheap pay the full budget epsilon.
-    Scalar or array: ``loss`` is None or ignored where ``coin`` is 0.
-    """
-    observed = 0.0 if loss is None else loss
-    estimate = (1.0 - rho_min) * (observed * coin / pi) * (uncertainty < threshold)
-    return epsilon - estimate
 
 
 def _at(t: int, lane: int | None = None) -> str:

@@ -13,7 +13,7 @@ import hashlib
 import math
 import operator
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Union
@@ -33,6 +33,7 @@ from .core import (
     rho_at,
     tagged_from_dict,
     tagged_to_dict,
+    validate_config,
 )
 from .engine import (
     AccountTable,
@@ -40,13 +41,12 @@ from .engine import (
     LossGateViolation,
     RouterState,
     ThresholdAccount,
+    _escalation_low,
     adaptive_lambda,
     check_fixed_wager,
-    ips_payoff,
     payoff_bound,
     route_lanes,
     step,
-    update_account,
 )
 from .metrics import MetricAccumulator
 
@@ -985,39 +985,52 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
                            collect_payoffs: bool = False) -> dict[str, Any]:
     """Betting account behavior at one threshold, deployment pinned to it.
 
-    One account per replication, all settled with the engine's own
-    arithmetic, vectorized across replications. This is the harness for
+    One account per replication: a row of an ``AccountTable`` on the
+    one-point grid ``[threshold]``, settled by the engine's own kernel,
+    with every query explored below the threshold priced by the engine's
+    ``_escalation_low``. Scores, latent losses and coins are drawn for all
+    replications at once from one generator. This is the harness for
     martingale-level checks (wealth means, bar-crossing rates) and a
     payoff-stream source for the regret harness.
+
+    Raises ``ConfigError`` for an invalid config and ``ValueError`` for a
+    threshold outside [0, 1] (NaN included) or a horizon or replication
+    count below 1, before any draw.
     """
+    validate_config(config)
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be a finite number in [0, 1], got {threshold!r}")
+    if horizon < 1 or n_reps < 1:
+        raise ValueError(f"horizon and n_reps must be at least 1, got {horizon} and {n_reps}")
     rng = np.random.default_rng(np.random.SeedSequence(base_seed))
-    acc = ThresholdAccount.table(n_reps)
-    schedule = config.schedule
-    rho_min = schedule.rho_min
+    table = AccountTable(replace(config, grid=ThresholdGrid([threshold])), n_reps)
+    log_wealth = table.accounts.log_wealth[:, 0]
     bar = -math.log(config.alpha)
     crossed = np.zeros(n_reps, dtype=bool)
     payoffs = np.empty((horizon, n_reps)) if collect_payoffs else None
+    splits = [0] * n_reps
 
     for t in range(1, horizon + 1):
         seg = spec.segment_at(t)
-        rho_t = rho_at(schedule, t)
-        m_t = payoff_bound(config.epsilon, rho_min, rho_t)
+        rho_t = rho_at(config.schedule, t)
         score = np.asarray(seg.score.sample(rng, n_reps))
         latent = (rng.random(n_reps) < seg.loss.prob(score)).astype(float)
-        pi = np.where(score >= threshold, 1.0, rho_t)
-        coin = rng.random(n_reps) < pi
-        payoff = ips_payoff(latent, coin, pi, score, threshold, rho_min, config.epsilon)
+        coin = rng.random(n_reps) < np.where(score >= threshold, 1.0, rho_t)
+        # Only a query explored below the threshold, at propensity rho_t,
+        # charges its row; the split 0 hands every row its ``low``.
+        low = [config.epsilon] * n_reps
+        for r in np.flatnonzero(coin & (score < threshold)).tolist():
+            low[r] = _escalation_low(float(latent[r]), rho_t, rho_t, config, t, r)
+        table.settle(splits, low, rho_t)
         if payoffs is not None:
-            payoffs[t - 1] = payoff
-        wager = adaptive_lambda(acc, m_t, config.betting_cap)
-        update_account(acc, wager, payoff)
-        crossed |= acc.log_wealth >= bar
+            payoffs[t - 1] = low
+        crossed |= log_wealth >= bar
 
     return {
         "threshold": threshold,
-        "log_wealth": np.asarray(acc.log_wealth),
+        "log_wealth": log_wealth.copy(),
         "crossed": crossed,
-        "crossing_frequency": float(crossed.mean()) if n_reps else 0.0,
+        "crossing_frequency": float(crossed.mean()),
         "payoffs": payoffs,
     }
 
@@ -1057,8 +1070,9 @@ def regret_harness(payoffs, epsilon: float, cap: float,
     horizon = d.size
     if horizon == 0:
         raise ValueError("payoff stream is empty")
-    rho_seq = np.array([rho_at(schedule, t) for t in range(1, horizon + 1)])
-    m_seq = np.maximum(epsilon, (1.0 - schedule.rho_min) / rho_seq - epsilon)
+    bound_at = {rho: payoff_bound(epsilon, schedule.rho_min, rho)
+                for rho in map(float, schedule.emitted_rates())}
+    m_seq = np.array([bound_at[rho_at(schedule, t)] for t in range(1, horizon + 1)])
 
     prior = ThresholdAccount(sum_payoff=np.concatenate(([0.0], np.cumsum(d)))[:-1],
                              sum_payoff_sq=np.concatenate(([0.0], np.cumsum(d * d)))[:-1])

@@ -28,7 +28,7 @@ from bpac.core import (
     TwoStageSchedule,
     deployment_rate,
 )
-from bpac.engine import ips_payoff, payoff_bound
+from bpac.engine import _escalation_low, payoff_bound
 from bpac.simulation import (
     easy_hard,
     mc_safety,
@@ -130,12 +130,15 @@ def test_criterion_04_ips_estimate_unbiased():
         dev = abs(float(z.mean()) - target) / se
         worst = max(worst, dev)
         ok = ok and dev <= 3.0
-    # the vectorized draw must be the engine's own arithmetic
+    # the vectorized draw must be the engine's own arithmetic: a threshold
+    # above an escalated query's score is paid what _escalation_low
+    # prices, every other one epsilon
+    config = RouterConfig(schedule=ConstantSchedule(rho_min))
     idx = rng.integers(0, n, 200)
     for i in idx:
-        got = ips_payoff(float(latent[i]) if coin[i] else None, int(coin[i]),
-                         float(pi[i]), float(score[i]), float(us[0]),
-                         rho_min, EPSILON)
+        charged = coin[i] and score[i] < us[0]
+        got = (_escalation_low(float(latent[i]), float(pi[i]), rho, config, 1)
+               if charged else EPSILON)
         z_i = (1.0 - rho_min) * latent[i] * coin[i] * (score[i] < us[0]) / pi[i]
         ok = ok and got == pytest.approx(EPSILON - z_i, abs=1e-15)
     assert verdict(4, "loss estimate unbiasedness", ok,

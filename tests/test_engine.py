@@ -23,7 +23,6 @@ from bpac import (
     WagerOutOfRange,
     adaptive_lambda,
     generate_event,
-    ips_payoff,
     payoff_bound,
     propensity,
     rho_at,
@@ -32,6 +31,7 @@ from bpac import (
     update_account,
 )
 from bpac.engine import AccountTable, _fixed_sequence_index, _mixture_index, route, route_lanes
+from reference import account_table, ips_payoff
 
 EPS = 0.08
 RHO_MIN = 0.05
@@ -149,7 +149,7 @@ class TestAccountUpdate:
             update_account(acc, 1.0, -1.0)
 
     def test_array_account_matches_scalar(self):
-        table = ThresholdAccount.table(3)
+        table = account_table(3)
         payoff = np.array([0.08, -0.87, 0.08])
         lam = np.array([0.01, 0.02, 0.0])
         update_account(table, lam, payoff)
@@ -633,7 +633,7 @@ class TestAccountTable:
         config = self.config()
         charges = self.CHARGES[:1] if rows is None else self.CHARGES
         table = AccountTable(config, rows)
-        shadows = [ThresholdAccount.table(8) for _ in charges]
+        shadows = [account_table(8) for _ in charges]
         prefixes = [[] for _ in charges]
         for t in range(1, 90):
             splits = [plan.get(t, (8, EPS)) for plan in charges]
@@ -679,7 +679,7 @@ class TestAccountTable:
         wagers it meets are smaller."""
         config = self.config()
         table = AccountTable(config)
-        shadow = ThresholdAccount.table(8)
+        shadow = account_table(8)
         # At rate 0.7 m_t is about 1.28 and the cap allows wagers up to about
         # 0.70; after one step every wager is about 0.08, so -2 * 0.70 <= -1
         # but -2 * 0.08 > -1.

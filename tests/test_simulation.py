@@ -24,6 +24,7 @@ import bpac.baselines
 import bpac.engine
 import bpac.simulation
 from bpac.core import (
+    ConfigError,
     ConstantSchedule,
     Prior,
     RouterConfig,
@@ -33,8 +34,8 @@ from bpac.core import (
     deployment_rate,
     rho_at,
 )
-from bpac.engine import (AccountTable, InvalidObservation, LossGateViolation, ips_payoff,
-                         propensity, route, route_lanes)
+from bpac.engine import (AccountTable, InvalidObservation, LossGateViolation, adaptive_lambda,
+                         payoff_bound, propensity, route, route_lanes, update_account)
 from bpac.simulation import (
     LOSS_KINDS,
     BetaScore,
@@ -75,6 +76,7 @@ from bpac.simulation import (
     uniform_linear,
     wilson_interval,
 )
+from reference import account_table, ips_payoff
 
 
 class TestSpecs:
@@ -854,7 +856,82 @@ def test_scipy_special_stays_unloaded_without_beta_laws():
     assert out.stdout.strip() == "False"
 
 
+def closed_form_study(spec, threshold, config, horizon, n_reps, base_seed):
+    """The pinned-threshold study replayed on the reference arithmetic: the
+    same draws, priced by ``ips_payoff`` and settled by ``adaptive_lambda``
+    and ``update_account`` over all replications at once."""
+    rng = np.random.default_rng(np.random.SeedSequence(base_seed))
+    acc = account_table(n_reps)
+    rho_min = config.schedule.rho_min
+    bar = -math.log(config.alpha)
+    crossed = np.zeros(n_reps, dtype=bool)
+    payoffs = np.empty((horizon, n_reps))
+    for t in range(1, horizon + 1):
+        seg = spec.segment_at(t)
+        rho_t = rho_at(config.schedule, t)
+        m_t = payoff_bound(config.epsilon, rho_min, rho_t)
+        score = np.asarray(seg.score.sample(rng, n_reps))
+        latent = (rng.random(n_reps) < seg.loss.prob(score)).astype(float)
+        pi = np.where(score >= threshold, 1.0, rho_t)
+        coin = rng.random(n_reps) < pi
+        payoffs[t - 1] = ips_payoff(latent, coin, pi, score, threshold, rho_min,
+                                    config.epsilon)
+        update_account(acc, adaptive_lambda(acc, m_t, config.betting_cap), payoffs[t - 1])
+        crossed |= acc.log_wealth >= bar
+    return acc.log_wealth, crossed, payoffs
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail any study that reads a step of its stream."""
+    def drawn(spec, t):
+        raise AssertionError(f"the study read step {t} of its stream")
+
+    monkeypatch.setattr(SyntheticStreamSpec, "segment_at", drawn)
+
+
 class TestPinnedStudy:
+    @pytest.mark.parametrize("spec, config", [
+        (uniform_linear(), RouterConfig(schedule=TwoStageSchedule(0.7, 0.05, 40))),
+        (easy_hard(break_at=70), RouterConfig()),
+    ], ids=["warmup_ends", "law_shifts"])
+    def test_equals_the_closed_form_bit_for_bit(self, spec, config):
+        """The engine's kernel settles the study exactly as the reference
+        arithmetic does, across a change of rate and of loss law."""
+        horizon, n_reps, u = 150, 40, 0.5
+        out = pinned_threshold_study(spec, u, config, horizon, n_reps, base_seed=11,
+                                     collect_payoffs=True)
+        log_wealth, crossed, payoffs = closed_form_study(spec, u, config, horizon,
+                                                         n_reps, base_seed=11)
+        assert np.array_equal(out["log_wealth"].view(np.int64), log_wealth.view(np.int64))
+        assert np.array_equal(out["crossed"], crossed)
+        assert np.array_equal(out["payoffs"].view(np.int64), payoffs.view(np.int64))
+        # Both rates priced a charge, and some account bet and moved.
+        charged = payoffs < config.epsilon
+        assert charged[:40].any() and charged[40:].any()
+        assert np.any(log_wealth != 0.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.1, 1.5])
+    def test_threshold_outside_the_unit_interval_is_refused(self, threshold, no_draw):
+        # No score is below NaN, so its account would be paid epsilon on
+        # every step and certify a threshold that never escalates.
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            pinned_threshold_study(uniform_linear(), threshold, RouterConfig(), 300, 50)
+
+    @pytest.mark.parametrize("config", [
+        RouterConfig(epsilon=5.0),
+        RouterConfig(betting_cap=1.5),
+        RouterConfig(schedule=ConstantSchedule(0.0)),
+    ], ids=["epsilon", "betting_cap", "rate"])
+    def test_invalid_config_is_refused(self, config, no_draw):
+        with pytest.raises(ConfigError):
+            pinned_threshold_study(uniform_linear(), 0.3, config, 300, 50)
+
+    @pytest.mark.parametrize("horizon, n_reps", [(0, 50), (300, 0)])
+    def test_empty_study_is_refused(self, horizon, n_reps, no_draw):
+        with pytest.raises(ValueError, match="at least 1"):
+            pinned_threshold_study(uniform_linear(), 0.3, RouterConfig(), horizon, n_reps)
+
     def test_shapes_and_recording(self):
         out = pinned_threshold_study(uniform_linear(), 0.3, RouterConfig(),
                                      horizon=120, n_reps=40, base_seed=0,
