@@ -4,8 +4,9 @@
 Generates i.i.d. payoff streams from the engine's own arithmetic at a
 pinned threshold, measures regret at several horizons, and compares the
 growth ratio to the logarithmic target. An invalid config (``--epsilon``,
-``--cap``, ``--rho``), a threshold outside [0, 1] or fewer than one
-stream exits 2 with the reason, before any stream is drawn.
+``--cap``, ``--rho``), a threshold outside [0, 1], fewer than one stream
+or a ``--horizons`` entry that is not an integer of at least 2 exits 2
+with the reason, before any stream is drawn.
 """
 from __future__ import annotations
 
@@ -23,6 +24,21 @@ from bpac.simulation import (
 )
 
 
+def horizon_list(text: str) -> list[int]:
+    """``--horizons``: a comma list of integers, each at least 2, sorted.
+
+    The growth target divides by the log of the smallest.
+    """
+    try:
+        horizons = sorted(int(h) for h in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
+    if horizons[0] < 2:
+        raise argparse.ArgumentTypeError(f"every horizon must be at least 2, got {horizons[0]}")
+    return horizons
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description="Regret growth measurement")
     p.add_argument("--spec", default="uniform_linear")
@@ -30,13 +46,13 @@ def main() -> None:
     p.add_argument("--rho", type=float, default=0.3,
                    help="constant exploration rate for the payoff streams")
     p.add_argument("--n-streams", type=int, default=100)
-    p.add_argument("--horizons", default="100,1000,10000")
+    p.add_argument("--horizons", type=horizon_list, default="100,1000,10000")
     p.add_argument("--base-seed", type=int, default=500)
     p.add_argument("--epsilon", type=float, default=0.08)
     p.add_argument("--cap", type=float, default=0.9)
     args = p.parse_args()
 
-    horizons = sorted(int(h) for h in args.horizons.split(","))
+    horizons = args.horizons
     schedule = ConstantSchedule(args.rho)
     config = dataclasses.replace(RouterConfig(), epsilon=args.epsilon,
                                  betting_cap=args.cap, schedule=schedule)
@@ -45,8 +61,7 @@ def main() -> None:
         study = pinned_threshold_study(spec, args.threshold, config,
                                        horizon=horizons[-1],
                                        n_reps=args.n_streams,
-                                       base_seed=args.base_seed,
-                                       collect_payoffs=True)
+                                       base_seed=args.base_seed)
     except ValueError as err:  # ConfigError included
         p.error(str(err))
     payoffs = study["payoffs"]

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RouterConfig, StreamObservation, deployment_rate
-from .engine import (Decision, LossGate, OutOfOrderObservation, coin_generator,
-                     require_increasing_grid, route)
+from .core import RouterConfig, StreamObservation, deployment_rate, validate_config
+from .engine import Decision, LossGate, OutOfOrderObservation, coin_generator, route
 
 
 @dataclass
@@ -45,19 +44,16 @@ class MeanState:
 
         ``variant`` None gives ``o_naive``. "per_point" gives ``ips_hoeff``
         pricing one threshold per step; "union_over_grid" prices the whole
-        grid, multiplying the bar by the grid size.
+        grid, multiplying the bar by the grid size. Raises ``ConfigError``
+        for a config that fails ``validate_config``.
         """
+        validate_config(config)
         counts = {None: 0, "per_point": 1, "union_over_grid": config.grid.n}
         if variant not in counts:
             raise ValueError(f"unknown confidence variant {variant!r}")
-        require_increasing_grid(config.grid)
         return cls(config=config, rho=deployment_rate(config.schedule),
                    sums=np.zeros(config.grid.n), rng=coin_generator(config, rng),
                    slack_count=counts[variant])
-
-    @property
-    def deployed_threshold(self) -> float:
-        return float(self.config.grid.values[self.deployed_index])
 
 
 def hoeff_slack(t: int, alpha: float, rho: float, count: int) -> float:

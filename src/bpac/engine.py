@@ -18,9 +18,10 @@ settlement over numpy scalars-or-arrays that the kernel must match bit
 for bit; they stay here because the benchmark times them by name, and
 ``regret_harness`` replays the wager over prefix sums with the first.
 
-Live-prefix invariant. The grid is strictly increasing, and one step's
-payoff is epsilon below the score and epsilon minus a non-negative
-estimate at or above it, so payoffs never increase along the grid.
+Live-prefix invariant. The grid is strictly increasing (``validate_config``
+refuses any other), and one step's payoff is epsilon below the score and
+epsilon minus a non-negative estimate at or above it, so payoffs never
+increase along the grid.
 Rounding is monotone, so the cumulative payoff ``sum_payoff`` never
 increases along the grid either. The adaptive wager
 ``clip(sum_payoff / (sum_payoff_sq + 1), 0, cap / m_t)`` is therefore
@@ -63,15 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    RouterConfig,
-    SelectionMode,
-    StreamObservation,
-    ThresholdGrid,
-    Violation,
-    rho_at,
-)
+from .core import RouterConfig, SelectionMode, StreamObservation, rho_at, validate_config
 
 
 class WagerOutOfRange(RuntimeError):
@@ -175,17 +168,6 @@ def coin_generator(config: RouterConfig, rng=None) -> np.random.Generator:
     SeedSequence or an int seeds a new one, and None seeds ``config.seed``.
     """
     return np.random.default_rng(config.seed if rng is None else rng)
-
-
-def require_increasing_grid(grid: ThresholdGrid) -> None:
-    """Raise ``ConfigError`` unless the grid is strictly increasing.
-
-    Settlement splits the grid at ``bisect_right(grid, score)``, which is
-    the set of candidates above the score only on a sorted grid.
-    """
-    if not np.all(np.diff(grid.values) > 0):
-        raise ConfigError([Violation("BadGrid", "grid",
-                                     "grid values must be strictly increasing")])
 
 
 def propensity(uncertainty: float, deployed: float, rho_t: float) -> float:
@@ -320,10 +302,11 @@ class AccountTable:
                  fixed_wager: float | None = None):
         """Fresh accounts at unit wealth.
 
+        The config has passed ``validate_config`` in every caller:
+        ``RouterState.fresh``, ``mc_safety`` and ``pinned_threshold_study``.
         ``fixed_wager`` replaces the adaptive wager with a constant (an
         ablation knob); it must leave every reachable payoff survivable.
         """
-        require_increasing_grid(config.grid)
         check_fixed_wager(config, fixed_wager)
         self.epsilon, self.rho_min = config.epsilon, config.schedule.rho_min
         self.fixed_wager = fixed_wager
@@ -512,9 +495,11 @@ class RouterState:
               fixed_wager: float | None = None) -> "RouterState":
         """Start a run at step 0 with unit wealth everywhere.
 
+        Raises ``ConfigError`` for a config that fails ``validate_config``.
         ``rng`` seeds the routing coins as in ``coin_generator``;
         ``fixed_wager`` is checked and applied as in ``AccountTable``.
         """
+        validate_config(config)
         return cls(config=config, rng=coin_generator(config, rng),
                    table=AccountTable(config, fixed_wager=fixed_wager))
 

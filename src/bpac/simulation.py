@@ -50,7 +50,6 @@ from .engine import (
 )
 from .metrics import MetricAccumulator
 
-QUAD_ABS_TOL = 1e-10
 REGRET_ORACLE_GRID_SIZE = 10001
 
 # One baseline step under per-method names, so timing wrappers tell them apart.
@@ -99,10 +98,6 @@ class UniformScore:
         """The score that a unit draw ``u`` (scalar or array) maps to."""
         return self.low + (self.high - self.low) * u
 
-    def pdf(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.where((v >= self.low) & (v <= self.high), 1.0 / (self.high - self.low), 0.0)
-
 
 @dataclass(frozen=True)
 class BetaScore:
@@ -117,17 +112,6 @@ class BetaScore:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.beta(self.a, self.b, size)
-
-    def pdf(self, v):
-        from scipy import special  # see mean_loss_below
-
-        v = np.asarray(v, dtype=float)
-        inside = (v >= 0) & (v <= 1)
-        vi = np.clip(v, 1e-300, 1.0)
-        return np.where(inside,
-                        np.exp((self.a - 1) * np.log(vi) + (self.b - 1) * np.log1p(-np.clip(v, 0.0, 1 - 1e-16))
-                               - special.betaln(self.a, self.b)),
-                        0.0)
 
 
 ScoreLaw = Union[UniformScore, BetaScore]
@@ -387,10 +371,14 @@ def stream_events(spec: SyntheticStreamSpec, stream: np.random.Generator, horizo
 
 
 def mean_loss_below(score: ScoreLaw, loss: LossLaw, u) -> np.ndarray | float:
-    """E[P(loss | V) * 1{V < u}]: closed forms, quad fallback elsewhere.
+    """E[P(loss | V) * 1{V < u}] in closed form, for scalar or array u in [0, 1].
 
-    Accepts scalar or array u in [0, 1].
+    Every score law and loss law the spec reader builds has one; any other
+    pair raises ``TypeError``.
     """
+    if not (isinstance(score, ScoreLaw) and isinstance(loss, LossLaw)):
+        raise TypeError(f"no closed form for {type(score).__name__} scores "
+                        f"with {type(loss).__name__} losses")
     u_arr = np.asarray(u, dtype=float)
     scalar = u_arr.ndim == 0
 
@@ -401,12 +389,10 @@ def mean_loss_below(score: ScoreLaw, loss: LossLaw, u) -> np.ndarray | float:
             out = loss.kappa * (m ** 2 - lo ** 2) / (2.0 * (hi - lo))
         elif isinstance(loss, ConstantLoss):
             out = loss.level * (m - lo) / (hi - lo)
-        elif isinstance(loss, PowerLoss):
+        else:
             d = loss.degree
             out = loss.kappa * (m ** (d + 1) - lo ** (d + 1)) / ((d + 1) * (hi - lo))
-        else:
-            out = _quad_mean_loss_below(score, loss, u_arr)
-    elif isinstance(score, BetaScore):
+    else:
         # Imported here: scipy.special adds about 20 MB of resident memory
         # to ``import bpac`` (scipy 1.17), and only Beta laws need it.
         from scipy import special
@@ -417,38 +403,12 @@ def mean_loss_below(score: ScoreLaw, loss: LossLaw, u) -> np.ndarray | float:
             out = loss.level * special.betainc(a, b, uc)
         elif isinstance(loss, LinearLoss):
             out = loss.kappa * (a / (a + b)) * special.betainc(a + 1.0, b, uc)
-        elif isinstance(loss, PowerLoss):
+        else:
             d = loss.degree
             ratio = math.exp(special.betaln(a + d, b) - special.betaln(a, b))
             out = loss.kappa * ratio * special.betainc(a + d, b, uc)
-        else:
-            out = _quad_mean_loss_below(score, loss, u_arr)
-    else:
-        out = _quad_mean_loss_below(score, loss, u_arr)
 
     return float(out) if scalar else np.asarray(out, dtype=float)
-
-
-def _quad_mean_loss_below(score: ScoreLaw, loss: LossLaw, u_arr: np.ndarray):
-    """Adaptive quadrature route, also used to cross-check the closed forms."""
-    # Imported here: scipy.integrate adds about 26 MB of resident memory to
-    # ``import bpac`` (scipy 1.17), and only this fallback needs it.
-    from scipy import integrate
-
-    lo = getattr(score, "low", 0.0)
-
-    def one(u: float) -> float:
-        upper = min(float(u), getattr(score, "high", 1.0))
-        if upper <= lo:
-            return 0.0
-        val, err = integrate.quad(
-            lambda v: float(loss.prob(v)) * float(score.pdf(v)),
-            lo, upper, epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200)
-        return val
-
-    if u_arr.ndim == 0:
-        return one(float(u_arr))
-    return np.array([one(x) for x in np.ravel(u_arr)]).reshape(u_arr.shape)
 
 
 def _segment_risk(seg: StreamSegment, grid_values, rho: float):
@@ -627,9 +587,11 @@ _COLUMNS = tuple(f.name for f in fields(Trajectory) if f.type == "np.ndarray")
 
 def check_run(method: Method, config: RouterConfig, spec: SyntheticStreamSpec | None,
               horizon: int | None, fixed_wager: float | None) -> None:
-    """Refuse a run before it starts: a fixed wager on a baseline, then an
-    infeasible fixed wager, then a horizon past a bounded ``spec`` (None
-    for a recorded trace)."""
+    """Refuse a run before it starts: a config that fails ``validate_config``
+    (``ConfigError``), then a fixed wager on a baseline, then an infeasible
+    fixed wager, then a horizon past a bounded ``spec`` (None for a
+    recorded trace)."""
+    validate_config(config)
     if fixed_wager is not None and method is not Method.BPAC:
         raise ValueError("a fixed wager replaces the betting wager; engine runs only")
     check_fixed_wager(config, fixed_wager)
@@ -755,8 +717,8 @@ def run_replication(method, config: RouterConfig, spec: SyntheticStreamSpec,
 
     ``seed`` (int or SeedSequence) splits into independent stream and
     coin generators, so different methods given the same seed face the
-    identical sequence of queries and latent losses. The caller is
-    responsible for having validated the config.
+    identical sequence of queries and latent losses. ``check_run`` refuses
+    a bad run before any draw.
     """
     method = parse_method(method)
     check_run(method, config, spec, horizon, fixed_wager)
@@ -780,6 +742,7 @@ def replay_trace(method, config: RouterConfig, events, *,
     Only the exploration coins are random here; they come from
     ``coin_seed`` (default: the config's seed). Risk columns are NaN
     because a recorded trace does not reveal its generating laws.
+    ``check_run`` refuses a bad run before any event is read.
     """
     method = parse_method(method)
     check_run(method, config, None, None, fixed_wager)
@@ -790,8 +753,9 @@ def replay_trace(method, config: RouterConfig, events, *,
                   emit_wealth_every=emit_wealth_every, seed_label=seed)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Binomial confidence interval that behaves at the boundaries."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% binomial confidence interval that behaves at the boundaries."""
+    z = 1.96
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials
@@ -981,8 +945,7 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
 
 def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
                            config: RouterConfig, horizon: int, n_reps: int,
-                           *, base_seed: int = 0,
-                           collect_payoffs: bool = False) -> dict[str, Any]:
+                           *, base_seed: int = 0) -> dict[str, Any]:
     """Betting account behavior at one threshold, deployment pinned to it.
 
     One account per replication: a row of an ``AccountTable`` on the
@@ -991,7 +954,8 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
     ``_escalation_low``. Scores, latent losses and coins are drawn for all
     replications at once from one generator. This is the harness for
     martingale-level checks (wealth means, bar-crossing rates) and a
-    payoff-stream source for the regret harness.
+    payoff-stream source for the regret harness: ``payoffs`` holds every
+    row's payoff at every step, shape (horizon, n_reps).
 
     Raises ``ConfigError`` for an invalid config and ``ValueError`` for a
     threshold outside [0, 1] (NaN included) or a horizon or replication
@@ -1007,7 +971,7 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
     log_wealth = table.accounts.log_wealth[:, 0]
     bar = -math.log(config.alpha)
     crossed = np.zeros(n_reps, dtype=bool)
-    payoffs = np.empty((horizon, n_reps)) if collect_payoffs else None
+    payoffs = np.empty((horizon, n_reps))
     splits = [0] * n_reps
 
     for t in range(1, horizon + 1):
@@ -1022,8 +986,7 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
         for r in np.flatnonzero(coin & (score < threshold)).tolist():
             low[r] = _escalation_low(float(latent[r]), rho_t, rho_t, config, t, r)
         table.settle(splits, low, rho_t)
-        if payoffs is not None:
-            payoffs[t - 1] = low
+        payoffs[t - 1] = low
         crossed |= log_wealth >= bar
 
     return {

@@ -181,7 +181,7 @@ def test_criterion_05_wager_regret_within_bound():
     study = pinned_threshold_study(
         uniform_linear(), 0.3,
         dataclasses.replace(RouterConfig(), schedule=sched_deploy),
-        horizon=10_000, n_reps=60, base_seed=500, collect_payoffs=True)
+        horizon=10_000, n_reps=60, base_seed=500)
     for j in range(60):
         for horizon in horizons:
             rep = regret_harness(study["payoffs"][:horizon, j], EPSILON, 0.9,
@@ -195,7 +195,7 @@ def test_criterion_05_wager_regret_within_bound():
     study = pinned_threshold_study(
         uniform_linear(), 0.3,
         dataclasses.replace(RouterConfig(), schedule=sched_ratio),
-        horizon=10_000, n_reps=100, base_seed=500, collect_payoffs=True)
+        horizon=10_000, n_reps=100, base_seed=500)
     r_short, r_long = [], []
     for j in range(100):
         rep_s = regret_harness(study["payoffs"][:100, j], EPSILON, 0.9, sched_ratio)

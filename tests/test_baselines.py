@@ -131,7 +131,7 @@ class TestBaselineSteps:
         rng = np.random.default_rng(2)
         for t in range(1, 501):
             _, state = mean_step(state, generate_event(spec, rng, t), gate)
-        assert state.deployed_threshold > 0.6
+        assert config.grid.values[state.deployed_index] > 0.6
 
     def test_hoeff_stays_pinned_at_zero(self):
         config = self.config()
@@ -141,7 +141,7 @@ class TestBaselineSteps:
         rng = np.random.default_rng(2)
         for t in range(1, 501):
             _, state = mean_step(state, generate_event(spec, rng, t), gate)
-        assert state.deployed_threshold == 0.0
+        assert state.deployed_index == 0
 
     def test_uncorrected_increment_never_exceeds_ips(self):
         """With deployment pinned at u, every below-u observation enters the
@@ -211,7 +211,7 @@ class TestInvalidObservation:
             with pytest.raises(InvalidObservation):
                 mean_step(state, make_obs(1, score, 1.0), gate)
         assert state.t == 0
-        assert state.deployed_threshold == 0.0
+        assert state.deployed_index == 0
         assert gate.access_count == 0
         assert state.rng.bit_generator.state == coins
         assert not np.any(state.sums)

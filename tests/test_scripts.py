@@ -35,7 +35,12 @@ def test_regret_study_prints_its_table():
     ("--rho", "0"),
     ("--cap", "1.5"),
     ("--n-streams", "0"),
-], ids=["threshold", "epsilon", "rho", "cap", "streams"])
+    ("--horizons", "0,50"),
+    ("--horizons", "abc"),
+    ("--horizons=-5,50",),
+    ("--horizons", "1,50"),
+], ids=["threshold", "epsilon", "rho", "cap", "streams", "horizon_0", "horizon_text",
+        "horizon_negative", "horizon_1"])
 def test_regret_study_refuses_bad_input(flags):
     out = run_regret_study("--horizons", "50,200", *flags)
     assert out.returncode == 2

@@ -34,8 +34,10 @@ from bpac.core import (
     deployment_rate,
     rho_at,
 )
-from bpac.engine import (AccountTable, InvalidObservation, LossGateViolation, adaptive_lambda,
-                         payoff_bound, propensity, route, route_lanes, update_account)
+from bpac.baselines import MeanState
+from bpac.engine import (AccountTable, InvalidObservation, LossGateViolation, RouterState,
+                         adaptive_lambda, payoff_bound, propensity, route, route_lanes,
+                         update_account)
 from bpac.simulation import (
     LOSS_KINDS,
     BetaScore,
@@ -55,7 +57,6 @@ from bpac.simulation import (
     UnknownMethod,
     _BLOCK_LOSSES,
     _draw,
-    _quad_mean_loss_below,
     easy_hard,
     generate_event,
     load_stream_spec,
@@ -76,7 +77,7 @@ from bpac.simulation import (
     uniform_linear,
     wilson_interval,
 )
-from reference import account_table, ips_payoff
+from reference import account_table, ips_payoff, quad_mean_loss_below
 
 
 class TestSpecs:
@@ -144,6 +145,14 @@ class TestSpecs:
             assert 50 <= c <= 150 and 400 <= e <= 600
 
 
+class OtherScore:
+    """A score law the spec reader cannot build."""
+
+
+class OtherLoss:
+    """A loss law the spec reader cannot build."""
+
+
 class TestOracle:
     def test_frozen_risk_values(self):
         spec = uniform_linear()
@@ -185,8 +194,16 @@ class TestOracle:
     def test_closed_forms_match_quadrature(self, score, loss):
         us = np.array([0.0, 0.15, 0.35, 0.5, 0.65, 0.85, 1.0])
         closed = np.asarray(mean_loss_below(score, loss, us))
-        quad = _quad_mean_loss_below(score, loss, us)
+        quad = quad_mean_loss_below(score, loss, us)
         np.testing.assert_allclose(closed, quad, atol=5e-9, rtol=0)
+
+    @pytest.mark.parametrize("score,loss,pair", [
+        (UniformScore(), OtherLoss(), "UniformScore scores with OtherLoss losses"),
+        (OtherScore(), LinearLoss(), "OtherScore scores with LinearLoss losses"),
+    ])
+    def test_other_law_pairs_are_refused(self, score, loss, pair):
+        with pytest.raises(TypeError, match=pair):
+            mean_loss_below(score, loss, 0.5)
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=30)
@@ -844,16 +861,33 @@ class TestEventSource:
             assert drawn == []
 
 
-def test_scipy_special_stays_unloaded_without_beta_laws():
+def scipy_loaded_after(run: str) -> str:
+    """Whether a fresh interpreter that imports bpac and its CLI and then
+    executes ``run`` has loaded scipy.special and scipy.integrate."""
     src = Path(bpac.simulation.__file__).resolve().parents[1]
     code = ("import sys, bpac, bpac.cli\n"
-            "from bpac.simulation import mc_safety, uniform_linear\n"
-            "mc_safety('bpac', bpac.RouterConfig(), uniform_linear(), 30, 2)\n"
-            "print('scipy.special' in sys.modules)\n")
+            "import bpac.simulation as sim\n"
+            f"{run}\n"
+            "print([m in sys.modules for m in ('scipy.special', 'scipy.integrate')])\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_scipy_special_stays_unloaded_without_beta_laws():
+    run = "sim.mc_safety('bpac', bpac.RouterConfig(), sim.uniform_linear(), 30, 2)"
+    assert scipy_loaded_after(run) == "[False, False]"
+
+
+def test_beta_laws_never_load_scipy_integrate():
+    # One segment per loss law, so the risk tracker prices all three Beta
+    # closed forms.
+    run = ("spec = sim.SyntheticStreamSpec(tuple(\n"
+           "    sim.StreamSegment(length, sim.BetaScore(2.0, 5.0), loss) for length, loss in\n"
+           "    ((20, sim.LinearLoss()), (20, sim.ConstantLoss(0.3)), (None, sim.PowerLoss()))))\n"
+           "sim.run_replication('bpac', bpac.RouterConfig(), spec, 60, 0)")
+    assert scipy_loaded_after(run) == "[True, False]"
 
 
 def closed_form_study(spec, threshold, config, horizon, n_reps, base_seed):
@@ -883,11 +917,12 @@ def closed_form_study(spec, threshold, config, horizon, n_reps, base_seed):
 
 @pytest.fixture
 def no_draw(monkeypatch):
-    """Fail any study that reads a step of its stream."""
+    """Fail any run that reads a step of its stream: every draw, whole
+    chunks included, first looks up the step's segment."""
     def drawn(spec, t):
-        raise AssertionError(f"the study read step {t} of its stream")
+        raise AssertionError(f"the run read step {t} of its stream")
 
-    monkeypatch.setattr(SyntheticStreamSpec, "segment_at", drawn)
+    monkeypatch.setattr(SyntheticStreamSpec, "segment_index_at", drawn)
 
 
 class TestPinnedStudy:
@@ -899,8 +934,7 @@ class TestPinnedStudy:
         """The engine's kernel settles the study exactly as the reference
         arithmetic does, across a change of rate and of loss law."""
         horizon, n_reps, u = 150, 40, 0.5
-        out = pinned_threshold_study(spec, u, config, horizon, n_reps, base_seed=11,
-                                     collect_payoffs=True)
+        out = pinned_threshold_study(spec, u, config, horizon, n_reps, base_seed=11)
         log_wealth, crossed, payoffs = closed_form_study(spec, u, config, horizon,
                                                          n_reps, base_seed=11)
         assert np.array_equal(out["log_wealth"].view(np.int64), log_wealth.view(np.int64))
@@ -918,15 +952,6 @@ class TestPinnedStudy:
         with pytest.raises(ValueError, match="threshold must be a finite number"):
             pinned_threshold_study(uniform_linear(), threshold, RouterConfig(), 300, 50)
 
-    @pytest.mark.parametrize("config", [
-        RouterConfig(epsilon=5.0),
-        RouterConfig(betting_cap=1.5),
-        RouterConfig(schedule=ConstantSchedule(0.0)),
-    ], ids=["epsilon", "betting_cap", "rate"])
-    def test_invalid_config_is_refused(self, config, no_draw):
-        with pytest.raises(ConfigError):
-            pinned_threshold_study(uniform_linear(), 0.3, config, 300, 50)
-
     @pytest.mark.parametrize("horizon, n_reps", [(0, 50), (300, 0)])
     def test_empty_study_is_refused(self, horizon, n_reps, no_draw):
         with pytest.raises(ValueError, match="at least 1"):
@@ -934,8 +959,7 @@ class TestPinnedStudy:
 
     def test_shapes_and_recording(self):
         out = pinned_threshold_study(uniform_linear(), 0.3, RouterConfig(),
-                                     horizon=120, n_reps=40, base_seed=0,
-                                     collect_payoffs=True)
+                                     horizon=120, n_reps=40, base_seed=0)
         assert out["log_wealth"].shape == (40,)
         assert out["crossed"].dtype == bool
         assert out["payoffs"].shape == (120, 40)
@@ -944,8 +968,7 @@ class TestPinnedStudy:
     def test_payoffs_respect_engine_bounds(self):
         config = RouterConfig()
         out = pinned_threshold_study(uniform_linear(), 0.5, config,
-                                     horizon=300, n_reps=20, base_seed=4,
-                                     collect_payoffs=True)
+                                     horizon=300, n_reps=20, base_seed=4)
         eps = config.epsilon
         lo = eps - (1.0 - config.schedule.rho_min) / config.schedule.rho_deploy
         assert np.all(out["payoffs"] <= eps + 1e-12)
@@ -958,7 +981,7 @@ class TestPinnedStudy:
         config = RouterConfig(schedule=ConstantSchedule(0.05))
         spec, u, n, horizon = uniform_linear(), 0.5, 30, 60
         out = pinned_threshold_study(spec, u, config, horizon=horizon, n_reps=n,
-                                     base_seed=3, collect_payoffs=True)
+                                     base_seed=3)
         rng = np.random.default_rng(np.random.SeedSequence(3))
         rho_min = config.schedule.rho_min
         for t in range(1, horizon + 1):
@@ -989,6 +1012,35 @@ class TestPinnedStudy:
                                      horizon=400, n_reps=200, base_seed=7)
         assert out["crossing_frequency"] <= 0.1
         assert float(np.exp(out["log_wealth"]).mean()) < 1.5
+
+
+def unread_trace():
+    """A recorded trace that fails when its first event is read."""
+    raise AssertionError("the run read an event of its trace")
+    yield
+
+
+@pytest.mark.parametrize("entry", [
+    lambda config: pinned_threshold_study(uniform_linear(), 0.3, config, 300, 50),
+    lambda config: run_replication("bpac", config, uniform_linear(), 50, 1),
+    lambda config: replay_trace("bpac", config, unread_trace()),
+    lambda config: mc_safety("bpac", config, uniform_linear(), 50, 5),
+    RouterState.fresh,
+    MeanState.fresh,
+], ids=["study", "run_replication", "replay_trace", "mc_safety", "RouterState.fresh",
+        "MeanState.fresh"])
+@pytest.mark.parametrize("config", [
+    RouterConfig(alpha=1.5),
+    RouterConfig(betting_cap=1.5),
+    RouterConfig(epsilon=5.0),
+    RouterConfig(schedule=ConstantSchedule(0.0)),
+    RouterConfig(grid=ThresholdGrid(np.array([0.0, 0.9, 0.5, 1.0]))),
+], ids=["alpha", "betting_cap", "epsilon", "rate", "unsorted_grid"])
+def test_invalid_config_is_refused_before_any_draw(entry, config, no_draw):
+    # At alpha = 1.5 the bar -log(alpha) is negative, so every account
+    # would start out certified, with no evidence at all.
+    with pytest.raises(ConfigError):
+        entry(config)
 
 
 class TestRegret:
