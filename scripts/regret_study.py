@@ -4,9 +4,10 @@
 Generates i.i.d. payoff streams from the engine's own arithmetic at a
 pinned threshold, measures regret at several horizons, and compares the
 growth ratio to the logarithmic target. An invalid config (``--epsilon``,
-``--cap``, ``--rho``), a threshold outside [0, 1], fewer than one stream
-or a ``--horizons`` entry that is not an integer of at least 2 exits 2
-with the reason, before any stream is drawn.
+``--cap``, ``--rho``), a threshold outside [0, 1], fewer than one stream,
+a ``--horizons`` entry that is not an integer of at least 2, or a largest
+horizon past the length of a bounded ``--spec`` exits 2 with the reason,
+before any stream is drawn.
 """
 from __future__ import annotations
 

@@ -69,21 +69,33 @@ def hoeff_slack(t: int, alpha: float, rho: float, count: int) -> float:
     return weight_bound * math.sqrt(math.log(count / alpha_t) / (2.0 * t))
 
 
-def _mean_index(sums: np.ndarray, t: int, epsilon: float, slack: float) -> int:
+def _mean_index(sums: np.ndarray, t: int, epsilon: float, slack: float,
+                index: int) -> int:
     """Largest index whose mean plus slack fits the budget; 0 when none does.
 
     Greedy: unobserved losses count as zero, so without a slack wide
     enough to cover that, the region below a deployed threshold starves.
 
-    The qualifying indices are a prefix of the grid. Each observed loss
+    Found by stepping from ``index``, the previous step's answer. The
+    qualifying indices are a prefix of the grid: each observed loss
     charges ``grid[k:]`` a non-negative amount, so ``sums`` never
-    decreases along the grid; dividing by t and adding the slack round
-    monotonically, so ``sums / t + slack`` never decreases either, and
-    one ``searchsorted`` finds the end of the prefix where it is at most
-    epsilon.
+    decreases along the grid, and dividing by t and adding the slack round
+    monotonically, so ``sums[i] / t + slack`` never decreases either. So
+    the end of the prefix is at or past ``index`` if ``index`` qualifies
+    and before it if not, and a walk that tests one point at a time with
+    that arithmetic stops where a search of the whole grid would. Most
+    steps leave the answer where it was, so most walks test one or two
+    points.
     """
-    n = int((sums / t + slack).searchsorted(epsilon, "right"))
-    return n - 1 if n else 0
+    if sums.item(index) / t + slack <= epsilon:
+        while index + 1 < sums.size and sums.item(index + 1) / t + slack <= epsilon:
+            index += 1
+        return index
+    while index > 0:
+        index -= 1
+        if sums.item(index) / t + slack <= epsilon:
+            break
+    return index
 
 
 def mean_step(state: MeanState, obs: StreamObservation,
@@ -107,5 +119,6 @@ def mean_step(state: MeanState, obs: StreamObservation,
     slack = (hoeff_slack(t, cfg.alpha, state.rho, state.slack_count)
              if state.slack_count else 0.0)
     state.t = t
-    state.deployed_index = _mean_index(state.sums, t, cfg.epsilon, slack)
+    state.deployed_index = _mean_index(state.sums, t, cfg.epsilon, slack,
+                                       state.deployed_index)
     return Decision(pi, coin, observed, threshold_used), state

@@ -29,7 +29,7 @@ positive only on a prefix ``[0, a)`` and exactly 0 past it, where
 ``log1p(0 * payoff)`` is a signed zero and leaves log-wealth bit-for-bit
 unchanged. Skipping those accounts changes no bit of the result.
 
-The single-run path takes four more shortcuts, each exact:
+The single-run path takes three more shortcuts, each exact:
 
 - The split ``k = bisect_right(grid, score)`` makes the same ``<``
   comparisons as ``searchsorted(grid, score, "right")`` for a finite
@@ -40,9 +40,30 @@ The single-run path takes four more shortcuts, each exact:
   rounding a product by a fixed negative scalar is monotone. So no
   account can be ruined unless ``low`` times that bound is ``<= -1``, and
   only then is the largest wager past the split reduced.
-- Under the fixed-sequence rule ``select`` applies the rule to the live
-  prefix ``[0, a)`` first. A gap there is the grid's first gap, so the
-  whole grid is scanned only when the prefix gives ``a - 1``.
+
+Carried gap. The fixed-sequence rule deploys the point before a row's
+gap, its first grid point whose log-wealth is below the bar (0 when the
+gap is at 0): the largest index whose entire prefix clears the bar, the
+requirement that makes the 1 / alpha bar anytime-valid without any
+multiplicity correction. ``settle`` carries each row's gap from step to
+step instead of rescanning the grid, and the carried gap equals a fresh
+scan:
+
+- Wagers are never negative. Points paid epsilon > 0, and points paid a
+  ``low`` >= 0, gain log-wealth or keep it, so no point below the gap
+  falls under the bar, and the gap can only move forward. It stays put
+  unless the point at the gap now clears the bar, and then a scan from
+  there finds the new one.
+- A ``low`` < 0 can pull under the bar only points in ``[k, a)``, where
+  the wager is live, so only a charge with ``k < min(gap, a)`` can open a
+  gap below the old one, and then the new gap is the first point at or
+  past ``k`` under the bar.
+- One more point at the end of the log-wealth storage holds -inf, below
+  every bar, so every scan stops there at the latest, and a gap at n
+  deploys the top of the grid.
+
+So ``select`` costs O(1) for fixed-sequence; mixture selection scans the
+whole grid every step.
 
 ``route_lanes`` routes R lanes of a Monte Carlo study (``mc_safety``) on
 numbers drawn ahead of time, a chunk of steps at once, and is exact too:
@@ -236,31 +257,10 @@ def update_account(account: ThresholdAccount, lam, payoff) -> ThresholdAccount:
     return account
 
 
-def _fixed_sequence_index(log_wealth: np.ndarray, log_bar: float) -> int:
-    """Largest index whose entire prefix clears the bar; 0 when none do.
-
-    The prefix requirement is what makes the 1 / alpha bar anytime-valid
-    without any multiplicity correction.
-    """
-    qualified = log_wealth >= log_bar
-    first_gap = int(qualified.argmin())
-    if qualified[first_gap]:
-        return int(qualified.size) - 1
-    return max(first_gap - 1, 0)
-
-
 def _mixture_index(log_wealth: np.ndarray, log_bars: np.ndarray) -> int:
     """Largest index clearing its own bar 1 / (alpha * mass); 0 when none do."""
     hits = np.flatnonzero(log_wealth >= log_bars)
     return int(hits[-1]) if hits.size else 0
-
-
-def _fixed_sequence_rows(log_wealth: np.ndarray, log_bar: float) -> np.ndarray:
-    """``_fixed_sequence_index`` of every column of a (G, R) wealth table."""
-    qualified = log_wealth >= log_bar
-    first_gap = qualified.argmin(axis=0)
-    full = qualified[first_gap, np.arange(first_gap.size)]
-    return np.where(full, qualified.shape[0] - 1, np.maximum(first_gap - 1, 0))
 
 
 def _mixture_rows(log_wealth: np.ndarray, log_bars: np.ndarray) -> np.ndarray:
@@ -319,7 +319,12 @@ class AccountTable:
             self.log_bars = -math.log(config.alpha)
         n = config.grid.n
         shape = (n,) if rows is None else (n, rows)
-        self._lw, self._lam, self._spare = (np.zeros(shape) for _ in range(3))
+        # Grid point n is a sentinel at -inf, below every bar, so every
+        # search for a gap ends there at the latest.
+        self._lw_ends = np.zeros((n + 1, *shape[1:]))
+        self._lw_ends[n] = -np.inf
+        self._lw = self._lw_ends[:n]
+        self._lam, self._spare = np.zeros(shape), np.zeros(shape)
         self._sums = np.zeros((2, *shape))
         self._s1, self._s2 = self._sums
         self._work = np.empty(shape)
@@ -339,6 +344,12 @@ class AccountTable:
         # prefix it was last written with, or n for a fixed wager.
         self._extent = 0
         self._spare_extent = 0
+        # Each row's gap under the fixed-sequence rule: its first grid point
+        # below the bar. Every account starts at log-wealth 0, below the
+        # positive bar -log(alpha).
+        self._gap = 0 if rows is None else np.zeros(rows, dtype=np.intp)
+        if rows is not None:
+            self._rows = np.arange(rows)
 
     def settle(self, k, low, rho_t: float) -> None:
         """Settle every account in place: epsilon on ``[0, k)``, ``low`` on ``[k, n)``.
@@ -412,6 +423,20 @@ class AccountTable:
             np.add(tail, low_column, tail)
         else:
             np.add(sums, high_column, sums)
+        if not self.mixture:
+            self._move_gap(k, low, a)
+
+    def _move_gap(self, k: int, low: float, a: int) -> None:
+        """Carry a single run's gap across the step just settled (module docstring)."""
+        gap, lw, bar = self._gap, self._lw_ends, self.log_bars
+        if low < 0.0 and k < a and k < gap:
+            start = k
+        elif lw.item(gap) < bar:
+            return
+        else:
+            start = gap
+        # Every point before ``start`` still clears the bar.
+        self._gap = start + int((lw[start:] < bar).argmax())
 
     def _settle_rows(self, k, high: float, low, m_t: float) -> None:
         """``settle`` for an (R, G) table, through one payoff table."""
@@ -440,9 +465,14 @@ class AccountTable:
         # Only rows charged a loss differ from ``high`` anywhere.
         growth, pay = work[:a], self._pay
         pay.fill(high)
+        # Rows whose charge may open a gap below their old one.
+        gaps, charged, splits = self._gap.tolist(), [], []
         for r, (kr, lr) in enumerate(zip(k, low)):
             if lr != high:
                 pay[kr:, r] = lr
+                if lr < 0.0 and kr < a and kr < gaps[r]:
+                    charged.append(r)
+                    splits.append(kr)
         np.multiply(lam[:a], pay[:a], out=growth)
         if a:
             worst = float(np.minimum.reduce(growth, axis=None))
@@ -457,22 +487,41 @@ class AccountTable:
         s1 += pay
         np.multiply(pay, pay, out=pay)
         s2 += pay
+        if not self.mixture:
+            self._move_gaps(charged, splits)
+
+    def _move_gaps(self, charged: list[int], splits: list[int]) -> None:
+        """Carry every row's gap across the step just settled (module docstring).
+
+        ``charged`` lists the rows whose charge may have opened a gap below
+        their old one, and ``splits`` their splits.
+        """
+        gap, lw, bar = self._gap, self._lw_ends, self.log_bars
+        moved = lw[gap, self._rows] >= bar
+        if charged:
+            moved[charged] = True
+        scan = moved.nonzero()[0]
+        if scan.size:
+            # Every point before a moved row's old gap, or before its split,
+            # still clears the bar, so a scan from the smallest of them finds
+            # each moved row's new gap.
+            first = min([*splits, int(gap[scan].min())])
+            gap[scan] = (lw[first:, scan] < bar).argmax(axis=0) + first
 
     def select(self):
-        """Deployed grid index under the config's selection rule, per row."""
+        """Deployed grid index under the config's selection rule, per row.
+
+        Fixed-sequence deploys the point before each row's gap, or 0 when
+        the gap is at 0; mixture scans the whole grid.
+        """
         lw = self._lw
         if lw.ndim == 1:
             if self.mixture:
                 return _mixture_index(lw, self.log_bars)
-            a = self._extent
-            if 0 < a < lw.size:
-                index = _fixed_sequence_index(lw[:a], self.log_bars)
-                if index < a - 1:
-                    return index
-            return _fixed_sequence_index(lw, self.log_bars)
+            return max(self._gap - 1, 0)
         if self.mixture:
             return _mixture_rows(lw, self.log_bars)
-        return _fixed_sequence_rows(lw, self.log_bars)
+        return np.maximum(self._gap - 1, 0)
 
 
 @dataclass

@@ -957,11 +957,12 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
     payoff-stream source for the regret harness: ``payoffs`` holds every
     row's payoff at every step, shape (horizon, n_reps).
 
-    Raises ``ConfigError`` for an invalid config and ``ValueError`` for a
-    threshold outside [0, 1] (NaN included) or a horizon or replication
-    count below 1, before any draw.
+    Raises ``ConfigError`` for an invalid config, ``StreamExhausted`` for a
+    horizon past a bounded spec's total length (both by ``check_run``), and
+    ``ValueError`` for a threshold outside [0, 1] (NaN included) or a
+    horizon or replication count below 1, before any draw.
     """
-    validate_config(config)
+    check_run(Method.BPAC, config, spec, horizon, None)
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be a finite number in [0, 1], got {threshold!r}")
     if horizon < 1 or n_reps < 1:

@@ -6,7 +6,10 @@ closed formula over numpy scalars-or-arrays. ``account_table`` gives a
 G-point ``ThresholdAccount`` for ``update_account`` to settle, the
 shape one run's ``AccountTable`` holds. ``quad_mean_loss_below``
 integrates a score density numerically, the cross-check for the closed
-forms of ``simulation.mean_loss_below``.
+forms of ``simulation.mean_loss_below``. ``fixed_sequence_index``,
+``fixed_sequence_rows`` and ``mean_index`` search the whole grid for the
+indices that ``AccountTable.select`` and ``baselines.mean_step`` carry
+from step to step.
 """
 
 import numpy as np
@@ -63,3 +66,34 @@ def quad_mean_loss_below(score, loss, us) -> np.ndarray:
         return val
 
     return np.array([one(float(u)) for u in us])
+
+
+def fixed_sequence_index(log_wealth: np.ndarray, log_bar: float) -> int:
+    """Largest index whose entire prefix clears the bar; 0 when none do.
+
+    The prefix requirement is what makes the 1 / alpha bar anytime-valid
+    without any multiplicity correction.
+    """
+    qualified = log_wealth >= log_bar
+    first_gap = int(qualified.argmin())
+    if qualified[first_gap]:
+        return int(qualified.size) - 1
+    return max(first_gap - 1, 0)
+
+
+def fixed_sequence_rows(log_wealth: np.ndarray, log_bar: float) -> np.ndarray:
+    """``fixed_sequence_index`` of every column of a (G, R) wealth table."""
+    qualified = log_wealth >= log_bar
+    first_gap = qualified.argmin(axis=0)
+    full = qualified[first_gap, np.arange(first_gap.size)]
+    return np.where(full, qualified.shape[0] - 1, np.maximum(first_gap - 1, 0))
+
+
+def mean_index(sums: np.ndarray, t: int, epsilon: float, slack: float) -> int:
+    """Largest index whose mean plus slack fits the budget; 0 when none does.
+
+    ``sums / t + slack`` never decreases along the grid, so one
+    ``searchsorted`` finds the end of the qualifying prefix.
+    """
+    n = int((sums / t + slack).searchsorted(epsilon, "right"))
+    return n - 1 if n else 0

@@ -21,6 +21,7 @@ from bpac import (
     uniform_linear,
 )
 from bpac.baselines import _mean_index
+from reference import mean_index
 
 VARIANTS = [None, "per_point", "union_over_grid"]
 
@@ -33,15 +34,15 @@ def make_obs(index=1, uncertainty=0.5, loss=0.0):
 
 class TestNaiveSelect:
     def test_no_observed_losses_deploys_top(self):
-        assert _mean_index(np.zeros(3), 10, 0.08, 0.0) == 2
+        assert mean_index(np.zeros(3), 10, 0.08, 0.0) == 2
 
     def test_largest_qualifying_mean(self):
         sums = np.array([0.0, 0.4, 1.2])  # means 0, 0.04, 0.12 at t=10
-        assert _mean_index(sums, 10, 0.08, 0.0) == 1
+        assert mean_index(sums, 10, 0.08, 0.0) == 1
 
     def test_nothing_qualifies(self):
         sums = np.array([2.0, 3.0, 4.0])
-        assert _mean_index(sums, 10, 0.08, 0.0) == 0
+        assert mean_index(sums, 10, 0.08, 0.0) == 0
 
     # Charges from a few values make ties between grid points and with the
     # budget; a slack of 0 is o_naive's.
@@ -59,7 +60,47 @@ class TestNaiveSelect:
         for k, amount in charges:
             sums[k:] += amount
         hits = np.flatnonzero(sums / t + slack <= epsilon)
-        assert _mean_index(sums, t, epsilon, slack) == (int(hits[-1]) if hits.size else 0)
+        assert mean_index(sums, t, epsilon, slack) == (int(hits[-1]) if hits.size else 0)
+
+
+class TestSteppedSelect:
+    """``mean_step`` walks from the previous index to the one a search of the
+    whole grid finds."""
+
+    @staticmethod
+    def walk(n, steps, epsilon):
+        """Stepped and searched indices after each (k, amount, slack) step."""
+        sums, index, pairs = np.zeros(n), 0, []
+        for t, (k, amount, slack) in enumerate(steps, start=1):
+            sums[k:] += amount
+            index = _mean_index(sums, t, epsilon, slack, index)
+            pairs.append((index, mean_index(sums, t, epsilon, slack)))
+        return pairs
+
+    def test_walks_down_and_reaches_both_ends(self):
+        # All pass at first, a charge on [2, 6) drops the index below it, a
+        # slack of 2 fails every point, and a slack of 0 passes every point
+        # again once the means have decayed.
+        steps = [(6, 0.0, 0.0), (2, 1.0, 0.0), (6, 0.0, 0.0), (6, 0.0, 2.0)]
+        steps += [(6, 0.0, 0.0)] * 30
+        pairs = self.walk(6, steps, 0.08)
+        assert all(stepped == searched for stepped, searched in pairs)
+        indices = [stepped for stepped, _ in pairs]
+        assert indices[:4] == [5, 1, 1, 0]
+        assert indices[-1] == 5
+
+    # Slacks that change from step to step move the index both ways, and
+    # jump it across the grid.
+    @settings(deadline=None, max_examples=300)
+    @given(n=st.integers(1, 40),
+           steps=st.lists(st.tuples(st.integers(0, 40),
+                                    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.9]),
+                                    st.sampled_from([0.0, 0.0, 0.03, 0.08, 2.0])),
+                          min_size=1, max_size=40),
+           epsilon=st.sampled_from([0.0, 0.05, 0.08, 0.125, 0.5]))
+    def test_walk_equals_a_search_of_the_whole_grid(self, n, steps, epsilon):
+        for stepped, searched in self.walk(n, steps, epsilon):
+            assert stepped == searched
 
 
 class TestHoeffSelect:
@@ -74,7 +115,7 @@ class TestHoeffSelect:
         grid = ThresholdGrid.default()
         sums = np.zeros(grid.n)  # even zero means cannot qualify
         slack = hoeff_slack(100, 0.1, 0.05, 1)
-        assert _mean_index(sums, 100, 0.08, slack) == 0
+        assert mean_index(sums, 100, 0.08, slack) == 0
 
     def test_union_variant_never_less_conservative(self):
         grid = ThresholdGrid.from_step(step=0.1)
@@ -85,8 +126,8 @@ class TestHoeffSelect:
         rng = np.random.default_rng(4)
         for t in (10, 100, 10**4, 10**6):
             sums = np.sort(rng.uniform(0, 0.01 * t, grid.n))
-            i_point = _mean_index(sums, t, 0.08, hoeff_slack(t, 0.1, 0.05, per_point))
-            i_union = _mean_index(sums, t, 0.08, hoeff_slack(t, 0.1, 0.05, union))
+            i_point = mean_index(sums, t, 0.08, hoeff_slack(t, 0.1, 0.05, per_point))
+            i_union = mean_index(sums, t, 0.08, hoeff_slack(t, 0.1, 0.05, union))
             assert i_union <= i_point
 
     def test_slack_shrinks_with_time(self):

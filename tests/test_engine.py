@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpac import (
@@ -30,8 +30,8 @@ from bpac import (
     uniform_linear,
     update_account,
 )
-from bpac.engine import AccountTable, _fixed_sequence_index, _mixture_index, route, route_lanes
-from reference import account_table, ips_payoff
+from bpac.engine import AccountTable, _mixture_index, route, route_lanes
+from reference import account_table, fixed_sequence_index, fixed_sequence_rows, ips_payoff
 
 EPS = 0.08
 RHO_MIN = 0.05
@@ -176,13 +176,13 @@ class TestSelectors:
         return -(math.log(0.1) + np.log(np.asarray(mass, dtype=float)))
 
     def test_prefix_stops_at_first_gap(self):
-        assert _fixed_sequence_index(self.log_wealth([12, 15, 9, 20, 3]), self.BAR) == 1
+        assert fixed_sequence_index(self.log_wealth([12, 15, 9, 20, 3]), self.BAR) == 1
 
     def test_unqualified_start_deploys_zero(self):
-        assert _fixed_sequence_index(self.log_wealth([5, 2, 1, 1, 1]), self.BAR) == 0
+        assert fixed_sequence_index(self.log_wealth([5, 2, 1, 1, 1]), self.BAR) == 0
 
     def test_all_qualified_deploys_top(self):
-        assert _fixed_sequence_index(self.log_wealth([11, 12, 13, 14, 15]), self.BAR) == 4
+        assert fixed_sequence_index(self.log_wealth([11, 12, 13, 14, 15]), self.BAR) == 4
 
     def test_mixture_ignores_gaps(self):
         # uniform prior: per-point bar 1/(0.1 * 0.2) = 50
@@ -735,3 +735,92 @@ class TestTableParity:
                     tail = table.accounts.last_lambda[r, live[r]:]
                     assert np.array_equal(bits(tail), bits(np.zeros(tail.size)))
             assert np.array_equal(table.select(), [s.select() for s in singles])
+
+
+def first_gaps(log_wealth: np.ndarray, bar: float) -> list[int]:
+    """Each row's first grid point below the bar, by a scan of the whole grid;
+    the grid size when there is none."""
+    below = np.atleast_2d(log_wealth) < bar
+    return [int(row.argmax()) if row.any() else row.size for row in below]
+
+
+@st.composite
+def gap_cases(draw):
+    """A table, a config whose bar a run can clear within a few dozen steps,
+    and a plan of (k, low) splits per step and row: uncharged steps, charges
+    with 0 <= low < epsilon, charges down to the worst payoff, and splits at
+    0 and n."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.sampled_from([None, 1, 3, 7]))
+    horizon = draw(st.integers(1, 40))
+    # The warmup may end at any step of the run, or after it.
+    schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.05,
+                                t_warm=draw(st.integers(0, horizon)))
+    config = RouterConfig(epsilon=draw(st.sampled_from([0.08, 0.25])),
+                          alpha=draw(st.sampled_from([0.5, 0.9])),
+                          grid=ThresholdGrid(values=np.linspace(0.0, 1.0, n)),
+                          schedule=schedule)
+    fixed_wager = None
+    if draw(st.booleans()):
+        worst = max(payoff_bound(config.epsilon, schedule.rho_min, r)
+                    for r in schedule.emitted_rates())
+        fixed_wager = draw(st.floats(0.0, 0.99 / worst))
+    split = st.one_of(st.just(0), st.just(n), st.integers(0, n))
+    plan = []
+    for t in range(1, horizon + 1):
+        top = (1.0 - schedule.rho_min) / rho_at(schedule, t)
+        charge = st.one_of(st.just(0.0), st.floats(0.0, config.epsilon), st.just(top),
+                           st.floats(0.0, top))
+        row = []
+        for _ in range(rows or 1):
+            # Most splits pay epsilon everywhere, so wealth can clear the bar.
+            low = config.epsilon - draw(charge) if draw(st.booleans()) else config.epsilon
+            row.append((draw(split), low))
+        plan.append(row)
+    return config, fixed_wager, rows, plan
+
+
+def gap_moves_back(rows):
+    """Every row certifies the whole grid on uncharged steps; at step 12 a
+    charge from grid point 1 on moves row 0's gap back from 5 to 1."""
+    schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.05, t_warm=20)
+    config = RouterConfig(epsilon=0.25, alpha=0.5, schedule=schedule,
+                          grid=ThresholdGrid(values=np.linspace(0.0, 1.0, 5)))
+    plan = [[(5, 0.25)] * (rows or 1) for _ in range(30)]
+    plan[11][0] = (1, 0.25 - 0.95 / 0.7)
+    return config, None, rows, plan
+
+
+@settings(deadline=None)
+@given(case=gap_cases())
+@example(case=gap_moves_back(None))
+@example(case=gap_moves_back(3))
+def test_carried_gap_equals_a_scan_of_the_whole_grid(case):
+    """After every settle, the gap the table carries, and the index it
+    selects, equal a fresh scan of its log-wealth."""
+    config, fixed_wager, rows, plan = case
+    table = AccountTable(config, rows, fixed_wager=fixed_wager)
+    bar = -math.log(config.alpha)
+    for t, splits in enumerate(plan, start=1):
+        if rows is None:
+            (k, low), = splits
+        else:
+            k, low = [k for k, _ in splits], [low for _, low in splits]
+        table.settle(k, low, rho_at(config.schedule, t))
+        log_wealth = table.accounts.log_wealth
+        assert np.atleast_1d(table._gap).tolist() == first_gaps(log_wealth, bar)
+        if rows is None:
+            assert table.select() == fixed_sequence_index(log_wealth, bar)
+        else:
+            assert np.array_equal(table.select(), fixed_sequence_rows(log_wealth.T, bar))
+
+
+def test_a_gap_that_never_moves_back_fails(monkeypatch):
+    """A mutant carry that ignores charges fails the property."""
+    move_gap, move_gaps = AccountTable._move_gap, AccountTable._move_gaps
+    monkeypatch.setattr(AccountTable, "_move_gap",
+                        lambda table, k, low, a: move_gap(table, k, abs(low), a))
+    monkeypatch.setattr(AccountTable, "_move_gaps",
+                        lambda table, charged, splits: move_gaps(table, [], []))
+    with pytest.raises(AssertionError):
+        test_carried_gap_equals_a_scan_of_the_whole_grid()

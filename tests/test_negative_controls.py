@@ -17,6 +17,13 @@ exact audit recomputes every settled wager from the previous step's sums
 with the reference ``adaptive_lambda`` and compares the bits, on a serial
 run and on lockstep lanes, and a mutant that peeks at the current payoff
 must fail it.
+
+Control (iv), the no-prefix rule (deploy the largest threshold whose own
+account clears the bar), is pinned where it must agree with
+fixed-sequence: under a fixed wager every account bets the same amount,
+payoffs never increase along the grid and ``log1p`` is monotone, so
+log-wealth never increases along the grid and the accounts that clear the
+bar form a prefix.
 """
 
 import math
@@ -25,8 +32,10 @@ import numpy as np
 import pytest
 
 import bpac.engine
-from bpac import RouterConfig, easy_hard, mc_safety, run_replication, uniform_linear
+from bpac import (LossGate, RouterConfig, RouterState, easy_hard, mc_safety,
+                  run_replication, step, uniform_linear)
 from bpac.engine import AccountTable, ThresholdAccount, adaptive_lambda, payoff_bound
+from bpac.simulation import stream_events
 
 CONFIG = RouterConfig()
 HORIZON, N_REPS = 2000, 100
@@ -148,3 +157,23 @@ def test_audit_catches_a_wager_that_peeks(study, peeking_wager, monkeypatch):
     audit_wagers(monkeypatch)
     with pytest.raises(AssertionError, match="differs from the reference"):
         study()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fixed_wager_no_prefix_rule_equals_fixed_sequence(seed):
+    """(iv): at a fixed wager of 0.02 both rules deploy the same index at
+    every step. At epsilon 0.2 the run certifies thresholds within 1000
+    steps and deploys more than one of them, so the agreement is not the
+    trivial one at index 0."""
+    config = RouterConfig(epsilon=0.2)
+    stream, coin = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    state = RouterState.fresh(config, rng=coin, fixed_wager=0.02)
+    gate, bar, deployed = LossGate(), -math.log(config.alpha), set()
+    for obs in stream_events(uniform_linear(), stream, 1000):
+        step(state, obs, gate)
+        log_wealth = state.accounts.log_wealth
+        assert np.all(np.diff(log_wealth) <= 0.0)
+        clear = np.flatnonzero(log_wealth >= bar)
+        assert state.deployed_index == (int(clear[-1]) if clear.size else 0)
+        deployed.add(state.deployed_index)
+    assert len(deployed) > 2

@@ -1,6 +1,8 @@
 """The scripts under ``scripts/`` run end to end as subprocesses."""
 
+import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,9 @@ from pathlib import Path
 import pytest
 
 import bpac
+from bpac.engine import AccountTable
+from bpac.simulation import (LinearLoss, StreamSegment, SyntheticStreamSpec, UniformScore,
+                             spec_to_dict)
 
 REPO = Path(__file__).resolve().parents[1]
 REGRET_STUDY = REPO / "scripts" / "regret_study.py"
@@ -46,3 +51,27 @@ def test_regret_study_refuses_bad_input(flags):
     assert out.returncode == 2
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
+
+
+def test_regret_study_refuses_a_horizon_past_its_stream_before_settling(
+        tmp_path, monkeypatch, capsys):
+    """A spec file of 100 steps and a largest horizon of 200 exit 2 with the
+    reason, and no account is settled first. Run in process, so the
+    settlements can be counted."""
+    spec = SyntheticStreamSpec(segments=(StreamSegment(length=100, score=UniformScore(),
+                                                       loss=LinearLoss()),),
+                               name="short")
+    spec_file = tmp_path / "short.json"
+    spec_file.write_text(json.dumps(spec_to_dict(spec)))
+    settled, settle = [], AccountTable.settle
+    monkeypatch.setattr(AccountTable, "settle",
+                        lambda table, *args: settled.append(args) or settle(table, *args))
+    monkeypatch.setattr(sys, "argv", [str(REGRET_STUDY), "--spec", str(spec_file),
+                                      "--n-streams", "5", "--horizons", "50,200"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(REGRET_STUDY), run_name="__main__")
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "horizon 200 exceeds the stream's total length 100" in out.err
+    assert settled == []

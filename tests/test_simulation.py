@@ -957,6 +957,20 @@ class TestPinnedStudy:
         with pytest.raises(ValueError, match="at least 1"):
             pinned_threshold_study(uniform_linear(), 0.3, RouterConfig(), horizon, n_reps)
 
+    def test_horizon_past_a_bounded_stream_is_refused_before_any_settle(self, monkeypatch):
+        """``check_run``'s horizon check refuses the study before its first step."""
+        settled, settle = [], AccountTable.settle
+        monkeypatch.setattr(AccountTable, "settle",
+                            lambda table, *args: settled.append(args) or settle(table, *args))
+        spec = SyntheticStreamSpec(segments=(StreamSegment(length=100, score=UniformScore(),
+                                                           loss=LinearLoss()),),
+                                   name="short")
+        with pytest.raises(StreamExhausted, match="horizon 200 exceeds .* total length 100"):
+            pinned_threshold_study(spec, 0.3, RouterConfig(), 200, 50)
+        assert len(settled) == 0
+        pinned_threshold_study(spec, 0.3, RouterConfig(), 100, 5)
+        assert len(settled) == 100
+
     def test_shapes_and_recording(self):
         out = pinned_threshold_study(uniform_linear(), 0.3, RouterConfig(),
                                      horizon=120, n_reps=40, base_seed=0)
