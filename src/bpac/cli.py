@@ -112,21 +112,37 @@ def _comma_list(convert):
     return parse
 
 
-def _seed_list(text: str) -> list[int]:
-    """argparse type for ``--seeds``: distinct non-negative integers, comma-separated.
+def _distinct(values: list, names: list, what: str) -> list:
+    """``values``, unless two of them have one name: they would run one case
+    twice, and the second's files would overwrite the first's."""
+    first: dict[Any, Any] = {}
+    for value, name in zip(values, names):
+        if name in first:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be distinct, got {first[name]!r} and {value!r}")
+        first[name] = value
+    return values
 
-    A repeated seed would run and count one replication twice, and its
-    second trajectory file would overwrite the first.
-    """
+
+def _seed_list(text: str) -> list[int]:
+    """argparse type for ``--seeds``: distinct non-negative integers, comma-separated."""
     seeds = _comma_list(int)(text)
-    seen: set[int] = set()
     for seed in seeds:
         if seed < 0:
             raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {seed}")
-        if seed in seen:
-            raise argparse.ArgumentTypeError(f"seeds must be distinct, got {seed} twice")
-        seen.add(seed)
-    return seeds
+    return _distinct(seeds, seeds, "seeds")
+
+
+def _epsilon_folder(eps: float) -> str:
+    """The ``sweep`` cell of risk budget ``eps``, and its folder under ``--out``."""
+    return f"epsilon_{eps:g}"
+
+
+def _epsilon_list(text: str) -> list[float]:
+    """argparse type for ``--epsilons``: budgets with distinct ``_epsilon_folder`` names."""
+    epsilons = _comma_list(float)(text)
+    return _distinct(epsilons, list(map(_epsilon_folder, epsilons)),
+                     "epsilons to 6 significant digits")
 
 
 def _ensure_out(path: Path) -> Path:
@@ -277,9 +293,9 @@ def cmd_sweep(args) -> int:
     spec = load_stream_spec(args.spec)
     method = parse_method(args.method)
     seeds = _resolve_seeds(args, base_config)
-    cells = [Cell(f"epsilon_{eps:g}", method,
+    cells = [Cell(_epsilon_folder(eps), method,
                   validate_config(dataclasses.replace(base_config, epsilon=eps)),
-                  args.fixed_wager, f"epsilon_{eps:g}")
+                  args.fixed_wager, _epsilon_folder(eps))
              for eps in args.epsilons]
     blocks = _run_plan(args, cells, spec, seeds, hoeff_variant=args.hoeff_variant)
     return _finish(args, {
@@ -356,8 +372,11 @@ def cmd_ablate(args) -> int:
     exceed = {cell.name: 0 for cell in cells}
 
     def fold(cell: Cell, traj) -> None:
-        risky = traj.deploy_risk if spec.is_iid else traj.weighted_risk
-        if np.any(risky > cell.config.epsilon):
+        # A run has a deployed risk on a single-segment stream and a
+        # weighted risk on any other; the other column is NaN, which
+        # exceeds no budget.
+        eps = cell.config.epsilon
+        if np.any(traj.deploy_risk > eps) or np.any(traj.weighted_risk > eps):
             exceed[cell.name] += 1
 
     blocks = _run_plan(args, cells, spec, seeds, fold)
@@ -458,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream_flags(p, 2000, least_horizon=1)
     method_flags(p)
     seed_flags(p)
-    p.add_argument("--epsilons", type=_comma_list(float), default="0.05,0.08,0.1",
+    p.add_argument("--epsilons", type=_epsilon_list, default="0.05,0.08,0.1",
                    help="comma-separated risk budgets")
     p.set_defaults(func=cmd_sweep)
 

@@ -29,11 +29,8 @@ positive only on a prefix ``[0, a)`` and exactly 0 past it, where
 ``log1p(0 * payoff)`` is a signed zero and leaves log-wealth bit-for-bit
 unchanged. Skipping those accounts changes no bit of the result.
 
-The single-run path takes three more shortcuts, each exact:
+The single-run path takes two more shortcuts, each exact:
 
-- The split ``k = bisect_right(grid, score)`` makes the same ``<``
-  comparisons as ``searchsorted(grid, score, "right")`` for a finite
-  score, and ``route`` rejects every other score first.
 - A step whose payoff is the same on both sides of the split (a cheap
   step, or an escalation that observed loss 0) settles as ``k = n``.
 - Every wager is at most ``cap / m_t``, or exactly the fixed wager, and
@@ -66,15 +63,13 @@ So ``select`` costs O(1) for fixed-sequence; mixture selection scans the
 whole grid every step.
 
 ``route_lanes`` routes R lanes of a Monte Carlo study (``mc_safety``) on
-numbers drawn ahead of time, a chunk of steps at once, and is exact too:
-
-- numpy's ``Generator.random(m)`` returns the same doubles as m calls of
-  ``random()``, so a lane's coin draws for a chunk are one call, and a
-  stream segment that draws a score and a loss coin per event, and
-  nothing else, is one ``random(2 * m)`` call.
-- ``searchsorted(grid, scores, "right")`` over a chunk gives each finite
-  score the split ``bisect_right`` gives it, and ``route_lanes`` rejects
-  a non-finite score before its coin or its split is read.
+numbers drawn ahead of time, a chunk of steps at once, and is exact too.
+numpy's ``Generator.random(m)`` returns the same doubles as m calls of
+``random()``, so a lane's coin draws for a chunk are one call, and a
+stream segment that draws a score and a loss coin per event, and nothing
+else, is one ``random(2 * m)`` call. Each lane routes against the grid
+point its row deployed and splits the grid with ``bisect_right``, as
+``route`` does, so the routing rules are written here and only here.
 """
 
 from __future__ import annotations
@@ -130,7 +125,7 @@ class Decision:
 
 @dataclass
 class ThresholdAccount:
-    """Betting state for candidate thresholds.
+    """Reference betting state for ``adaptive_lambda`` and ``update_account``.
 
     Fields hold plain floats for a single account, or aligned arrays for
     one account per grid point. ``sum_payoff`` and ``sum_payoff_sq`` feed
@@ -257,14 +252,8 @@ def update_account(account: ThresholdAccount, lam, payoff) -> ThresholdAccount:
     return account
 
 
-def _mixture_index(log_wealth: np.ndarray, log_bars: np.ndarray) -> int:
-    """Largest index clearing its own bar 1 / (alpha * mass); 0 when none do."""
-    hits = np.flatnonzero(log_wealth >= log_bars)
-    return int(hits[-1]) if hits.size else 0
-
-
 def _mixture_rows(log_wealth: np.ndarray, log_bars: np.ndarray) -> np.ndarray:
-    """``_mixture_index`` of every column of a (G, R) wealth table."""
+    """Per column of a (G, R) wealth table, the last index clearing its own bar; 0 if none."""
     hits = log_wealth >= log_bars[:, None]
     last = hits.shape[0] - 1 - hits[::-1].argmax(axis=0)
     return np.where(hits[last, np.arange(last.size)], last, 0)
@@ -285,17 +274,18 @@ def check_fixed_wager(config: RouterConfig, fixed_wager: float | None) -> None:
 class AccountTable:
     """Betting accounts on one grid, settled by one kernel.
 
-    ``accounts`` holds G-point arrays for a single run (``rows`` None, as
-    in ``RouterState``), or (R, G) arrays with one row per run, which is
-    how ``simulation`` advances Monte Carlo replications in lockstep.
-    Every row shares the config, so the grid, the bars and any fixed
-    wager. The (R, G) arrays are transposed views of grid-major storage,
-    so the live prefix of every row together is one contiguous block.
-    ``sum_payoff`` and ``sum_payoff_sq`` are the two halves of one array,
-    so one add settles both. ``settle`` writes the step's wagers into a
-    spare buffer and swaps it with ``accounts.last_lambda`` once every
-    row is known to survive, so a wager array read from ``accounts`` is
-    only valid until the next step; copy it to keep it.
+    ``log_wealth``, ``sum_payoff``, ``sum_payoff_sq`` and ``last_lambda``
+    are G-point arrays for a single run (``rows`` None, as in
+    ``RouterState``), or (R, G) arrays with one row per run, which is how
+    ``simulation`` advances Monte Carlo replications in lockstep. Every
+    row shares the config, so the grid, the bars and any fixed wager. The
+    (R, G) arrays are transposed views of grid-major storage, so the live
+    prefix of every row together is one contiguous block. ``sum_payoff``
+    and ``sum_payoff_sq`` are the two halves of one array, so one add
+    settles both. ``settle`` writes the step's wagers into a spare buffer
+    and rebinds ``last_lambda`` to it once every row is known to survive,
+    so a ``last_lambda`` array is only valid until the next step; copy it
+    to keep it.
     """
 
     def __init__(self, config: RouterConfig, rows: int | None = None, *,
@@ -312,11 +302,9 @@ class AccountTable:
         self.fixed_wager = fixed_wager
         self.cap = config.betting_cap
         self.mixture = config.selection_mode is SelectionMode.MIXTURE
-        if self.mixture:
-            self.log_bars: float | np.ndarray = -(math.log(config.alpha)
-                                                  + np.log(config.prior.mass))
-        else:
-            self.log_bars = -math.log(config.alpha)
+        # The bar 1 / alpha, divided by each point's prior mass under mixture.
+        self.log_bars = -(math.log(config.alpha)
+                          + (np.log(config.prior.mass) if self.mixture else 0.0))
         n = config.grid.n
         shape = (n,) if rows is None else (n, rows)
         # Grid point n is a sentinel at -inf, below every bar, so every
@@ -337,9 +325,8 @@ class AccountTable:
         else:
             self._pay = np.empty(shape)
             self._positive = np.empty(shape, dtype=bool)
-        self.accounts = ThresholdAccount(log_wealth=self._lw.T, sum_payoff=self._s1.T,
-                                         sum_payoff_sq=self._s2.T,
-                                         last_lambda=self._lam.T)
+        self.log_wealth, self.sum_payoff = self._lw.T, self._s1.T
+        self.sum_payoff_sq, self.last_lambda = self._s2.T, self._lam.T
         # Grid points [0, extent) of a wager buffer may be nonzero: the live
         # prefix it was last written with, or n for a fixed wager.
         self._extent = 0
@@ -368,6 +355,7 @@ class AccountTable:
             self._settle_run(k, high, low, m_t)
         else:
             self._settle_rows(k, high, low, m_t)
+        self.last_lambda = self._lam.T
 
     def _settle_run(self, k: int, high: float, low: float, m_t: float) -> None:
         """``settle`` for a single run, one numpy call per array job."""
@@ -407,7 +395,6 @@ class AccountTable:
         else:
             np.multiply(wagers, high, growth)
         self._spare, self._lam = self._lam, lam
-        self.accounts.last_lambda = lam
         self._spare_extent, self._extent = self._extent, a
 
         np.log1p(growth, growth)
@@ -479,7 +466,6 @@ class AccountTable:
             if worst <= -1.0:
                 raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
         self._spare, self._lam = self._lam, lam
-        self.accounts.last_lambda = lam.T
         self._spare_extent, self._extent = self._extent, a
 
         np.log1p(growth, out=growth)
@@ -512,16 +498,16 @@ class AccountTable:
         """Deployed grid index under the config's selection rule, per row.
 
         Fixed-sequence deploys the point before each row's gap, or 0 when
-        the gap is at 0; mixture scans the whole grid.
+        the gap is at 0; mixture scans the whole grid, a single run's as a
+        one-column table.
         """
         lw = self._lw
-        if lw.ndim == 1:
-            if self.mixture:
-                return _mixture_index(lw, self.log_bars)
+        if lw.ndim == 1 and not self.mixture:
             return max(self._gap - 1, 0)
-        if self.mixture:
-            return _mixture_rows(lw, self.log_bars)
-        return np.maximum(self._gap - 1, 0)
+        if not self.mixture:
+            return np.maximum(self._gap - 1, 0)
+        deployed = _mixture_rows(lw.reshape(len(lw), -1), self.log_bars)
+        return deployed if lw.ndim == 2 else int(deployed[0])
 
 
 @dataclass
@@ -551,10 +537,6 @@ class RouterState:
         validate_config(config)
         return cls(config=config, rng=coin_generator(config, rng),
                    table=AccountTable(config, fixed_wager=fixed_wager))
-
-    @property
-    def accounts(self) -> ThresholdAccount:
-        return self.table.accounts
 
     @property
     def deployed_threshold(self) -> float:
@@ -587,30 +569,30 @@ def route(obs: StreamObservation, threshold_used: float, rho_t: float,
     return pi, 1, observed, bisect_right(config.grid.grid_list, obs.uncertainty), low
 
 
-def route_lanes(t: int, scores: list[float], draws: list[float], splits: list[int],
-                thresholds: list[float], rho_t: float, gates: list[LossGate],
+def route_lanes(t: int, scores: list[float], draws: list[float], deployed: list[int],
+                rho_t: float, gates: list[LossGate],
                 config: RouterConfig) -> tuple[list[int], list[int], list[float]]:
     """``route`` for R lanes at step ``t``, on numbers drawn ahead of time.
 
-    Lane r routes ``scores[r]`` against ``thresholds[r]``. ``draws[r]`` is
-    the ``random()`` its coin generator gives at this step, ``splits[r]``
-    is ``searchsorted(grid, scores[r], "right")``, and ``gates[r]`` holds
-    its latent loss for step ``t``, read only if the lane escalated.
-    Returns each lane's coin and its split ``k, low`` as in ``route``,
-    bit for bit, and makes ``route``'s checks; a failed check names the
-    lane and the step.
+    Lane r routes ``scores[r]`` against its deployed grid point
+    ``deployed[r]``. ``draws[r]`` is the ``random()`` its coin generator
+    gives at this step, and ``gates[r]`` holds its latent loss for step
+    ``t``, read only if the lane escalated. Returns each lane's coin and
+    its split ``k, low`` as in ``route``, bit for bit, and makes
+    ``route``'s checks; a failed check names the lane and the step.
     """
+    grid = config.grid.grid_list
     lanes = len(scores)
     coins, k, low = [0] * lanes, [config.grid.n] * lanes, [config.epsilon] * lanes
-    for lane, (score, draw, used) in enumerate(zip(scores, draws, thresholds)):
+    for lane, (score, draw, index) in enumerate(zip(scores, draws, deployed)):
         if not math.isfinite(score):
             raise InvalidObservation(
                 f"uncertainty score {score!r} {_at(t, lane)} is not finite")
-        pi = propensity(score, used, rho_t)
+        pi = propensity(score, grid[index], rho_t)
         if draw >= pi:
             continue
         observed = gates[lane].reveal(t, 1)
-        coins[lane], k[lane], low[lane] = 1, splits[lane], _escalation_low(
+        coins[lane], k[lane], low[lane] = 1, bisect_right(grid, score), _escalation_low(
             observed, pi, rho_t, config, t, lane)
     return coins, k, low
 

@@ -475,19 +475,13 @@ class RiskTracker:
             self.weight_sum = np.zeros(shape).T
             self.weighted_risk_sum = np.zeros(shape).T
 
-    def risk_vector(self, t: int) -> np.ndarray:
-        seg_idx = self.spec.segment_index_at(t)
-        rho_t = rho_at(self.schedule, t)
-        key = (seg_idx, rho_t)
-        cached = self._risk_cache.get(key)
-        if cached is None:
-            cached = self._risk_cache[key] = _segment_risk(
-                self.spec.segments[seg_idx], self.grid_values, rho_t)
-        return cached
-
     def absorb(self, t: int, wagers: np.ndarray | None = None) -> np.ndarray:
         """Fold step t into the running sums; returns r_t over the grid."""
-        r = self.risk_vector(t)
+        seg, rho_t = self.spec.segment_index_at(t), rho_at(self.schedule, t)
+        r = self._risk_cache.get((seg, rho_t))
+        if r is None:
+            r = self._risk_cache[seg, rho_t] = _segment_risk(self.spec.segments[seg],
+                                                             self.grid_values, rho_t)
         self.steps += 1
         self.risk_sum += r
         if self.weighted:
@@ -585,16 +579,26 @@ class Trajectory:
 _COLUMNS = tuple(f.name for f in fields(Trajectory) if f.type == "np.ndarray")
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer, numpy's included, of at least ``least``."""
+    try:
+        return operator.index(value) >= least
+    except TypeError:
+        return False
+
+
 def check_run(method: Method, config: RouterConfig, spec: SyntheticStreamSpec | None,
               horizon: int | None, fixed_wager: float | None) -> None:
     """Refuse a run before it starts: a config that fails ``validate_config``
     (``ConfigError``), then a fixed wager on a baseline, then an infeasible
-    fixed wager, then a horizon past a bounded ``spec`` (None for a
-    recorded trace)."""
+    fixed wager, then a horizon that is not an integer >= 0 or is past a
+    bounded ``spec`` (None for a recorded trace, whose horizon is None)."""
     validate_config(config)
     if fixed_wager is not None and method is not Method.BPAC:
         raise ValueError("a fixed wager replaces the betting wager; engine runs only")
     check_fixed_wager(config, fixed_wager)
+    if spec is not None and not _is_count(horizon, 0):
+        raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
     if spec is not None and spec.total_length is not None and horizon > spec.total_length:
         raise StreamExhausted(
             f"horizon {horizon} exceeds the stream's total length {spec.total_length}")
@@ -670,7 +674,7 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
         er.append(acc.er)
         if tracker is not None:
             if tracker.weighted:
-                r_vec = tracker.absorb(obs.index, state.accounts.last_lambda)
+                r_vec = tracker.absorb(obs.index, state.table.last_lambda)
                 weighted_risk.append(tracker.weighted_risk_at(idx))
             else:
                 r_vec = tracker.absorb(obs.index)
@@ -679,7 +683,7 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
             # current threshold, the companion readout to weighted_risk
             mean_cond_risk.append(tracker.risk_sum.item(idx) / tracker.steps)
         if snap_every and obs.index % snap_every == 0:
-            snapshots.append((obs.index, state.accounts.log_wealth.copy()))
+            snapshots.append((obs.index, state.table.log_wealth.copy()))
 
     n = len(xi)
     deployed = np.array(deployed, dtype=np.intp)
@@ -804,11 +808,10 @@ def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
 
     Every ``DRAW_CHUNK`` steps, each lane draws its scores and latent
     losses (``_draw``) and its coin draws for the chunk up front and puts
-    the losses behind its gate, and one call splits the grid at every
-    score. Each step then routes every lane with ``route_lanes``, settles
-    every row in one kernel call and certifies each row's threshold.
+    the losses behind its gate. Each step then routes every lane from its
+    row's deployed index with ``route_lanes``, settles every row in one
+    kernel call and certifies each row's threshold.
     """
-    grid_values, schedule = config.grid.values, config.schedule
     deployed = np.zeros(len(gates), dtype=np.intp)
     for start in range(1, horizon + 1, DRAW_CHUNK):
         stop = min(start + DRAW_CHUNK, horizon + 1)
@@ -816,14 +819,12 @@ def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
         for stream, gate, row in zip(streams, gates, scores):
             row[:], losses, _ = _draw(spec, stream, start, stop)
             gate.hold(start, losses.tolist())
-        splits = grid_values.searchsorted(scores, "right")
         draws = np.array([coin.random(stop - start) for coin in coins])
-        for t, lane_scores, lane_draws, lane_splits in zip(
-                range(start, stop), scores.T.tolist(), draws.T.tolist(), splits.T.tolist()):
-            rho_t = rho_at(schedule, t)
-            escalated, k, low = route_lanes(t, lane_scores, lane_draws, lane_splits,
-                                            grid_values[deployed].tolist(), rho_t, gates,
-                                            config)
+        for t, lane_scores, lane_draws in zip(range(start, stop), scores.T.tolist(),
+                                              draws.T.tolist()):
+            rho_t = rho_at(config.schedule, t)
+            escalated, k, low = route_lanes(t, lane_scores, lane_draws, deployed.tolist(),
+                                            rho_t, gates, config)
             table.settle(k, low, rho_t)
             deployed = table.select()
             yield t, deployed, escalated
@@ -876,7 +877,7 @@ def _lockstep_violated(args) -> list[bool]:
     for t, deployed, escalated in lanes:
         escalations = list(map(operator.add, escalations, escalated))
         if criterion == "weighted":
-            tracker.absorb(t, table.accounts.last_lambda)
+            tracker.absorb(t, table.last_lambda)
             violated |= tracker.weighted_risk_at(deployed) > eps
         else:
             violated |= unsafe[deployed]
@@ -904,13 +905,14 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
     spreads the blocks over a process pool of at most ``workers``
     processes, and never more than the blocks or the CPUs. A block whose
     gates did not open exactly once per escalation raises
-    ``LossGateViolation``; an empty study (``horizon`` or ``n_reps`` below
-    1) raises ``ValueError``, and ``check_run`` refuses before the criterion.
+    ``LossGateViolation``; a ``horizon`` or ``n_reps`` that is not an
+    integer >= 1 raises ``ValueError``, and ``check_run`` refuses before
+    the criterion.
     """
     method = parse_method(method)
-    if horizon < 1 or n_reps < 1:
-        raise ValueError(f"a coverage study needs horizon >= 1 and n_reps >= 1, "
-                         f"got {horizon} and {n_reps}")
+    if not (_is_count(horizon, 1) and _is_count(n_reps, 1)):
+        raise ValueError(f"a coverage study needs integers horizon >= 1 and n_reps >= 1, "
+                         f"got {horizon!r} and {n_reps!r}")
     check_run(method, config, spec, horizon, fixed_wager)
     criterion = _safety_criterion(method, spec, criterion)
 
@@ -960,16 +962,17 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
     Raises ``ConfigError`` for an invalid config, ``StreamExhausted`` for a
     horizon past a bounded spec's total length (both by ``check_run``), and
     ``ValueError`` for a threshold outside [0, 1] (NaN included) or a
-    horizon or replication count below 1, before any draw.
+    horizon or replication count that is not an integer >= 1, before any draw.
     """
     check_run(Method.BPAC, config, spec, horizon, None)
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be a finite number in [0, 1], got {threshold!r}")
-    if horizon < 1 or n_reps < 1:
-        raise ValueError(f"horizon and n_reps must be at least 1, got {horizon} and {n_reps}")
+    if not (_is_count(horizon, 1) and _is_count(n_reps, 1)):
+        raise ValueError(f"horizon and n_reps must be integers at least 1, "
+                         f"got {horizon!r} and {n_reps!r}")
     rng = np.random.default_rng(np.random.SeedSequence(base_seed))
     table = AccountTable(replace(config, grid=ThresholdGrid([threshold])), n_reps)
-    log_wealth = table.accounts.log_wealth[:, 0]
+    log_wealth = table.log_wealth[:, 0]
     bar = -math.log(config.alpha)
     crossed = np.zeros(n_reps, dtype=bool)
     payoffs = np.empty((horizon, n_reps))

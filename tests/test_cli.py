@@ -354,6 +354,21 @@ class TestErrorPaths:
         assert "distinct" in stderr_error(err)["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("epsilons", ["0.0800001,0.08000012", "0.05,0.05",
+                                          "0.1,0.05,0.10"])
+    def test_epsilons_sharing_a_folder_exit_invalid(self, tmp_path, epsilons):
+        """``sweep`` names each cell's folder by its budget to 6 significant
+        digits, so two budgets with one name would write one folder twice."""
+        out = tmp_path / "x"
+        code, stdout, err = run_cli("sweep", "--out", str(out), "--horizon", "5",
+                                    "--n-seeds", "1", "--epsilons", epsilons)
+        assert code == EXIT_INVALID
+        assert stdout == ""
+        assert stderr_error(err)["kind"] == "args"
+        assert stderr_error(err)["key"] == "--epsilons"
+        assert "epsilons to 6 significant digits must be distinct" in stderr_error(err)["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         "simulate --seeds -1", "simulate --seeds 2,-1", "sweep --seeds -1",
         "compare --seeds -1", "ablate --preset lambda --seeds -1",

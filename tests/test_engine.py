@@ -30,7 +30,7 @@ from bpac import (
     uniform_linear,
     update_account,
 )
-from bpac.engine import AccountTable, _mixture_index, route, route_lanes
+from bpac.engine import AccountTable, _mixture_rows, route, route_lanes
 from reference import account_table, fixed_sequence_index, fixed_sequence_rows, ips_payoff
 
 EPS = 0.08
@@ -175,6 +175,11 @@ class TestSelectors:
     def mixture_bars(self, mass):
         return -(math.log(0.1) + np.log(np.asarray(mass, dtype=float)))
 
+    def mixture_index(self, log_wealth, bars):
+        """``_mixture_rows`` of a single run, as a one-column table."""
+        [index] = _mixture_rows(log_wealth[:, None], bars)
+        return index
+
     def test_prefix_stops_at_first_gap(self):
         assert fixed_sequence_index(self.log_wealth([12, 15, 9, 20, 3]), self.BAR) == 1
 
@@ -187,16 +192,16 @@ class TestSelectors:
     def test_mixture_ignores_gaps(self):
         # uniform prior: per-point bar 1/(0.1 * 0.2) = 50
         bars = self.mixture_bars(np.full(5, 0.2))
-        assert _mixture_index(self.log_wealth([60, 40, 55, 20, 10]), bars) == 2
+        assert self.mixture_index(self.log_wealth([60, 40, 55, 20, 10]), bars) == 2
 
     def test_mixture_nothing_qualified(self):
         bars = self.mixture_bars(np.full(5, 0.2))
-        assert _mixture_index(self.log_wealth([1, 1, 1, 1, 1]), bars) == 0
+        assert self.mixture_index(self.log_wealth([1, 1, 1, 1, 1]), bars) == 0
 
     def test_mixture_prior_mass_lowers_the_bar(self):
         # bar at the last point is 1/(0.1 * 0.9) = 11.11 < 12
         bars = self.mixture_bars([0.025, 0.025, 0.025, 0.025, 0.9])
-        assert _mixture_index(self.log_wealth([1, 1, 1, 1, 12]), bars) == 4
+        assert self.mixture_index(self.log_wealth([1, 1, 1, 1, 12]), bars) == 4
 
 
 class TestStep:
@@ -230,7 +235,7 @@ class TestStep:
             step(direct, obs, LossGate())
             step(fresh, obs, LossGate())
             assert direct.deployed_index == fresh.deployed_index
-        assert np.array_equal(direct.accounts.log_wealth, fresh.accounts.log_wealth)
+        assert np.array_equal(direct.table.log_wealth, fresh.table.log_wealth)
 
     def test_gate_blocks_unescalated_reads(self):
         gate = LossGate()
@@ -256,9 +261,9 @@ class TestStep:
         state.deployed_index = constant_config.grid.n - 1
         rng_draws = 0
         for t in range(1, 60):
-            before = np.array(state.accounts.sum_payoff, copy=True)
+            before = np.array(state.table.sum_payoff, copy=True)
             decision, state = step(state, make_obs(t, 0.5, 1.0), gate)
-            after = np.array(state.accounts.sum_payoff)
+            after = np.array(state.table.sum_payoff)
             if decision.coin == 0:
                 assert np.allclose(after - before, constant_config.epsilon)
                 rng_draws += 1
@@ -288,7 +293,7 @@ class TestStep:
                            config.epsilon)
             update_account(shadow, lam, d)
             for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda"):
-                assert getattr(state.accounts, name)[idx] == getattr(shadow, name), name
+                assert getattr(state.table, name)[idx] == getattr(shadow, name), name
 
     def test_threshold_never_exceeds_prefix_rule(self, default_config, uniform_spec):
         state = RouterState.fresh(default_config)
@@ -297,7 +302,7 @@ class TestStep:
         bar = -math.log(default_config.alpha)
         for t in range(1, 301):
             _, state = step(state, generate_event(uniform_spec, rng, t), gate)
-            lw = np.asarray(state.accounts.log_wealth)
+            lw = np.asarray(state.table.log_wealth)
             k = state.deployed_index
             if k > 0:
                 assert np.all(lw[:k + 1] >= bar)
@@ -319,7 +324,7 @@ class TestStep:
         state = RouterState.fresh(default_config, fixed_wager=0.05)
         gate = LossGate()
         _, state = step(state, make_obs(1, 0.9, 0.0), gate)
-        assert np.allclose(np.asarray(state.accounts.last_lambda), 0.05)
+        assert np.allclose(np.asarray(state.table.last_lambda), 0.05)
 
     def test_unsorted_grid_rejected(self):
         # The live-prefix settlement relies on a strictly increasing grid.
@@ -357,8 +362,8 @@ class TestInvalidObservation:
         assert state.deployed_threshold == 0.0
         assert gate.access_count == 0
         assert state.rng.bit_generator.state == coins
-        assert not np.any(state.accounts.log_wealth)
-        assert not np.any(state.accounts.sum_payoff)
+        assert not np.any(state.table.log_wealth)
+        assert not np.any(state.table.sum_payoff)
 
     @pytest.mark.parametrize("loss", [1.5, -0.1, math.nan])
     def test_loss_outside_unit_interval_rejected_before_settling(self, default_config,
@@ -370,8 +375,8 @@ class TestInvalidObservation:
             step(state, make_obs(1, 0.5, loss), gate)
         assert gate.access_count == 1
         assert state.t == 0
-        assert not np.any(state.accounts.sum_payoff)
-        assert not np.any(state.accounts.log_wealth)
+        assert not np.any(state.table.sum_payoff)
+        assert not np.any(state.table.log_wealth)
 
     def test_score_above_one_always_escalates_and_pays_epsilon(self, constant_config):
         state = RouterState.fresh(constant_config)
@@ -381,7 +386,7 @@ class TestInvalidObservation:
             decision, state = step(state, make_obs(t, 1.7, 1.0), gate)
             assert decision.propensity == 1.0
             assert decision.coin == 1
-        sums = state.accounts.sum_payoff
+        sums = state.table.sum_payoff
         assert np.all(sums == sums[0])
         assert sums[0] == pytest.approx(29 * EPS)
         assert gate.access_count == 29
@@ -391,14 +396,14 @@ class TestInvalidObservation:
         gate = LossGate()
         escalated = 0
         for t in range(1, 200):
-            before = state.accounts.sum_payoff.copy()
+            before = state.table.sum_payoff.copy()
             decision, state = step(state, make_obs(t, -0.3, 1.0), gate)
             assert decision.propensity == 0.05
             if decision.coin == 1:
                 escalated += 1
                 charge = ips_payoff(1.0, 1, 0.05, -0.3, 0.0, RHO_MIN, EPS)
                 assert charge < 0
-                assert np.all(state.accounts.sum_payoff == before + charge)
+                assert np.all(state.table.sum_payoff == before + charge)
         assert escalated > 0
 
 
@@ -439,8 +444,9 @@ LANE_CONFIG = RouterConfig(grid=ThresholdGrid.from_step(step=0.125),
                            schedule=ConstantSchedule(0.05))
 
 
-def lane_splits(scores):
-    return LANE_CONFIG.grid.values.searchsorted(scores, "right").tolist()
+def lane_deployed(thresholds):
+    """The grid index of each lane's threshold."""
+    return [LANE_CONFIG.grid.grid_list.index(u) for u in thresholds]
 
 
 @st.composite
@@ -471,8 +477,8 @@ class TestRouteLanes:
         expected = route_lane_by_lane(t, scores, draws, losses, thresholds, rho_t,
                                       LANE_CONFIG)
         gates = held_gates(t, losses)
-        coins, k, low = route_lanes(t, scores, draws, lane_splits(scores), thresholds, rho_t,
-                                    gates, LANE_CONFIG)
+        coins, k, low = route_lanes(t, scores, draws, lane_deployed(thresholds), rho_t, gates,
+                                    LANE_CONFIG)
         assert list(zip(coins, k, low)) == [result for result, _ in expected]
         assert [gate.accessed_steps for gate in gates] == [steps for _, steps in expected]
         assert [gate.accessed_steps for gate in gates] == [[t] * coin for coin in coins]
@@ -494,8 +500,7 @@ class TestRouteLanes:
         t, scores, draws, losses, thresholds, _ = case
         gates = held_gates(t, losses)
         with pytest.raises(error, match="step 7 in lane 2") as info:
-            route_lanes(t, scores, draws, lane_splits(scores), thresholds, rho_t, gates,
-                        LANE_CONFIG)
+            route_lanes(t, scores, draws, lane_deployed(thresholds), rho_t, gates, LANE_CONFIG)
         assert message in str(info.value)
         assert [gate.accessed_steps for gate in gates] == [steps for _, steps in expected]
 
@@ -578,7 +583,7 @@ class TestSettlementParity:
         gate = LossGate()
         shadows = [ThresholdAccount() for _ in grid]
         for t, (score, loss) in enumerate(observations, start=1):
-            live = int(np.count_nonzero(state.accounts.sum_payoff > 0.0))
+            live = int(np.count_nonzero(state.table.sum_payoff > 0.0))
             m_t = payoff_bound(config.epsilon, rho_min, rho_at(config.schedule, t))
             decision, state = step(state, make_obs(t, score, loss), gate)
             for i, shadow in enumerate(shadows):
@@ -588,7 +593,7 @@ class TestSettlementParity:
                                decision.propensity, score, grid[i], rho_min,
                                config.epsilon)
                 update_account(shadow, lam, d)
-            acc = state.accounts
+            acc = state.table
             for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda"):
                 expected = [getattr(shadow, name) for shadow in shadows]
                 assert np.array_equal(bits(getattr(acc, name)), bits(expected)), name
@@ -647,8 +652,8 @@ class TestAccountTable:
             else:
                 table.settle([k for k, _ in splits], [low for _, low in splits], self.RHO)
             for r, shadow in enumerate(shadows):
-                assert_same_bits(table.accounts, None if rows is None else r, shadow)
-                lam = np.asarray(table.accounts.last_lambda).reshape(len(charges), 8)[r]
+                assert_same_bits(table, None if rows is None else r, shadow)
+                lam = np.asarray(table.last_lambda).reshape(len(charges), 8)[r]
                 assert np.array_equal(bits(lam[live[r]:]), bits(np.zeros(8 - live[r])))
         assert prefixes[0][:7] == [0, 8, 8, 6, 6, 2, 2]
         assert max(prefixes[0][7:]) == 8
@@ -664,7 +669,7 @@ class TestAccountTable:
             table.settle(8, EPS, self.RHO)
         else:
             table.settle([8, 8, 8], [EPS, EPS, EPS], self.RHO)
-        before = {name: getattr(table.accounts, name).copy()
+        before = {name: getattr(table, name).copy()
                   for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda")}
         with pytest.raises(WagerOutOfRange):
             if rows is None:
@@ -672,7 +677,7 @@ class TestAccountTable:
             else:
                 table.settle([8, 0, 8], [EPS, -30.0, EPS], self.RHO)
         for name, value in before.items():
-            assert np.array_equal(getattr(table.accounts, name), value), name
+            assert np.array_equal(getattr(table, name), value), name
 
     def test_ruin_pre_check_alone_does_not_raise(self):
         """A payoff that would ruin the largest allowed wager settles when the
@@ -688,7 +693,7 @@ class TestAccountTable:
         for k, low in [(8, EPS), (3, -2.0)]:
             table.settle(k, low, 0.7)
             reference_settle(shadow, k, EPS, low, m_t, config.betting_cap)
-            assert_same_bits(table.accounts, None, shadow)
+            assert_same_bits(table, None, shadow)
 
 
 @st.composite
@@ -726,13 +731,13 @@ class TestTableParity:
         singles = [AccountTable(config, fixed_wager=fixed_wager) for _ in range(rows)]
         for t, splits in enumerate(plan, start=1):
             rho_t = rho_at(config.schedule, t)
-            live = np.count_nonzero(table.accounts.sum_payoff > 0.0, axis=1)
+            live = np.count_nonzero(table.sum_payoff > 0.0, axis=1)
             table.settle([k for k, _ in splits], [low for _, low in splits], rho_t)
             for r, (single, (k, low)) in enumerate(zip(singles, splits)):
                 single.settle(k, low, rho_t)
-                assert_same_bits(table.accounts, r, single.accounts)
+                assert_same_bits(table, r, single)
                 if fixed_wager is None:
-                    tail = table.accounts.last_lambda[r, live[r]:]
+                    tail = table.last_lambda[r, live[r]:]
                     assert np.array_equal(bits(tail), bits(np.zeros(tail.size)))
             assert np.array_equal(table.select(), [s.select() for s in singles])
 
@@ -807,7 +812,7 @@ def test_carried_gap_equals_a_scan_of_the_whole_grid(case):
         else:
             k, low = [k for k, _ in splits], [low for _, low in splits]
         table.settle(k, low, rho_at(config.schedule, t))
-        log_wealth = table.accounts.log_wealth
+        log_wealth = table.log_wealth
         assert np.atleast_1d(table._gap).tolist() == first_gaps(log_wealth, bar)
         if rows is None:
             assert table.select() == fixed_sequence_index(log_wealth, bar)

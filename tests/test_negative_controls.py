@@ -85,9 +85,9 @@ AUDIT_HORIZON = 500
 
 
 def step_payoffs(table: AccountTable, k, low) -> np.ndarray:
-    """This step's payoff per account, shaped like ``table.accounts``' fields:
+    """This step's payoff per account, shaped like ``table``'s account arrays:
     epsilon below each split ``k``, ``low`` from it on."""
-    points = np.arange(table.accounts.log_wealth.shape[-1])
+    points = np.arange(table.log_wealth.shape[-1])
     return np.where(points < np.asarray(k)[..., None], table.epsilon,
                     np.asarray(low, dtype=float)[..., None])
 
@@ -99,13 +99,12 @@ def audit_wagers(monkeypatch) -> list[float]:
     settle, audited = AccountTable.settle, []
 
     def checked(table, k, low, rho_t):
-        accounts = table.accounts
-        past = ThresholdAccount(sum_payoff=accounts.sum_payoff.copy(),
-                                sum_payoff_sq=accounts.sum_payoff_sq.copy())
+        past = ThresholdAccount(sum_payoff=table.sum_payoff.copy(),
+                                sum_payoff_sq=table.sum_payoff_sq.copy())
         m_t = payoff_bound(table.epsilon, table.rho_min, rho_t)
         expected = adaptive_lambda(past, m_t, table.cap)
         settle(table, k, low, rho_t)
-        wagers = np.ascontiguousarray(table.accounts.last_lambda)
+        wagers = np.ascontiguousarray(table.last_lambda)
         assert wagers.shape == expected.shape
         assert np.array_equal(wagers.view(np.int64), expected.view(np.int64)), \
             f"a wager differs from the reference at rate {rho_t}"
@@ -121,14 +120,14 @@ def peeking_wager(monkeypatch):
     settle = AccountTable.settle
 
     def peek(table, k, low, rho_t):
-        accounts, pay = table.accounts, step_payoffs(table, k, low)
-        s1, s2 = accounts.sum_payoff.copy(), accounts.sum_payoff_sq.copy()
-        accounts.sum_payoff[...] = s1 + pay
-        accounts.sum_payoff_sq[...] = s2 + np.square(pay)
+        pay = step_payoffs(table, k, low)
+        s1, s2 = table.sum_payoff.copy(), table.sum_payoff_sq.copy()
+        table.sum_payoff[...] = s1 + pay
+        table.sum_payoff_sq[...] = s2 + np.square(pay)
         settle(table, k, low, rho_t)
         # Leave the sums as an honest settle would.
-        accounts.sum_payoff[...] = s1 + pay
-        accounts.sum_payoff_sq[...] = s2 + np.square(pay)
+        table.sum_payoff[...] = s1 + pay
+        table.sum_payoff_sq[...] = s2 + np.square(pay)
 
     monkeypatch.setattr(AccountTable, "settle", peek)
 
@@ -171,7 +170,7 @@ def test_fixed_wager_no_prefix_rule_equals_fixed_sequence(seed):
     gate, bar, deployed = LossGate(), -math.log(config.alpha), set()
     for obs in stream_events(uniform_linear(), stream, 1000):
         step(state, obs, gate)
-        log_wealth = state.accounts.log_wealth
+        log_wealth = state.table.log_wealth
         assert np.all(np.diff(log_wealth) <= 0.0)
         clear = np.flatnonzero(log_wealth >= bar)
         assert state.deployed_index == (int(clear[-1]) if clear.size else 0)

@@ -462,7 +462,8 @@ class TestMcSafety:
             mc_safety("bpac", RouterConfig(), uniform_linear(), horizon=10,
                       n_reps=1, criterion="mystery")
 
-    @pytest.mark.parametrize("horizon, n_reps", [(0, 5), (10, 0), (-1, 3)])
+    @pytest.mark.parametrize("horizon, n_reps", [(0, 5), (10, 0), (-1, 3), (2.5, 3), (20, 2.5),
+                                                 (None, 3), (20, None)])
     def test_empty_study_rejected(self, horizon, n_reps):
         with pytest.raises(ValueError, match="horizon >= 1 and n_reps >= 1"):
             mc_safety("bpac", RouterConfig(), uniform_linear(), horizon, n_reps)
@@ -499,6 +500,12 @@ LOOSE = dataclasses.replace(RouterConfig(), alpha=0.9,
                             schedule=TwoStageSchedule(t_warm=20))
 LOOSE_MIXTURE = dataclasses.replace(LOOSE, selection_mode=SelectionMode.MIXTURE,
                                     prior=Prior.uniform(21))
+# Prior mass peaked on grid points 0.2, 0.3 and 0.45, so each point has its
+# own bar; with the adaptive wager both runs and lanes deploy 0.2 and 0.3
+# by T=300, where the uniform prior certifies nothing.
+PEAKED_MASS = np.full(21, 0.01)
+PEAKED_MASS[[4, 6, 9]] = 1.0
+LOOSE_PEAKED = dataclasses.replace(LOOSE_MIXTURE, prior=Prior(PEAKED_MASS / PEAKED_MASS.sum()))
 # Explores at 0.7 throughout with a wide budget: at T=60, replications 0-9
 # of base seed 7 see o_naive violate 5 times and ips_hoeff deploy up to 0.6.
 LOOSE_EXPLORING = dataclasses.replace(LOOSE, epsilon=0.15, schedule=ConstantSchedule(0.7))
@@ -549,7 +556,8 @@ class TestLockstep:
     @pytest.mark.parametrize("chunk", [7, bpac.simulation.DRAW_CHUNK])
     @pytest.mark.parametrize("fixed_wager", [None, 0.02])
     @pytest.mark.parametrize("criterion", ["deployment", "weighted"])
-    @pytest.mark.parametrize("config", [LOOSE, LOOSE_MIXTURE], ids=["fixed", "mixture"])
+    @pytest.mark.parametrize("config", [LOOSE, LOOSE_MIXTURE, LOOSE_PEAKED],
+                             ids=["fixed", "mixture", "mixture_peaked"])
     def test_blocks_match_serial_replications(self, config, criterion, fixed_wager, chunk,
                                               monkeypatch):
         spec = uniform_linear() if criterion == "deployment" else easy_hard(break_at=100)
@@ -558,6 +566,8 @@ class TestLockstep:
                                        criterion, fixed_wager)
         if config.selection_mode is SelectionMode.FIXED_SEQUENCE:
             assert 0 < sum(flags) < n_reps
+        if config is LOOSE_PEAKED and fixed_wager is None:
+            assert np.array_equal(np.unique(u_hat), config.grid.values[[0, 4, 6]])
         monkeypatch.setattr(bpac.simulation, "DRAW_CHUNK", chunk)
         for block in (1, 3, 7):
             monkeypatch.setattr(bpac.simulation, "MC_BLOCK", block)
@@ -708,9 +718,8 @@ class TestGateAudit:
             replay_trace(method, LOOSE_EXPLORING, events, coin_seed=3)
 
     def test_a_second_read_of_an_escalated_lane_is_refused(self, monkeypatch):
-        def rereading(t, scores, draws, splits, thresholds, rho_t, gates, config):
-            coins, k, low = route_lanes(t, scores, draws, splits, thresholds, rho_t, gates,
-                                        config)
+        def rereading(t, scores, draws, deployed, rho_t, gates, config):
+            coins, k, low = route_lanes(t, scores, draws, deployed, rho_t, gates, config)
             gates[coins.index(1)].reveal(t, 1)
             return coins, k, low
 
@@ -1055,6 +1064,34 @@ def test_invalid_config_is_refused_before_any_draw(entry, config, no_draw):
     # would start out certified, with no evidence at all.
     with pytest.raises(ConfigError):
         entry(config)
+
+
+class TestCounts:
+    """The run doors refuse a horizon or a replication count that is not an
+    integer, before any draw, and take numpy's integers; ``mc_safety``'s
+    cases are in ``TestMcSafety.test_empty_study_rejected``."""
+
+    @pytest.mark.parametrize("method", ["bpac", "o_naive"])
+    @pytest.mark.parametrize("horizon", [-3, 2.5, None, "7"])
+    def test_a_bad_horizon_is_refused(self, method, horizon, no_draw):
+        with pytest.raises(ValueError, match="horizon must be an integer >= 0"):
+            run_replication(method, RouterConfig(), uniform_linear(), horizon, 1)
+
+    @pytest.mark.parametrize("horizon, n_reps", [(2.5, 50), (300, 2.5), (None, 50)])
+    def test_the_pinned_study_refuses_a_count_that_is_not_an_integer(self, horizon, n_reps,
+                                                                     no_draw):
+        with pytest.raises(ValueError, match="must be an integer|must be integers"):
+            pinned_threshold_study(uniform_linear(), 0.3, RouterConfig(), horizon, n_reps)
+
+    def test_numpy_integers_run_like_ints(self):
+        config, spec = LOOSE, uniform_linear()
+        assert (run_replication("bpac", config, spec, np.int64(40), 2).digest()
+                == run_replication("bpac", config, spec, 40, 2).digest())
+        assert (mc_safety("bpac", config, spec, np.int32(40), np.int64(3))
+                == mc_safety("bpac", config, spec, 40, 3))
+        study = pinned_threshold_study(spec, 0.3, config, np.int64(40), np.int64(3))
+        assert np.array_equal(study["payoffs"],
+                              pinned_threshold_study(spec, 0.3, config, 40, 3)["payoffs"])
 
 
 class TestRegret:
