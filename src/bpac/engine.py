@@ -59,8 +59,23 @@ scan:
   every bar, so every scan stops there at the latest, and a gap at n
   deploys the top of the grid.
 
-So ``select`` costs O(1) for fixed-sequence; mixture selection scans the
-whole grid every step.
+So ``select`` costs O(1) for fixed-sequence.
+
+Held extent bound. A table of R rows (the lockstep lanes) does not search
+for its live prefix every step. Every ``EXTENT_HOLD`` = M steps it finds
+A, the first grid point where every row has ``sum_payoff <= -M * epsilon``,
+and it settles the block ``[0, A)`` for the next M steps (under a fixed
+wager every account bets, and A is n). This is exact.
+No payoff exceeds epsilon: ``_escalation_low`` refuses a negative estimate,
+and a table's ``settle`` refuses a ``low`` above epsilon. So within M
+steps every sum at or past A stays below 0, rounding included (its drift
+over M additions is about M * M * epsilon * 2**-53, far below epsilon),
+its wager stays exactly +0.0, and the live-prefix argument above applies.
+The same bound carries selection. A row's gap at or past A cannot move,
+so only gaps below A are read. Under mixture no log-wealth at or past A
+moves, so a row whose last point clearing its bar lies there keeps it,
+and only the other rows rescan ``[0, A)``. A single run's mixture
+selection scans the whole grid every step.
 
 ``route_lanes`` routes R lanes of a Monte Carlo study (``mc_safety``) on
 numbers drawn ahead of time, a chunk of steps at once, and is exact too.
@@ -81,6 +96,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RouterConfig, SelectionMode, StreamObservation, rho_at, validate_config
+
+
+# Steps a table of rows holds one extent bound for (module docstring).
+# mc_safety at G=1001, T=2000 (shared 2-core x86 box, sizes interleaved)
+# took 8.3/8.6/8.3/8.7/9.2 us per replication-step best at 4/8/16/32/64
+# steps and 5 lanes, 8.9/8.0/7.1/7.4/7.7 at 25 lanes, and 16.3-16.7 at every
+# size for mixture under the weighted criterion at 25 lanes: a longer hold
+# searches less often but settles a wider block.
+EXTENT_HOLD = 16
 
 
 class WagerOutOfRange(RuntimeError):
@@ -325,18 +349,27 @@ class AccountTable:
         else:
             self._pay = np.empty(shape)
             self._positive = np.empty(shape, dtype=bool)
+            # The held extent bound and the steps it still holds for.
+            self._bound = self._held = 0
+            # Each row's deployed index, carried from step to step.
+            self._deployed = [0] * rows
         self.log_wealth, self.sum_payoff = self._lw.T, self._s1.T
         self.sum_payoff_sq, self.last_lambda = self._s2.T, self._lam.T
         # Grid points [0, extent) of a wager buffer may be nonzero: the live
-        # prefix it was last written with, or n for a fixed wager.
+        # prefix, or the held bound, it was last written with, or n for a
+        # fixed wager.
         self._extent = 0
         self._spare_extent = 0
         # Each row's gap under the fixed-sequence rule: its first grid point
         # below the bar. Every account starts at log-wealth 0, below the
         # positive bar -log(alpha).
-        self._gap = 0 if rows is None else np.zeros(rows, dtype=np.intp)
-        if rows is not None:
-            self._rows = np.arange(rows)
+        self._gap = 0 if rows is None else [0] * rows
+
+    @property
+    def extent(self) -> int:
+        """Where the last step's live block ends: past it every wager was +0.0
+        and no log-wealth moved."""
+        return self._extent
 
     def settle(self, k, low, rho_t: float) -> None:
         """Settle every account in place: epsilon on ``[0, k)``, ``low`` on ``[k, n)``.
@@ -346,9 +379,10 @@ class AccountTable:
         at ``payoff_bound`` of the step's rate ``rho_t``, then ``update_account``,
         bit for bit, row by row. Under the live-prefix invariant (module
         docstring) the adaptive wager, the ``log1p`` and the wealth update
-        run on ``[0, a)`` only, where ``a`` is the largest live prefix of
-        any row; each row bets exactly 0 past its own prefix. Raises before
-        any account changes.
+        run on ``[0, a)`` only, where ``a`` is a single run's live prefix or
+        a table's held extent bound; each row bets exactly 0 past its own
+        prefix. A table refuses a ``low`` above epsilon. Raises before any
+        account changes.
         """
         high, m_t = self.epsilon, payoff_bound(self.epsilon, self.rho_min, rho_t)
         if self._lw.ndim == 1:
@@ -426,42 +460,56 @@ class AccountTable:
         self._gap = start + int((lw[start:] < bar).argmax())
 
     def _settle_rows(self, k, high: float, low, m_t: float) -> None:
-        """``settle`` for an (R, G) table, through one payoff table."""
-        s1, s2, lam, work = self._s1, self._s2, self._spare, self._work
-        n = s1.shape[0]
+        """``settle`` for an (R, G) table, on the block ``[0, a)`` its held
+        extent bound leaves live (module docstring).
+
+        Refuses a ``low`` above epsilon, which no estimate gives: the held
+        bound is exact only because no payoff exceeds epsilon.
+        """
+        # One payoff table for all rows, so each array op is one call.
+        # Only rows charged a loss differ from ``high`` anywhere.
+        pay = self._pay
+        pay.fill(high)
+        # Rows charged below 0 and their splits: only they may open a gap.
+        charged, lowest = [], high
+        for r, (kr, lr) in enumerate(zip(k, low)):
+            if lr != high:
+                if not lr <= high:
+                    raise ValueError(f"payoff {lr!r} of row {r} is above epsilon {high}")
+                pay[kr:, r] = lr
+                if lr < lowest:
+                    lowest = lr
+                if lr < 0.0:
+                    charged.append((r, kr))
+
+        lam, work = self._spare, self._work
+        n = work.shape[0]
         if self.fixed_wager is None:
-            # The last positive entry in grid-major order ends the largest
-            # prefix.
-            positive = np.greater(s1, 0.0, out=self._positive).ravel()
-            last = positive.size - 1 - int(positive[::-1].argmax())
-            a = last // s1.shape[1] + 1 if positive[last] else 0
+            top = self.cap / m_t
+            if not self._held:
+                self._bound, self._held = self._hold_extent(), EXTENT_HOLD
+            self._held -= 1
+            a = self._bound
             live = work[:a]
-            np.add(s2[:a], 1.0, out=live)
-            np.divide(s1[:a], live, out=live)
+            np.add(self._s2[:a], 1.0, out=live)
+            np.divide(self._s1[:a], live, out=live)
             # Past a row's own prefix its ratio is <= 0, and its wager 0.
             np.maximum(live, 0.0, out=live)
             # The ratio is >= 0 now, so clip(., 0, cap) is a minimum.
-            np.minimum(live, self.cap / m_t, out=lam[:a])
+            np.minimum(live, top, out=lam[:a])
             if self._spare_extent > a:
                 lam[a:self._spare_extent] = 0.0
         else:
-            a = n
-            lam.fill(self.fixed_wager)
+            top, a = self.fixed_wager, n
+            if self._spare_extent < n:
+                lam.fill(top)
+        self._spare_extent = a
 
-        # One payoff table for all rows, so each array op is one call.
-        # Only rows charged a loss differ from ``high`` anywhere.
-        growth, pay = work[:a], self._pay
-        pay.fill(high)
-        # Rows whose charge may open a gap below their old one.
-        gaps, charged, splits = self._gap.tolist(), [], []
-        for r, (kr, lr) in enumerate(zip(k, low)):
-            if lr != high:
-                pay[kr:, r] = lr
-                if lr < 0.0 and kr < a and kr < gaps[r]:
-                    charged.append(r)
-                    splits.append(kr)
+        growth = work[:a]
         np.multiply(lam[:a], pay[:a], out=growth)
-        if a:
+        # No wager exceeds ``top``, so only a ``low`` that ruins ``top``
+        # needs the smallest growth factor.
+        if lowest * top <= -1.0 and a:
             worst = float(np.minimum.reduce(growth, axis=None))
             if worst <= -1.0:
                 raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
@@ -469,45 +517,80 @@ class AccountTable:
         self._spare_extent, self._extent = self._extent, a
 
         np.log1p(growth, out=growth)
-        self._lw[:a] += growth
-        s1 += pay
+        lw = self._lw[:a]
+        np.add(lw, growth, out=lw)
+        s1, s2 = self._s1, self._s2
+        np.add(s1, pay, out=s1)
         np.multiply(pay, pay, out=pay)
-        s2 += pay
-        if not self.mixture:
-            self._move_gaps(charged, splits)
+        np.add(s2, pay, out=s2)
+        if self.mixture:
+            self._move_lasts(a)
+        else:
+            self._move_gaps(charged, a)
 
-    def _move_gaps(self, charged: list[int], splits: list[int]) -> None:
+    def _hold_extent(self) -> int:
+        """The extent bound to hold for the next ``EXTENT_HOLD`` steps: one
+        past the last grid point where some row's ``sum_payoff`` is above
+        ``-EXTENT_HOLD * epsilon`` (module docstring)."""
+        s1 = self._s1
+        above = np.greater(s1, -EXTENT_HOLD * self.epsilon, out=self._positive).ravel()
+        last = above.size - 1 - int(above[::-1].argmax())
+        return last // s1.shape[1] + 1 if above[last] else 0
+
+    def _move_gaps(self, charged: list[tuple[int, int]], a: int) -> None:
         """Carry every row's gap across the step just settled (module docstring).
 
-        ``charged`` lists the rows whose charge may have opened a gap below
-        their old one, and ``splits`` their splits.
+        ``charged`` lists the rows charged a ``low`` < 0, each with its
+        split, and ``[0, a)`` is the block the step settled.
         """
-        gap, lw, bar = self._gap, self._lw_ends, self.log_bars
-        moved = lw[gap, self._rows] >= bar
-        if charged:
-            moved[charged] = True
-        scan = moved.nonzero()[0]
-        if scan.size:
+        gaps, lw, bar = self._gap, self._lw_ends, self.log_bars
+        starts = {r: kr for r, kr in charged if kr < a and kr < gaps[r]}
+        for r, gap in enumerate(gaps):
+            # A gap at or past ``a`` did not move, and is still below the bar.
+            if gap < a and r not in starts and lw.item(gap, r) >= bar:
+                starts[r] = gap
+        if starts:
             # Every point before a moved row's old gap, or before its split,
             # still clears the bar, so a scan from the smallest of them finds
             # each moved row's new gap.
-            first = min([*splits, int(gap[scan].min())])
-            gap[scan] = (lw[first:, scan] < bar).argmax(axis=0) + first
+            first, scan = min(starts.values()), list(starts)
+            for r, found in zip(scan, (lw[first:, scan] < bar).argmax(axis=0).tolist()):
+                gaps[r] = first + found
+            self._deployed = [max(gap - 1, 0) for gap in gaps]
+
+    def _move_lasts(self, a: int) -> None:
+        """Carry every row's mixture answer across the step just settled.
+
+        No log-wealth at or past ``a`` moved, so a row whose last point
+        clearing its bar lies there keeps it; any other row's answer is its
+        last such point in ``[0, a)``, or 0.
+        """
+        lasts = self._deployed
+        scan = [r for r, last in enumerate(lasts) if last < a]
+        if len(scan) == len(lasts):
+            self._deployed = _mixture_rows(self._lw[:a], self.log_bars[:a]).tolist()
+        elif scan:
+            found = _mixture_rows(self._lw[:a, scan], self.log_bars[:a]).tolist()
+            lasts = lasts.copy()
+            for r, last in zip(scan, found):
+                lasts[r] = last
+            self._deployed = lasts
 
     def select(self):
         """Deployed grid index under the config's selection rule, per row.
 
         Fixed-sequence deploys the point before each row's gap, or 0 when
-        the gap is at 0; mixture scans the whole grid, a single run's as a
-        one-column table.
+        the gap is at 0; mixture deploys the last point clearing its bar, or
+        0. A table carries each row's index, a list that later steps
+        replace and never change; a single run's mixture rule scans its
+        grid as a one-column table.
         """
         lw = self._lw
-        if lw.ndim == 1 and not self.mixture:
-            return max(self._gap - 1, 0)
+        if lw.ndim == 2:
+            return self._deployed
         if not self.mixture:
-            return np.maximum(self._gap - 1, 0)
-        deployed = _mixture_rows(lw.reshape(len(lw), -1), self.log_bars)
-        return deployed if lw.ndim == 2 else int(deployed[0])
+            return max(self._gap - 1, 0)
+        return int(_mixture_rows(lw.reshape(len(lw), 1), self.log_bars)[0])
 
 
 @dataclass

@@ -453,7 +453,8 @@ class RiskTracker:
     wager-weighted average of past conditional risks per grid point,
     the quantity the mixture certificate controls on shifting streams.
     With ``rows``, it keeps those weighted sums for R runs on one stream
-    law, one wager row per run.
+    law, one wager row per run; ``absorb`` then takes any leading block
+    ``[0, a)`` of the grid that holds every nonzero wager.
     """
 
     def __init__(self, spec: SyntheticStreamSpec, schedule: Schedule,
@@ -487,8 +488,16 @@ class RiskTracker:
         if self.weighted:
             if wagers is None:
                 raise ValueError("weighted tracking needs the step's wagers")
-            self.weight_sum += wagers
-            self.weighted_risk_sum += wagers * r
+            if self.weight_sum.ndim == 1:
+                self.weight_sum += wagers
+                self.weighted_risk_sum += wagers * r
+            else:
+                # A table's rows may come as their live block [0, a): past
+                # it every wager is +0.0, which leaves both sums' bits as
+                # they are.
+                a = wagers.shape[1]
+                self.weight_sum[:, :a] += wagers
+                self.weighted_risk_sum[:, :a] += wagers * r[:a]
         return r
 
     def weighted_risk_at(self, index):
@@ -585,6 +594,13 @@ def _is_count(value, least: int) -> bool:
         return operator.index(value) >= least
     except TypeError:
         return False
+
+
+def _check_seed(seed, name: str = "seed") -> None:
+    """Refuse a seed that is not an integer >= 0, numpy's included, before
+    numpy's ``SeedSequence`` refuses it untyped."""
+    if not _is_count(seed, 0):
+        raise ValueError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
 def check_run(method: Method, config: RouterConfig, spec: SyntheticStreamSpec | None,
@@ -722,11 +738,16 @@ def run_replication(method, config: RouterConfig, spec: SyntheticStreamSpec,
     ``seed`` (int or SeedSequence) splits into independent stream and
     coin generators, so different methods given the same seed face the
     identical sequence of queries and latent losses. ``check_run`` refuses
-    a bad run before any draw.
+    a bad run before any draw, then a seed that is neither a SeedSequence
+    nor an integer >= 0 raises ``ValueError``.
     """
     method = parse_method(method)
     check_run(method, config, spec, horizon, fixed_wager)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    if isinstance(seed, np.random.SeedSequence):
+        ss = seed
+    else:
+        _check_seed(seed)
+        ss = np.random.SeedSequence(seed)
     seed_label = (ss.entropy if isinstance(ss.entropy, int) and ss.spawn_key == ()
                   else int(ss.generate_state(1)[0]))
     stream_rng, coin_rng = map(np.random.default_rng, ss.spawn(2))
@@ -746,11 +767,13 @@ def replay_trace(method, config: RouterConfig, events, *,
     Only the exploration coins are random here; they come from
     ``coin_seed`` (default: the config's seed). Risk columns are NaN
     because a recorded trace does not reveal its generating laws.
-    ``check_run`` refuses a bad run before any event is read.
+    ``check_run`` refuses a bad run before any event is read, then a
+    ``coin_seed`` that is not an integer >= 0 raises ``ValueError``.
     """
     method = parse_method(method)
     check_run(method, config, None, None, fixed_wager)
     seed = config.seed if coin_seed is None else coin_seed
+    _check_seed(seed, "coin_seed")
     coin_rng = np.random.default_rng(np.random.SeedSequence(seed))
     return _drive(method, config, events, coin_rng, spec=None,
                   fixed_wager=fixed_wager, hoeff_variant=hoeff_variant,
@@ -776,11 +799,12 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 WEIGHTED_NEEDS_ENGINE = "weighted risk is defined by the betting wagers; engine runs only"
 
 # Replications per lockstep block in ``mc_safety``. At G=1001 and T=2000
-# with lane routing (shared 2-core x86 box, best of three rounds) blocks of
-# 16/25/32/50/100 took about 10.5/10.4/10.0/9.9/11.6 us per
-# replication-step over 200 replications and 11.0/10.9/10.8/10.3/11.5 over
-# 100; no size won every round of both sweeps. A block holds 8 (G, 25)
-# tables, 25 gate access lists and one chunk of draws.
+# with the held extent bound (shared 2-core x86 box, sizes interleaved,
+# best of three rounds) blocks of 16/25/32/50/100 took about
+# 6.4/5.8/6.6/7.3/7.2 us per replication-step over 100 replications and
+# 8.3/7.0/7.8/7.3/7.5 over 200; 25 was fastest in every round of both
+# sweeps. A block holds 8 (G, 25) tables, 25 gate access lists and one
+# chunk of draws.
 MC_BLOCK = 25
 
 
@@ -812,7 +836,7 @@ def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
     row's deployed index with ``route_lanes``, settles every row in one
     kernel call and certifies each row's threshold.
     """
-    deployed = np.zeros(len(gates), dtype=np.intp)
+    deployed = [0] * len(gates)
     for start in range(1, horizon + 1, DRAW_CHUNK):
         stop = min(start + DRAW_CHUNK, horizon + 1)
         scores = np.empty((len(gates), stop - start))
@@ -823,8 +847,8 @@ def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
         for t, lane_scores, lane_draws in zip(range(start, stop), scores.T.tolist(),
                                               draws.T.tolist()):
             rho_t = rho_at(config.schedule, t)
-            escalated, k, low = route_lanes(t, lane_scores, lane_draws, deployed.tolist(),
-                                            rho_t, gates, config)
+            escalated, k, low = route_lanes(t, lane_scores, lane_draws, deployed, rho_t,
+                                            gates, config)
             table.settle(k, low, rho_t)
             deployed = table.select()
             yield t, deployed, escalated
@@ -841,7 +865,7 @@ def _baseline_lanes(lanes: list[tuple[MeanState, Any]], spec: SyntheticStreamSpe
     for t, events in enumerate(zip(*sources), 1):
         escalated = [advance(state, obs, gate)[0].coin
                      for obs, (state, advance), gate in zip(events, lanes, gates)]
-        yield t, np.array([state.deployed_index for state, _ in lanes], dtype=np.intp), escalated
+        yield t, [state.deployed_index for state, _ in lanes], escalated
 
 
 def _lockstep_violated(args) -> list[bool]:
@@ -870,19 +894,20 @@ def _lockstep_violated(args) -> list[bool]:
     if criterion == "weighted":
         tracker = RiskTracker(spec, config.schedule, config.grid, weighted=True, rows=rows)
     else:
-        unsafe = oracle_risk_grid(spec, config.grid.values,
-                                  deployment_rate(config.schedule)) > eps
-    violated = np.zeros(rows, dtype=bool)
+        unsafe = (oracle_risk_grid(spec, config.grid.values,
+                                   deployment_rate(config.schedule)) > eps).tolist()
+    violated = [False] * rows
     escalations = [0] * rows
     for t, deployed, escalated in lanes:
         escalations = list(map(operator.add, escalations, escalated))
         if criterion == "weighted":
-            tracker.absorb(t, table.last_lambda)
-            violated |= tracker.weighted_risk_at(deployed) > eps
+            tracker.absorb(t, table.last_lambda[:, :table.extent])
+            flags = (tracker.weighted_risk_at(deployed) > eps).tolist()
         else:
-            violated |= unsafe[deployed]
+            flags = [unsafe[index] for index in deployed]
+        violated = list(map(operator.or_, violated, flags))
     _audit_gates(gates, escalations)
-    return violated.tolist()
+    return violated
 
 
 def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
@@ -907,7 +932,8 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
     gates did not open exactly once per escalation raises
     ``LossGateViolation``; a ``horizon`` or ``n_reps`` that is not an
     integer >= 1 raises ``ValueError``, and ``check_run`` refuses before
-    the criterion.
+    the criterion; then a ``base_seed`` that is not an integer >= 0 raises
+    ``ValueError``.
     """
     method = parse_method(method)
     if not (_is_count(horizon, 1) and _is_count(n_reps, 1)):
@@ -915,6 +941,7 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
                          f"got {horizon!r} and {n_reps!r}")
     check_run(method, config, spec, horizon, fixed_wager)
     criterion = _safety_criterion(method, spec, criterion)
+    _check_seed(base_seed, "base_seed")
 
     seeds = np.random.SeedSequence(base_seed).spawn(n_reps)
     jobs = [(method, config, spec, horizon, seeds[i:i + MC_BLOCK], criterion,
@@ -961,8 +988,9 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
 
     Raises ``ConfigError`` for an invalid config, ``StreamExhausted`` for a
     horizon past a bounded spec's total length (both by ``check_run``), and
-    ``ValueError`` for a threshold outside [0, 1] (NaN included) or a
-    horizon or replication count that is not an integer >= 1, before any draw.
+    ``ValueError`` for a threshold outside [0, 1] (NaN included), a
+    horizon or replication count that is not an integer >= 1 or a
+    ``base_seed`` that is not an integer >= 0, before any draw.
     """
     check_run(Method.BPAC, config, spec, horizon, None)
     if not 0.0 <= threshold <= 1.0:
@@ -970,6 +998,7 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
     if not (_is_count(horizon, 1) and _is_count(n_reps, 1)):
         raise ValueError(f"horizon and n_reps must be integers at least 1, "
                          f"got {horizon!r} and {n_reps!r}")
+    _check_seed(base_seed, "base_seed")
     rng = np.random.default_rng(np.random.SeedSequence(base_seed))
     table = AccountTable(replace(config, grid=ThresholdGrid([threshold])), n_reps)
     log_wealth = table.log_wealth[:, 0]

@@ -23,6 +23,7 @@ from bpac import (
     WagerOutOfRange,
     adaptive_lambda,
     generate_event,
+    mc_safety,
     payoff_bound,
     propensity,
     rho_at,
@@ -30,7 +31,7 @@ from bpac import (
     uniform_linear,
     update_account,
 )
-from bpac.engine import AccountTable, _mixture_rows, route, route_lanes
+from bpac.engine import EXTENT_HOLD, AccountTable, _mixture_rows, route, route_lanes
 from reference import account_table, fixed_sequence_index, fixed_sequence_rows, ips_payoff
 
 EPS = 0.08
@@ -679,6 +680,19 @@ class TestAccountTable:
         for name, value in before.items():
             assert np.array_equal(getattr(table, name), value), name
 
+    def test_a_payoff_above_epsilon_is_refused_before_any_row_changes(self):
+        """The held extent bound is exact only because no payoff exceeds
+        epsilon, so a table refuses one, naming its row."""
+        table = AccountTable(self.config(), 3)
+        table.settle([8, 8, 8], [EPS, EPS, EPS], self.RHO)
+        before = {name: getattr(table, name).copy()
+                  for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda")}
+        for payoff in (EPS + 1e-9, math.nan):
+            with pytest.raises(ValueError, match="of row 1 is above epsilon"):
+                table.settle([8, 2, 0], [EPS, payoff, -1.0], self.RHO)
+            for name, value in before.items():
+                assert np.array_equal(bits(getattr(table, name)), bits(value)), name
+
     def test_ruin_pre_check_alone_does_not_raise(self):
         """A payoff that would ruin the largest allowed wager settles when the
         wagers it meets are smaller."""
@@ -720,26 +734,35 @@ def table_cases(draw):
     return config, fixed_wager, plan
 
 
+def settle_every_row_and_compare(config, fixed_wager, plan, check=None):
+    """Settle a table and one single-run table per row on ``plan``. After
+    every step both hold the same bits, each row's adaptive wagers are
+    exactly 0 past its live prefix, both deploy the same indices, and
+    ``check(table)`` holds if given."""
+    rows = len(plan[0])
+    table = AccountTable(config, rows, fixed_wager=fixed_wager)
+    singles = [AccountTable(config, fixed_wager=fixed_wager) for _ in range(rows)]
+    for t, splits in enumerate(plan, start=1):
+        rho_t = rho_at(config.schedule, t)
+        live = np.count_nonzero(table.sum_payoff > 0.0, axis=1)
+        table.settle([k for k, _ in splits], [low for _, low in splits], rho_t)
+        for r, (single, (k, low)) in enumerate(zip(singles, splits)):
+            single.settle(k, low, rho_t)
+            assert_same_bits(table, r, single)
+            if fixed_wager is None:
+                tail = table.last_lambda[r, live[r]:]
+                assert np.array_equal(bits(tail), bits(np.zeros(tail.size)))
+        assert table.select() == [single.select() for single in singles]
+        if check is not None:
+            assert check(table)
+
+
 class TestTableParity:
     @settings(deadline=None)
     @given(case=table_cases())
     def test_one_table_call_equals_one_call_per_row(self, case):
         """An R-row kernel call equals R single-run calls bit for bit."""
-        config, fixed_wager, plan = case
-        rows = len(plan[0])
-        table = AccountTable(config, rows, fixed_wager=fixed_wager)
-        singles = [AccountTable(config, fixed_wager=fixed_wager) for _ in range(rows)]
-        for t, splits in enumerate(plan, start=1):
-            rho_t = rho_at(config.schedule, t)
-            live = np.count_nonzero(table.sum_payoff > 0.0, axis=1)
-            table.settle([k for k, _ in splits], [low for _, low in splits], rho_t)
-            for r, (single, (k, low)) in enumerate(zip(singles, splits)):
-                single.settle(k, low, rho_t)
-                assert_same_bits(table, r, single)
-                if fixed_wager is None:
-                    tail = table.last_lambda[r, live[r]:]
-                    assert np.array_equal(bits(tail), bits(np.zeros(tail.size)))
-            assert np.array_equal(table.select(), [s.select() for s in singles])
+        settle_every_row_and_compare(*case)
 
 
 def first_gaps(log_wealth: np.ndarray, bar: float) -> list[int]:
@@ -826,6 +849,115 @@ def test_a_gap_that_never_moves_back_fails(monkeypatch):
     monkeypatch.setattr(AccountTable, "_move_gap",
                         lambda table, k, low, a: move_gap(table, k, abs(low), a))
     monkeypatch.setattr(AccountTable, "_move_gaps",
-                        lambda table, charged, splits: move_gaps(table, [], []))
+                        lambda table, charged, a: move_gaps(table, [], a))
     with pytest.raises(AssertionError):
         test_carried_gap_equals_a_scan_of_the_whole_grid()
+
+
+@st.composite
+def hold_cases(draw, modes=tuple(SelectionMode)):
+    """A table of 1, 3 or 7 rows over a few hold windows, and a plan of
+    (k, low) splits per step and row: mostly uncharged steps, so sums that
+    dipped below 0 come back within a window, and charges from small ones
+    to the worst payoff, with splits at 0 and n."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.sampled_from([1, 3, 7]))
+    horizon = draw(st.integers(1, 3 * EXTENT_HOLD + 5))
+    # The warmup may end inside any hold window, or after the run.
+    schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.05,
+                                t_warm=draw(st.integers(0, horizon)))
+    mode = draw(st.sampled_from(modes))
+    prior = None
+    if mode is SelectionMode.MIXTURE:
+        mass = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+        prior = Prior(mass=mass / mass.sum())
+    config = RouterConfig(epsilon=draw(st.sampled_from([0.08, 0.25])),
+                          alpha=draw(st.sampled_from([0.5, 0.9])), selection_mode=mode,
+                          prior=prior, grid=ThresholdGrid(values=np.linspace(0.0, 1.0, n)),
+                          schedule=schedule)
+    fixed_wager = None
+    if draw(st.booleans()):
+        worst = max(payoff_bound(config.epsilon, schedule.rho_min, r)
+                    for r in schedule.emitted_rates())
+        fixed_wager = draw(st.floats(0.0, 0.99 / worst))
+    split = st.one_of(st.just(0), st.just(n), st.integers(0, n))
+    plan = []
+    for t in range(1, horizon + 1):
+        top = (1.0 - schedule.rho_min) / rho_at(schedule, t)
+        charge = st.one_of(st.floats(0.0, 3 * config.epsilon), st.just(top),
+                           st.floats(0.0, top))
+        plan.append([(draw(split), config.epsilon - draw(charge) if draw(st.booleans())
+                      else config.epsilon) for _ in range(rows)])
+    return config, fixed_wager, plan
+
+
+def hold_needs_its_margin(mode):
+    """Step 1 charges every row from grid point 2 on, where nothing bets
+    yet, and epsilon follows. With M = ``EXTENT_HOLD``, at the refresh
+    before step M + 1 those sums sit at -(M - 2) epsilon, inside the margin
+    of M epsilon; they turn positive after step 2M - 1 and bet at step 2M,
+    the last step of the window that step M + 1 opens. The warmup ends
+    inside that window too. Every sum is a multiple of 0.25, so no step
+    rounds."""
+    hold, eps = EXTENT_HOLD, 0.25
+    schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.05, t_warm=hold + 4)
+    config = RouterConfig(epsilon=eps, alpha=0.5, schedule=schedule, selection_mode=mode,
+                          prior=Prior.uniform(5) if mode is SelectionMode.MIXTURE else None,
+                          grid=ThresholdGrid(values=np.linspace(0.0, 1.0, 5)))
+    plan = [[(2, -(2 * hold - 3) * eps)] * 3] + [[(5, eps)] * 3] * (2 * hold + 17)
+    return config, None, plan
+
+
+@settings(deadline=None)
+@given(case=hold_cases())
+@example(case=hold_needs_its_margin(SelectionMode.FIXED_SEQUENCE))
+@example(case=hold_needs_its_margin(SelectionMode.MIXTURE))
+def test_a_held_bound_settles_like_one_run_per_row(case):
+    """Holding one extent bound for ``EXTENT_HOLD`` steps changes no bit:
+    after every step the table equals one single-run table per row."""
+    settle_every_row_and_compare(*case)
+
+
+def test_a_bound_held_without_its_margin_fails(monkeypatch):
+    """A mutant that holds the live prefix itself, with no margin below
+    zero, misses accounts whose sums come back above 0 within the window.
+    It holds the whole grid while every sum is 0, so it settles the first
+    window right and fails only on later ones."""
+    def no_margin(table):
+        live = (table.sum_payoff > 0.0).any(axis=0)
+        if not table.sum_payoff.any():
+            return live.size
+        return int(live.nonzero()[0][-1]) + 1 if live.any() else 0
+
+    monkeypatch.setattr(AccountTable, "_hold_extent", no_margin)
+    with pytest.raises(AssertionError):
+        test_a_held_bound_settles_like_one_run_per_row()
+    # The worked example catches it on its own.
+    with pytest.raises(AssertionError):
+        settle_every_row_and_compare(*hold_needs_its_margin(SelectionMode.FIXED_SEQUENCE))
+
+
+@settings(deadline=None)
+@given(case=hold_cases(modes=(SelectionMode.MIXTURE,)))
+@example(case=hold_needs_its_margin(SelectionMode.MIXTURE))
+def test_carried_mixture_answer_equals_a_scan_of_the_whole_grid(case):
+    """Each row's carried mixture index equals ``_mixture_rows`` on its
+    whole grid after every step."""
+    settle_every_row_and_compare(*case, check=lambda table: (
+        table.select() == _mixture_rows(table.log_wealth.T, table.log_bars).tolist()))
+
+
+def test_a_block_refreshes_its_bound_once_per_hold(monkeypatch):
+    """A T-step lockstep block searches the whole grid for its bound at
+    most ceil(T / EXTENT_HOLD) times."""
+    calls = []
+    hold_extent = AccountTable._hold_extent
+
+    def counting(table):
+        calls.append(table)
+        return hold_extent(table)
+
+    monkeypatch.setattr(AccountTable, "_hold_extent", counting)
+    horizon = 300
+    mc_safety("bpac", RouterConfig(), uniform_linear(), horizon, 3)
+    assert 0 < len(calls) <= math.ceil(horizon / EXTENT_HOLD)

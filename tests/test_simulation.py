@@ -250,6 +250,38 @@ class TestRiskTracker:
         with pytest.raises(ValueError):
             tracker.weighted_risk_at(0)
 
+    def test_a_point_that_went_dead_keeps_its_sums(self):
+        """A table's tracker fed only each step's live block of wagers equals
+        one fed whole rows bit for bit, and a grid point that was live and
+        then fell past the block keeps its sums' bits."""
+        spec, schedule = easy_hard(break_at=30), ConstantSchedule(0.05)
+        config = RouterConfig(grid=ThresholdGrid(values=np.linspace(0.0, 1.0, 5)),
+                              schedule=schedule)
+        eps = config.epsilon
+        worst = eps - (1.0 - schedule.rho_min) / 0.05
+        table = AccountTable(config, 2)
+        block, whole = (RiskTracker(spec, schedule, config.grid, weighted=True, rows=2)
+                        for _ in range(2))
+        extents = []
+        for t in range(1, 60):
+            # Both rows bet on every point at steps 2-4, and at step 4 the
+            # worst payoff from point 2 on sinks their sums there for good.
+            k, low = ([2, 2], [worst, worst]) if t == 4 else ([5, 5], [eps, eps])
+            table.settle(k, low, 0.05)
+            block.absorb(t, table.last_lambda[:, :table.extent])
+            whole.absorb(t, table.last_lambda)
+            extents.append(table.extent)
+            for name in ("weight_sum", "weighted_risk_sum"):
+                assert np.array_equal(getattr(block, name).view(np.int64),
+                                      getattr(whole, name).view(np.int64)), name
+            if t == 4:
+                last_live = block.weight_sum[:, 4].copy(), block.weighted_risk_sum[:, 4].copy()
+        assert extents[3] == 5 and extents[-1] == 2
+        assert np.all(last_live[0] > 0.0)
+        for now, then in zip((block.weight_sum[:, 4], block.weighted_risk_sum[:, 4]),
+                             last_live):
+            assert np.array_equal(now.view(np.int64), then.view(np.int64))
+
     def test_heavier_wagers_on_hard_segment_raise_weighted_risk(self):
         spec = easy_hard(break_at=20)
         grid = ThresholdGrid.from_step(0.1)
@@ -498,14 +530,21 @@ class TestMcSafety:
 LOOSE = dataclasses.replace(RouterConfig(), alpha=0.9,
                             grid=ThresholdGrid.from_step(step=0.05),
                             schedule=TwoStageSchedule(t_warm=20))
+# Deploying at rate 0.3 instead of 0.05. The worst payoff then is about
+# -2.25, not -18.92, so accounts certify sooner and a fixed wager up to
+# about 0.444 survives it, where at 0.05 the cap is about 0.053.
+DEPLOY_AT_03 = TwoStageSchedule(rho_deploy=0.3, t_warm=20)
+# At LOOSE's rate 0.05 a uniform prior certifies nothing by T=300, adaptive
+# wager or fixed; at 0.3 it does.
 LOOSE_MIXTURE = dataclasses.replace(LOOSE, selection_mode=SelectionMode.MIXTURE,
-                                    prior=Prior.uniform(21))
+                                    prior=Prior.uniform(21), schedule=DEPLOY_AT_03)
 # Prior mass peaked on grid points 0.2, 0.3 and 0.45, so each point has its
-# own bar; with the adaptive wager both runs and lanes deploy 0.2 and 0.3
-# by T=300, where the uniform prior certifies nothing.
+# own bar; with the adaptive wager at LOOSE's rate both runs and lanes
+# deploy 0.2 and 0.3 by T=300.
 PEAKED_MASS = np.full(21, 0.01)
 PEAKED_MASS[[4, 6, 9]] = 1.0
-LOOSE_PEAKED = dataclasses.replace(LOOSE_MIXTURE, prior=Prior(PEAKED_MASS / PEAKED_MASS.sum()))
+LOOSE_PEAKED = dataclasses.replace(LOOSE, selection_mode=SelectionMode.MIXTURE,
+                                   prior=Prior(PEAKED_MASS / PEAKED_MASS.sum()))
 # Explores at 0.7 throughout with a wide budget: at T=60, replications 0-9
 # of base seed 7 see o_naive violate 5 times and ips_hoeff deploy up to 0.6.
 LOOSE_EXPLORING = dataclasses.replace(LOOSE, epsilon=0.15, schedule=ConstantSchedule(0.7))
@@ -554,7 +593,7 @@ class TestLockstep:
     """``mc_safety`` runs every method in lockstep blocks; it must match serial replications."""
 
     @pytest.mark.parametrize("chunk", [7, bpac.simulation.DRAW_CHUNK])
-    @pytest.mark.parametrize("fixed_wager", [None, 0.02])
+    @pytest.mark.parametrize("fixed_wager", [None, 0.3])
     @pytest.mark.parametrize("criterion", ["deployment", "weighted"])
     @pytest.mark.parametrize("config", [LOOSE, LOOSE_MIXTURE, LOOSE_PEAKED],
                              ids=["fixed", "mixture", "mixture_peaked"])
@@ -562,8 +601,15 @@ class TestLockstep:
                                               monkeypatch):
         spec = uniform_linear() if criterion == "deployment" else easy_hard(break_at=100)
         horizon, n_reps, base_seed = 300, 10, 7
+        if fixed_wager is not None:
+            # A fixed wager that survives rate 0.05 clears no mixture bar by
+            # T=300.
+            config = dataclasses.replace(config, schedule=DEPLOY_AT_03)
         u_hat, flags = serial_verdicts(config, spec, horizon, n_reps, base_seed,
                                        criterion, fixed_wager)
+        # Every case deploys more than one threshold, so the lanes' kernel
+        # and selection rule are checked on a moving answer.
+        assert np.unique(u_hat).size >= 2
         if config.selection_mode is SelectionMode.FIXED_SEQUENCE:
             assert 0 < sum(flags) < n_reps
         if config is LOOSE_PEAKED and fixed_wager is None:
@@ -1092,6 +1138,43 @@ class TestCounts:
         study = pinned_threshold_study(spec, 0.3, config, np.int64(40), np.int64(3))
         assert np.array_equal(study["payoffs"],
                               pinned_threshold_study(spec, 0.3, config, 40, 3)["payoffs"])
+
+
+class TestSeeds:
+    """The run doors refuse a seed that is not an integer >= 0 with a named
+    ``ValueError``, before any draw, and take numpy's integers (and, for
+    ``run_replication``, a SeedSequence)."""
+
+    @pytest.mark.parametrize("seed", [2.5, -1, "7", None, np.float64(3.0)])
+    @pytest.mark.parametrize("entry, name", [
+        (lambda seed: run_replication("bpac", LOOSE, uniform_linear(), 40, seed), "seed"),
+        (lambda seed: mc_safety("bpac", LOOSE, uniform_linear(), 40, 3, base_seed=seed),
+         "base_seed"),
+        (lambda seed: mc_safety("o_naive", LOOSE, uniform_linear(), 40, 3, base_seed=seed),
+         "base_seed"),
+        (lambda seed: pinned_threshold_study(uniform_linear(), 0.3, LOOSE, 40, 3,
+                                             base_seed=seed), "base_seed"),
+    ], ids=["run_replication", "mc_safety", "mc_safety_baseline", "study"])
+    def test_a_bad_seed_is_refused_before_any_draw(self, entry, name, seed, no_draw):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got"):
+            entry(seed)
+
+    @pytest.mark.parametrize("seed", [2.5, -1, "7"])
+    def test_a_bad_coin_seed_is_refused_before_any_event(self, seed):
+        with pytest.raises(ValueError, match="^coin_seed must be an integer >= 0, got"):
+            replay_trace("bpac", LOOSE, unread_trace(), coin_seed=seed)
+
+    def test_numpy_integers_and_seed_sequences_run_like_ints(self):
+        config, spec = LOOSE, uniform_linear()
+        digest = run_replication("bpac", config, spec, 40, 2).digest()
+        for seed in (np.int64(2), np.uint32(2), np.random.SeedSequence(2)):
+            assert run_replication("bpac", config, spec, 40, seed).digest() == digest
+        assert (mc_safety("bpac", config, spec, 40, 3, base_seed=np.int64(5))
+                == mc_safety("bpac", config, spec, 40, 3, base_seed=5))
+        study = pinned_threshold_study(spec, 0.3, config, 40, 3, base_seed=np.uint8(4))
+        assert np.array_equal(study["payoffs"],
+                              pinned_threshold_study(spec, 0.3, config, 40, 3,
+                                                     base_seed=4)["payoffs"])
 
 
 class TestRegret:
