@@ -71,11 +71,9 @@ and a table's ``settle`` refuses a ``low`` above epsilon. So within M
 steps every sum at or past A stays below 0, rounding included (its drift
 over M additions is about M * M * epsilon * 2**-53, far below epsilon),
 its wager stays exactly +0.0, and the live-prefix argument above applies.
-The same bound carries selection. A row's gap at or past A cannot move,
-so only gaps below A are read. Under mixture no log-wealth at or past A
-moves, so a row whose last point clearing its bar lies there keeps it,
-and only the other rows rescan ``[0, A)``. A single run's mixture
-selection scans the whole grid every step.
+The same bound carries selection: a row's gap at or past A cannot move,
+so only gaps below A are read. Mixture selection, of a table or of a
+single run, scans the whole grid when asked.
 
 ``route_lanes`` routes R lanes of a Monte Carlo study (``mc_safety``) on
 numbers drawn ahead of time, a chunk of steps at once, and is exact too.
@@ -351,7 +349,8 @@ class AccountTable:
             self._positive = np.empty(shape, dtype=bool)
             # The held extent bound and the steps it still holds for.
             self._bound = self._held = 0
-            # Each row's deployed index, carried from step to step.
+            # Each row's fixed-sequence deployed index, carried from step
+            # to step.
             self._deployed = [0] * rows
         self.log_wealth, self.sum_payoff = self._lw.T, self._s1.T
         self.sum_payoff_sq, self.last_lambda = self._s2.T, self._lam.T
@@ -523,9 +522,7 @@ class AccountTable:
         np.add(s1, pay, out=s1)
         np.multiply(pay, pay, out=pay)
         np.add(s2, pay, out=s2)
-        if self.mixture:
-            self._move_lasts(a)
-        else:
+        if not self.mixture:
             self._move_gaps(charged, a)
 
     def _hold_extent(self) -> int:
@@ -558,39 +555,20 @@ class AccountTable:
                 gaps[r] = first + found
             self._deployed = [max(gap - 1, 0) for gap in gaps]
 
-    def _move_lasts(self, a: int) -> None:
-        """Carry every row's mixture answer across the step just settled.
-
-        No log-wealth at or past ``a`` moved, so a row whose last point
-        clearing its bar lies there keeps it; any other row's answer is its
-        last such point in ``[0, a)``, or 0.
-        """
-        lasts = self._deployed
-        scan = [r for r, last in enumerate(lasts) if last < a]
-        if len(scan) == len(lasts):
-            self._deployed = _mixture_rows(self._lw[:a], self.log_bars[:a]).tolist()
-        elif scan:
-            found = _mixture_rows(self._lw[:a, scan], self.log_bars[:a]).tolist()
-            lasts = lasts.copy()
-            for r, last in zip(scan, found):
-                lasts[r] = last
-            self._deployed = lasts
-
     def select(self):
         """Deployed grid index under the config's selection rule, per row.
 
         Fixed-sequence deploys the point before each row's gap, or 0 when
-        the gap is at 0; mixture deploys the last point clearing its bar, or
-        0. A table carries each row's index, a list that later steps
-        replace and never change; a single run's mixture rule scans its
-        grid as a one-column table.
+        the gap is at 0; a table carries each row's index, a list that later
+        steps replace and never change. Mixture deploys the last point
+        clearing its bar, or 0, from a scan of the whole grid, a single
+        run's as a one-column table.
         """
         lw = self._lw
-        if lw.ndim == 2:
-            return self._deployed
         if not self.mixture:
-            return max(self._gap - 1, 0)
-        return int(_mixture_rows(lw.reshape(len(lw), 1), self.log_bars)[0])
+            return self._deployed if lw.ndim == 2 else max(self._gap - 1, 0)
+        deployed = _mixture_rows(lw.reshape(len(lw), -1), self.log_bars)
+        return deployed.tolist() if lw.ndim == 2 else int(deployed[0])
 
 
 @dataclass

@@ -453,8 +453,8 @@ class RiskTracker:
     wager-weighted average of past conditional risks per grid point,
     the quantity the mixture certificate controls on shifting streams.
     With ``rows``, it keeps those weighted sums for R runs on one stream
-    law, one wager row per run; ``absorb`` then takes any leading block
-    ``[0, a)`` of the grid that holds every nonzero wager.
+    law, one wager row per run. ``absorb`` takes the wagers of the whole
+    grid or of any leading block ``[0, a)`` that holds every nonzero wager.
     """
 
     def __init__(self, spec: SyntheticStreamSpec, schedule: Schedule,
@@ -488,16 +488,12 @@ class RiskTracker:
         if self.weighted:
             if wagers is None:
                 raise ValueError("weighted tracking needs the step's wagers")
-            if self.weight_sum.ndim == 1:
-                self.weight_sum += wagers
-                self.weighted_risk_sum += wagers * r
-            else:
-                # A table's rows may come as their live block [0, a): past
-                # it every wager is +0.0, which leaves both sums' bits as
-                # they are.
-                a = wagers.shape[1]
-                self.weight_sum[:, :a] += wagers
-                self.weighted_risk_sum[:, :a] += wagers * r[:a]
+            # The wagers may come as a leading block [0, a) of the grid:
+            # past it every wager is +0.0, which leaves both sums' bits as
+            # they are.
+            a = wagers.shape[-1]
+            self.weight_sum[..., :a] += wagers
+            self.weighted_risk_sum[..., :a] += wagers * r[:a]
         return r
 
     def weighted_risk_at(self, index):

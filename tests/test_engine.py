@@ -855,7 +855,7 @@ def test_a_gap_that_never_moves_back_fails(monkeypatch):
 
 
 @st.composite
-def hold_cases(draw, modes=tuple(SelectionMode)):
+def hold_cases(draw):
     """A table of 1, 3 or 7 rows over a few hold windows, and a plan of
     (k, low) splits per step and row: mostly uncharged steps, so sums that
     dipped below 0 come back within a window, and charges from small ones
@@ -866,7 +866,7 @@ def hold_cases(draw, modes=tuple(SelectionMode)):
     # The warmup may end inside any hold window, or after the run.
     schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.05,
                                 t_warm=draw(st.integers(0, horizon)))
-    mode = draw(st.sampled_from(modes))
+    mode = draw(st.sampled_from(SelectionMode))
     prior = None
     if mode is SelectionMode.MIXTURE:
         mass = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
@@ -935,16 +935,6 @@ def test_a_bound_held_without_its_margin_fails(monkeypatch):
     # The worked example catches it on its own.
     with pytest.raises(AssertionError):
         settle_every_row_and_compare(*hold_needs_its_margin(SelectionMode.FIXED_SEQUENCE))
-
-
-@settings(deadline=None)
-@given(case=hold_cases(modes=(SelectionMode.MIXTURE,)))
-@example(case=hold_needs_its_margin(SelectionMode.MIXTURE))
-def test_carried_mixture_answer_equals_a_scan_of_the_whole_grid(case):
-    """Each row's carried mixture index equals ``_mixture_rows`` on its
-    whole grid after every step."""
-    settle_every_row_and_compare(*case, check=lambda table: (
-        table.select() == _mixture_rows(table.log_wealth.T, table.log_bars).tolist()))
 
 
 def test_a_block_refreshes_its_bound_once_per_hold(monkeypatch):
