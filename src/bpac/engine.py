@@ -8,11 +8,12 @@ an account whose wealth clears the confidence bar is evidence that its
 threshold keeps the deployed risk under the budget, and the selection
 rules read the next deployed threshold off the wealth table.
 
-``AccountTable.settle(k, low, rho_t)`` is the one settlement kernel,
-with epsilon and ``payoff_bound`` read off its config: one fused in-place
-pass that touches only live accounts, over a single run's grid (what
-``step`` settles) or over R runs' grids at once (``mc_safety``'s lockstep
-lanes, and ``pinned_threshold_study`` on a one-point grid).
+``AccountTable.settle(charges, rho_t)`` is the one settlement kernel,
+with epsilon and ``payoff_bound`` read off its config and the wager cap
+kept for the rate in force: one fused in-place pass that touches only
+live accounts, over a single run's grid (what ``step`` settles) or over R
+runs' grids at once (``mc_safety``'s lockstep lanes, and
+``pinned_threshold_study`` on a one-point grid).
 ``adaptive_lambda`` and ``update_account`` are the reference wager and
 settlement over numpy scalars-or-arrays that the kernel must match bit
 for bit; they stay here because the benchmark times them by name, and
@@ -83,6 +84,11 @@ stream segment that draws a score and a loss coin per event, and nothing
 else, is one ``random(2 * m)`` call. Each lane routes against the grid
 point its row deployed and splits the grid with ``bisect_right``, as
 ``route`` does, so the routing rules are written here and only here.
+It hands back only the lanes that escalated and the sparse charges
+``(lane, k, low)`` of those whose ``low`` is not epsilon, which is what a
+table's ``settle`` takes: every lane it does not list is paid epsilon
+everywhere, so past the coin flips a step costs Python work per
+escalation, not per lane.
 """
 
 from __future__ import annotations
@@ -129,9 +135,9 @@ class InvalidObservation(ValueError):
 class LossGateViolation(RuntimeError):
     """A loss was read on a step routed to the cheap model, or out of order.
 
-    Raised when the engine asks the gate with coin 0 or for a step no
-    later than the last one it opened, and when a gate's count of
-    accesses disagrees with the routing record.
+    Raised when the engine asks the gate with coin 0, for a step no later
+    than the last one it opened or for a step outside the chunk it holds,
+    and when a gate's count of accesses disagrees with the routing record.
     """
 
 
@@ -187,9 +193,14 @@ class LossGate:
         self._first, self._held = first, losses
 
     def reveal(self, t: int, coin: int) -> float:
-        """``observe`` for held step ``t``."""
+        """``observe`` for held step ``t``; a step outside the held chunk is
+        refused before the gate counts an access."""
+        i = t - self._first
+        if not 0 <= i < len(self._held):
+            raise LossGateViolation(f"loss requested at step {t} outside the held steps "
+                                    f"{self._first} to {self._first + len(self._held) - 1}")
         self._open(t, coin)
-        return self._held[t - self._first]
+        return self._held[i]
 
     def _open(self, t: int, coin: int) -> None:
         if coin != 1:
@@ -323,6 +334,9 @@ class AccountTable:
         self.epsilon, self.rho_min = config.epsilon, config.schedule.rho_min
         self.fixed_wager = fixed_wager
         self.cap = config.betting_cap
+        # The largest wager, for the rate ``settle`` last met: cap / m_t, or
+        # the fixed wager.
+        self._rate, self._top = None, fixed_wager
         self.mixture = config.selection_mode is SelectionMode.MIXTURE
         # The bar 1 / alpha, divided by each point's prior mass under mixture.
         self.log_bars = -(math.log(config.alpha)
@@ -370,35 +384,41 @@ class AccountTable:
         and no log-wealth moved."""
         return self._extent
 
-    def settle(self, k, low, rho_t: float) -> None:
-        """Settle every account in place: epsilon on ``[0, k)``, ``low`` on ``[k, n)``.
+    def settle(self, charges, rho_t: float) -> None:
+        """Settle every account in place on one step's charges.
 
-        ``k`` and ``low`` are scalars for a single run and length-R
-        sequences for a table, one split per row. Matches ``adaptive_lambda``
-        at ``payoff_bound`` of the step's rate ``rho_t``, then ``update_account``,
-        bit for bit, row by row. Under the live-prefix invariant (module
-        docstring) the adaptive wager, the ``log1p`` and the wealth update
-        run on ``[0, a)`` only, where ``a`` is a single run's live prefix or
-        a table's held extent bound; each row bets exactly 0 past its own
-        prefix. A table refuses a ``low`` above epsilon. Raises before any
-        account changes.
+        A single run's ``charges`` are its split ``(k, low)``: epsilon on
+        ``[0, k)``, ``low`` on ``[k, n)``. A table's are a list of
+        ``(row, k, low)``, as ``route_lanes`` returns them, at most one per
+        row; a row that is not listed is paid epsilon everywhere. Matches
+        ``adaptive_lambda`` at ``payoff_bound`` of the step's rate
+        ``rho_t``, then ``update_account``, bit for bit, row by row. Under
+        the live-prefix invariant (module docstring) the adaptive wager, the
+        ``log1p`` and the wealth update run on ``[0, a)`` only, where ``a``
+        is a single run's live prefix or a table's held extent bound; each
+        row bets exactly 0 past its own prefix. A table refuses a ``low``
+        above epsilon. Raises before any account changes.
         """
-        high, m_t = self.epsilon, payoff_bound(self.epsilon, self.rho_min, rho_t)
+        if rho_t != self._rate and self.fixed_wager is None:
+            # The wager cap cap / m_t moves only with the rate, which a
+            # two-stage schedule changes once.
+            self._rate = rho_t
+            self._top = self.cap / payoff_bound(self.epsilon, self.rho_min, rho_t)
         if self._lw.ndim == 1:
-            self._settle_run(k, high, low, m_t)
+            self._settle_run(*charges)
         else:
-            self._settle_rows(k, high, low, m_t)
+            self._settle_rows(charges)
         self.last_lambda = self._lam.T
 
-    def _settle_run(self, k: int, high: float, low: float, m_t: float) -> None:
+    def _settle_run(self, k: int, low: float) -> None:
         """``settle`` for a single run, one numpy call per array job."""
         lam, work = self._spare, self._work
         n = lam.size
+        high, top = self.epsilon, self._top
         if low == high:
             # One payoff on both sides of the split: settle it as one side.
             k = n
         if self.fixed_wager is None:
-            top = self.cap / m_t
             # Accounts with sum_payoff <= 0 form a suffix of the grid.
             a = n - int(self._s1_reversed.searchsorted(0.0, "right"))
             growth, wagers = work[:a], lam[:a]
@@ -412,7 +432,7 @@ class AccountTable:
             if self._spare_extent > a:
                 lam[a:self._spare_extent] = 0.0
         else:
-            top, a = self.fixed_wager, n
+            a = n
             growth, wagers = work, lam
             lam.fill(top)
 
@@ -458,33 +478,39 @@ class AccountTable:
         # Every point before ``start`` still clears the bar.
         self._gap = start + int((lw[start:] < bar).argmax())
 
-    def _settle_rows(self, k, high: float, low, m_t: float) -> None:
+    def _settle_rows(self, charges: list[tuple[int, int, float]]) -> None:
         """``settle`` for an (R, G) table, on the block ``[0, a)`` its held
         extent bound leaves live (module docstring).
 
         Refuses a ``low`` above epsilon, which no estimate gives: the held
         bound is exact only because no payoff exceeds epsilon.
         """
-        # One payoff table for all rows, so each array op is one call.
-        # Only rows charged a loss differ from ``high`` anywhere.
+        # One payoff table for all rows, so each array op is one call, and
+        # the sums take it whole. Its obvious mends measured slower at
+        # G=1001 (shared 2-core x86 box, three rounds, per settle at R=5 with
+        # one charged row / R=25 with five): this table 11.4 / 43.2 us; one
+        # broadcast add of [eps, eps**2] onto a (2, G, R) sums array, plus
+        # saved tails for the charged rows, 13.7 / 48.8 us; two scalar adds
+        # plus patched tails 13.3 / 49.7 us. np.clip in place of the wager's
+        # maximum and minimum took 6.4 against 5.6 us, and writes -0.0 where
+        # they write +0.0. Squaring into a second buffer so that one add
+        # settles both sums was slower as well: 27.4 against 26.5 us per
+        # settle and select at R=5, and 110 against 94 at R=25, replaying
+        # one recorded mc_safety block (best of 15 and 8 interleaved rounds).
+        high, top = self.epsilon, self._top
         pay = self._pay
         pay.fill(high)
-        # Rows charged below 0 and their splits: only they may open a gap.
-        charged, lowest = [], high
-        for r, (kr, lr) in enumerate(zip(k, low)):
-            if lr != high:
-                if not lr <= high:
-                    raise ValueError(f"payoff {lr!r} of row {r} is above epsilon {high}")
-                pay[kr:, r] = lr
-                if lr < lowest:
-                    lowest = lr
-                if lr < 0.0:
-                    charged.append((r, kr))
+        lowest = high
+        for r, kr, lr in charges:
+            if not lr <= high:
+                raise ValueError(f"payoff {lr!r} of row {r} is above epsilon {high}")
+            pay[kr:, r] = lr
+            if lr < lowest:
+                lowest = lr
 
         lam, work = self._spare, self._work
         n = work.shape[0]
         if self.fixed_wager is None:
-            top = self.cap / m_t
             if not self._held:
                 self._bound, self._held = self._hold_extent(), EXTENT_HOLD
             self._held -= 1
@@ -499,7 +525,7 @@ class AccountTable:
             if self._spare_extent > a:
                 lam[a:self._spare_extent] = 0.0
         else:
-            top, a = self.fixed_wager, n
+            a = n
             if self._spare_extent < n:
                 lam.fill(top)
         self._spare_extent = a
@@ -523,7 +549,7 @@ class AccountTable:
         np.multiply(pay, pay, out=pay)
         np.add(s2, pay, out=s2)
         if not self.mixture:
-            self._move_gaps(charged, a)
+            self._move_gaps(charges, a)
 
     def _hold_extent(self) -> int:
         """The extent bound to hold for the next ``EXTENT_HOLD`` steps: one
@@ -534,14 +560,16 @@ class AccountTable:
         last = above.size - 1 - int(above[::-1].argmax())
         return last // s1.shape[1] + 1 if above[last] else 0
 
-    def _move_gaps(self, charged: list[tuple[int, int]], a: int) -> None:
+    def _move_gaps(self, charges: list[tuple[int, int, float]], a: int) -> None:
         """Carry every row's gap across the step just settled (module docstring).
 
-        ``charged`` lists the rows charged a ``low`` < 0, each with its
-        split, and ``[0, a)`` is the block the step settled.
+        ``charges`` are the step's ``(row, k, low)``, and ``[0, a)`` is the
+        block it settled. The carried deployed indices are replaced, by a
+        new list, only when some gap moved.
         """
         gaps, lw, bar = self._gap, self._lw_ends, self.log_bars
-        starts = {r: kr for r, kr in charged if kr < a and kr < gaps[r]}
+        # Only a charge below 0 can open a gap below the old one.
+        starts = {r: kr for r, kr, lr in charges if lr < 0.0 and kr < a and kr < gaps[r]}
         for r, gap in enumerate(gaps):
             # A gap at or past ``a`` did not move, and is still below the bar.
             if gap < a and r not in starts and lw.item(gap, r) >= bar:
@@ -551,18 +579,21 @@ class AccountTable:
             # still clears the bar, so a scan from the smallest of them finds
             # each moved row's new gap.
             first, scan = min(starts.values()), list(starts)
+            moved = False
             for r, found in zip(scan, (lw[first:, scan] < bar).argmax(axis=0).tolist()):
-                gaps[r] = first + found
-            self._deployed = [max(gap - 1, 0) for gap in gaps]
+                if gaps[r] != first + found:
+                    gaps[r], moved = first + found, True
+            if moved:
+                self._deployed = [max(gap - 1, 0) for gap in gaps]
 
     def select(self):
         """Deployed grid index under the config's selection rule, per row.
 
         Fixed-sequence deploys the point before each row's gap, or 0 when
-        the gap is at 0; a table carries each row's index, a list that later
-        steps replace and never change. Mixture deploys the last point
-        clearing its bar, or 0, from a scan of the whole grid, a single
-        run's as a one-column table.
+        the gap is at 0; a table carries each row's index, a list that a
+        later step replaces only when some row's gap moved, and never
+        changes. Mixture deploys the last point clearing its bar, or 0, from
+        a scan of the whole grid, a single run's as a one-column table.
         """
         lw = self._lw
         if not self.mixture:
@@ -632,19 +663,20 @@ def route(obs: StreamObservation, threshold_used: float, rho_t: float,
 
 def route_lanes(t: int, scores: list[float], draws: list[float], deployed: list[int],
                 rho_t: float, gates: list[LossGate],
-                config: RouterConfig) -> tuple[list[int], list[int], list[float]]:
+                config: RouterConfig) -> tuple[list[int], list[tuple[int, int, float]]]:
     """``route`` for R lanes at step ``t``, on numbers drawn ahead of time.
 
     Lane r routes ``scores[r]`` against its deployed grid point
     ``deployed[r]``. ``draws[r]`` is the ``random()`` its coin generator
     gives at this step, and ``gates[r]`` holds its latent loss for step
-    ``t``, read only if the lane escalated. Returns each lane's coin and
-    its split ``k, low`` as in ``route``, bit for bit, and makes
-    ``route``'s checks; a failed check names the lane and the step.
+    ``t``, read only if the lane escalated. Returns the lanes that
+    escalated, in order, and the charges ``(lane, k, low)`` of those
+    whose ``low`` is not epsilon, with the split ``k, low`` as in
+    ``route``, bit for bit; every other lane is paid epsilon everywhere.
+    Makes ``route``'s checks; a failed check names the lane and the step.
     """
-    grid = config.grid.grid_list
-    lanes = len(scores)
-    coins, k, low = [0] * lanes, [config.grid.n] * lanes, [config.epsilon] * lanes
+    grid, epsilon = config.grid.grid_list, config.epsilon
+    escalated, charges = [], []
     for lane, (score, draw, index) in enumerate(zip(scores, draws, deployed)):
         if not math.isfinite(score):
             raise InvalidObservation(
@@ -653,9 +685,11 @@ def route_lanes(t: int, scores: list[float], draws: list[float], deployed: list[
         if draw >= pi:
             continue
         observed = gates[lane].reveal(t, 1)
-        coins[lane], k[lane], low[lane] = 1, bisect_right(grid, score), _escalation_low(
-            observed, pi, rho_t, config, t, lane)
-    return coins, k, low
+        escalated.append(lane)
+        low = _escalation_low(observed, pi, rho_t, config, t, lane)
+        if low != epsilon:
+            charges.append((lane, bisect_right(grid, score), low))
+    return escalated, charges
 
 
 def step(state: RouterState, obs: StreamObservation,
@@ -688,7 +722,7 @@ def step(state: RouterState, obs: StreamObservation,
     rho_t = rho_at(cfg.schedule, t)
     threshold_used = cfg.grid.grid_list[state.deployed_index]
     pi, coin, observed, k, low = route(obs, threshold_used, rho_t, state.rng, gate, cfg)
-    state.table.settle(k, low, rho_t)
+    state.table.settle((k, low), rho_t)
     state.deployed_index = state.table.select()
     state.t = t
     return Decision(pi, coin, observed, threshold_used), state

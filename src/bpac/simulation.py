@@ -824,13 +824,16 @@ def _safety_criterion(method: Method, spec: SyntheticStreamSpec,
 
 def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
                   streams, coins, gates: list[LossGate], table: AccountTable):
-    """Advance bpac lanes; yield each step, its deployed indices and its coins.
+    """Advance bpac lanes; yield each step, its deployed indices and the
+    lanes that escalated.
 
     Every ``DRAW_CHUNK`` steps, each lane draws its scores and latent
     losses (``_draw``) and its coin draws for the chunk up front and puts
     the losses behind its gate. Each step then routes every lane from its
-    row's deployed index with ``route_lanes``, settles every row in one
-    kernel call and certifies each row's threshold.
+    row's deployed index with ``route_lanes``, settles every row on its
+    charges in one kernel call and certifies each row's threshold. The
+    deployed indices are the table's own list: under fixed-sequence it is
+    the same list until some row's gap moves (``AccountTable.select``).
     """
     deployed = [0] * len(gates)
     for start in range(1, horizon + 1, DRAW_CHUNK):
@@ -843,9 +846,9 @@ def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
         for t, lane_scores, lane_draws in zip(range(start, stop), scores.T.tolist(),
                                               draws.T.tolist()):
             rho_t = rho_at(config.schedule, t)
-            escalated, k, low = route_lanes(t, lane_scores, lane_draws, deployed, rho_t,
-                                            gates, config)
-            table.settle(k, low, rho_t)
+            escalated, charges = route_lanes(t, lane_scores, lane_draws, deployed, rho_t,
+                                             gates, config)
+            table.settle(charges, rho_t)
             deployed = table.select()
             yield t, deployed, escalated
 
@@ -859,9 +862,10 @@ def _baseline_lanes(lanes: list[tuple[MeanState, Any]], spec: SyntheticStreamSpe
     """
     sources = [stream_events(spec, stream, horizon) for stream in streams]
     for t, events in enumerate(zip(*sources), 1):
-        escalated = [advance(state, obs, gate)[0].coin
-                     for obs, (state, advance), gate in zip(events, lanes, gates)]
-        yield t, [state.deployed_index for state, _ in lanes], escalated
+        coins = [advance(state, obs, gate)[0].coin
+                 for obs, (state, advance), gate in zip(events, lanes, gates)]
+        yield (t, [state.deployed_index for state, _ in lanes],
+               [lane for lane, coin in enumerate(coins) if coin])
 
 
 def _lockstep_violated(args) -> list[bool]:
@@ -875,6 +879,12 @@ def _lockstep_violated(args) -> list[bool]:
     every row and each row certifies its own threshold. So the deployed
     thresholds equal the serial ones bit for bit, and the gates are
     audited as in ``_drive``.
+
+    Each step counts only the lanes that escalated. Under the deployment
+    criterion the flags are folded again only when the lanes hand back a
+    new list of deployed indices: a fixed-sequence table replaces its list
+    only when some row's gap moved, so a list seen before is folded
+    already.
     """
     method, config, spec, horizon, seeds, criterion, fixed_wager, hoeff_variant = args
     rows = len(seeds)
@@ -894,13 +904,17 @@ def _lockstep_violated(args) -> list[bool]:
                                    deployment_rate(config.schedule)) > eps).tolist()
     violated = [False] * rows
     escalations = [0] * rows
+    folded = None
     for t, deployed, escalated in lanes:
-        escalations = list(map(operator.add, escalations, escalated))
+        for lane in escalated:
+            escalations[lane] += 1
         if criterion == "weighted":
             tracker.absorb(t, table.last_lambda[:, :table.extent])
             flags = (tracker.weighted_risk_at(deployed) > eps).tolist()
+        elif deployed is folded:
+            continue
         else:
-            flags = [unsafe[index] for index in deployed]
+            folded, flags = deployed, [unsafe[index] for index in deployed]
         violated = list(map(operator.or_, violated, flags))
     _audit_gates(gates, escalations)
     return violated
@@ -922,7 +936,11 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
 
     Replication i always runs on the i-th child of ``base_seed``.
     Replications advance in lockstep blocks of ``MC_BLOCK``: bpac rows on
-    one account table, baselines on one ``MeanState`` each. ``workers`` > 1
+    one account table, baselines on one ``MeanState`` each. Past the coin
+    flips, a bpac block's step does Python work only for the lanes that
+    escalated: ``route_lanes`` hands back those lanes and the sparse
+    charges that ``settle`` takes, and fixed-sequence deployment flags are
+    folded again only when some row's gap moved. ``workers`` > 1
     spreads the blocks over a process pool of at most ``workers``
     processes, and never more than the blocks or the CPUs. A block whose
     gates did not open exactly once per escalation raises
@@ -1001,7 +1019,6 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
     bar = -math.log(config.alpha)
     crossed = np.zeros(n_reps, dtype=bool)
     payoffs = np.empty((horizon, n_reps))
-    splits = [0] * n_reps
 
     for t in range(1, horizon + 1):
         seg = spec.segment_at(t)
@@ -1010,11 +1027,13 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
         latent = (rng.random(n_reps) < seg.loss.prob(score)).astype(float)
         coin = rng.random(n_reps) < np.where(score >= threshold, 1.0, rho_t)
         # Only a query explored below the threshold, at propensity rho_t,
-        # charges its row; the split 0 hands every row its ``low``.
+        # charges its row, at the split 0: the whole one-point grid.
         low = [config.epsilon] * n_reps
+        charges = []
         for r in np.flatnonzero(coin & (score < threshold)).tolist():
             low[r] = _escalation_low(float(latent[r]), rho_t, rho_t, config, t, r)
-        table.settle(splits, low, rho_t)
+            charges.append((r, 0, low[r]))
+        table.settle(charges, rho_t)
         payoffs[t - 1] = low
         crossed |= log_wealth >= bar
 

@@ -54,10 +54,11 @@ def peeking_route(monkeypatch):
     """A known-invalid lane route for ``mc_safety``: it also reads the loss of
     the first lane that stayed cheap, which only the gate audit can see."""
     def peeking(t, scores, draws, deployed, rho_t, gates, config):
-        coins, k, low = route_lanes(t, scores, draws, deployed, rho_t, gates, config)
-        if 0 in coins:
-            gates[coins.index(0)].reveal(t, 1)
-        return coins, k, low
+        escalated, charges = route_lanes(t, scores, draws, deployed, rho_t, gates, config)
+        cheap = [lane for lane in range(len(gates)) if lane not in escalated]
+        if cheap:
+            gates[cheap[0]].reveal(t, 1)
+        return escalated, charges
 
     monkeypatch.setattr(bpac.simulation, "route_lanes", peeking)
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -433,6 +434,20 @@ def route_lane_by_lane(t, scores, draws, losses, thresholds, rho_t, config):
     return out
 
 
+def dense_lanes(scores, escalated, charges, config):
+    """``route``'s coin, ``k`` and ``low`` per lane, from ``route_lanes``'
+    escalated lanes and sparse charges: a lane it did not charge was paid
+    epsilon, from its own split if it escalated and from n if not."""
+    grid, lanes = config.grid.grid_list, len(scores)
+    coins, k, low = [0] * lanes, [config.grid.n] * lanes, [config.epsilon] * lanes
+    for lane in escalated:
+        coins[lane], k[lane] = 1, bisect.bisect_right(grid, scores[lane])
+    for lane, split, payoff in charges:
+        assert coins[lane] == 1
+        k[lane], low[lane] = split, payoff
+    return coins, k, low
+
+
 def held_gates(t, losses):
     """One gate per lane, each holding its lane's loss of step ``t``."""
     gates = [LossGate() for _ in losses]
@@ -478,9 +493,13 @@ class TestRouteLanes:
         expected = route_lane_by_lane(t, scores, draws, losses, thresholds, rho_t,
                                       LANE_CONFIG)
         gates = held_gates(t, losses)
-        coins, k, low = route_lanes(t, scores, draws, lane_deployed(thresholds), rho_t, gates,
-                                    LANE_CONFIG)
+        escalated, charges = route_lanes(t, scores, draws, lane_deployed(thresholds), rho_t,
+                                         gates, LANE_CONFIG)
+        coins, k, low = dense_lanes(scores, escalated, charges, LANE_CONFIG)
         assert list(zip(coins, k, low)) == [result for result, _ in expected]
+        # Sparse: lanes in order, and a charge only where the payoff is not epsilon.
+        assert escalated == sorted(escalated) and [c[0] for c in charges] == sorted(
+            lane for lane in escalated if low[lane] != LANE_CONFIG.epsilon)
         assert [gate.accessed_steps for gate in gates] == [steps for _, steps in expected]
         assert [gate.accessed_steps for gate in gates] == [[t] * coin for coin in coins]
 
@@ -504,6 +523,27 @@ class TestRouteLanes:
             route_lanes(t, scores, draws, lane_deployed(thresholds), rho_t, gates, LANE_CONFIG)
         assert message in str(info.value)
         assert [gate.accessed_steps for gate in gates] == [steps for _, steps in expected]
+
+    def test_a_lane_that_escalates_on_loss_0_is_not_charged(self):
+        # Lane 0 escalates surely, lanes 1 and 2 on a draw of 0 below their
+        # threshold; only lane 2 observes a loss above 0.
+        t, scores, losses = 4, [0.9, 0.2, 0.3], [0.0, 0.0, 1.0]
+        gates = held_gates(t, losses)
+        escalated, charges = route_lanes(t, scores, [0.5, 0.0, 0.0], lane_deployed([0.5] * 3),
+                                         0.05, gates, LANE_CONFIG)
+        assert escalated == [0, 1, 2]
+        assert [lane for lane, _, _ in charges] == [2]
+        assert [gate.accessed_steps for gate in gates] == [[t]] * 3
+
+    @pytest.mark.parametrize("held, t", [([0.0, 1.0, 0.0, 0.0], 3), ([0.0, 1.0], 9)])
+    def test_gate_refuses_a_step_outside_its_held_chunk(self, held, t):
+        """Step 3 before a chunk held from step 5 would read the loss of step
+        7 off the end; step 9 past it would fail on the list after counting."""
+        gate = LossGate()
+        gate.hold(5, held)
+        with pytest.raises(LossGateViolation, match=f"step {t} outside the held steps 5 to"):
+            gate.reveal(t, 1)
+        assert gate.access_count == 0 and gate.accessed_steps == []
 
     def test_gate_reveals_held_losses_only_on_escalation(self):
         gate = LossGate()
@@ -619,6 +659,12 @@ def assert_same_bits(table_acc, row, single_acc):
         assert np.array_equal(bits(got), bits(getattr(single_acc, name))), name
 
 
+def row_charges(splits, epsilon):
+    """A table's charges for one ``(k, low)`` split per row, sparse as
+    ``route_lanes`` gives them: only the rows whose ``low`` is not epsilon."""
+    return [(r, k, low) for r, (k, low) in enumerate(splits) if low != epsilon]
+
+
 class TestAccountTable:
     RHO = 0.05
     M_T = payoff_bound(EPS, RHO_MIN, RHO)
@@ -649,9 +695,9 @@ class TestAccountTable:
                 prefixes[r].append(live[r])
             if rows is None:
                 (k, low), = splits
-                table.settle(k, low, self.RHO)
+                table.settle((k, low), self.RHO)
             else:
-                table.settle([k for k, _ in splits], [low for _, low in splits], self.RHO)
+                table.settle(row_charges(splits, EPS), self.RHO)
             for r, shadow in enumerate(shadows):
                 assert_same_bits(table, None if rows is None else r, shadow)
                 lam = np.asarray(table.last_lambda).reshape(len(charges), 8)[r]
@@ -667,16 +713,16 @@ class TestAccountTable:
         its array check; a table charges one row and checks every row."""
         table = AccountTable(self.config(), rows, fixed_wager=0.04)
         if rows is None:
-            table.settle(8, EPS, self.RHO)
+            table.settle((8, EPS), self.RHO)
         else:
-            table.settle([8, 8, 8], [EPS, EPS, EPS], self.RHO)
+            table.settle([], self.RHO)
         before = {name: getattr(table, name).copy()
                   for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda")}
         with pytest.raises(WagerOutOfRange):
             if rows is None:
-                table.settle(0, -30.0, self.RHO)
+                table.settle((0, -30.0), self.RHO)
             else:
-                table.settle([8, 0, 8], [EPS, -30.0, EPS], self.RHO)
+                table.settle([(1, 0, -30.0)], self.RHO)
         for name, value in before.items():
             assert np.array_equal(getattr(table, name), value), name
 
@@ -684,12 +730,12 @@ class TestAccountTable:
         """The held extent bound is exact only because no payoff exceeds
         epsilon, so a table refuses one, naming its row."""
         table = AccountTable(self.config(), 3)
-        table.settle([8, 8, 8], [EPS, EPS, EPS], self.RHO)
+        table.settle([], self.RHO)
         before = {name: getattr(table, name).copy()
                   for name in ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda")}
         for payoff in (EPS + 1e-9, math.nan):
             with pytest.raises(ValueError, match="of row 1 is above epsilon"):
-                table.settle([8, 2, 0], [EPS, payoff, -1.0], self.RHO)
+                table.settle([(1, 2, payoff), (2, 0, -1.0)], self.RHO)
             for name, value in before.items():
                 assert np.array_equal(bits(getattr(table, name)), bits(value)), name
 
@@ -705,7 +751,7 @@ class TestAccountTable:
         m_t = payoff_bound(EPS, RHO_MIN, 0.7)
         assert -2.0 * config.betting_cap / m_t <= -1.0
         for k, low in [(8, EPS), (3, -2.0)]:
-            table.settle(k, low, 0.7)
+            table.settle((k, low), 0.7)
             reference_settle(shadow, k, EPS, low, m_t, config.betting_cap)
             assert_same_bits(table, None, shadow)
 
@@ -745,9 +791,9 @@ def settle_every_row_and_compare(config, fixed_wager, plan, check=None):
     for t, splits in enumerate(plan, start=1):
         rho_t = rho_at(config.schedule, t)
         live = np.count_nonzero(table.sum_payoff > 0.0, axis=1)
-        table.settle([k for k, _ in splits], [low for _, low in splits], rho_t)
+        table.settle(row_charges(splits, config.epsilon), rho_t)
         for r, (single, (k, low)) in enumerate(zip(singles, splits)):
-            single.settle(k, low, rho_t)
+            single.settle((k, low), rho_t)
             assert_same_bits(table, r, single)
             if fixed_wager is None:
                 tail = table.last_lambda[r, live[r]:]
@@ -831,10 +877,10 @@ def test_carried_gap_equals_a_scan_of_the_whole_grid(case):
     bar = -math.log(config.alpha)
     for t, splits in enumerate(plan, start=1):
         if rows is None:
-            (k, low), = splits
+            charges, = splits
         else:
-            k, low = [k for k, _ in splits], [low for _, low in splits]
-        table.settle(k, low, rho_at(config.schedule, t))
+            charges = row_charges(splits, config.epsilon)
+        table.settle(charges, rho_at(config.schedule, t))
         log_wealth = table.log_wealth
         assert np.atleast_1d(table._gap).tolist() == first_gaps(log_wealth, bar)
         if rows is None:
@@ -852,6 +898,24 @@ def test_a_gap_that_never_moves_back_fails(monkeypatch):
                         lambda table, charged, a: move_gaps(table, [], a))
     with pytest.raises(AssertionError):
         test_carried_gap_equals_a_scan_of_the_whole_grid()
+
+
+def test_a_charge_that_leaves_the_bar_cleared_moves_no_gap():
+    """A charge with 0 <= low < epsilon gains every live account wealth, and
+    a small one below 0 leaves it above the bar. Once every row has
+    certified the whole grid, neither moves a gap, and ``select`` hands
+    back the very list it did before."""
+    config, _, rows, plan = gap_moves_back(3)
+    table = AccountTable(config, rows)
+    for t, splits in enumerate(plan[:11], start=1):
+        table.settle(row_charges(splits, config.epsilon), rho_at(config.schedule, t))
+    deployed = table.select()
+    assert table._gap == [5, 5, 5] and deployed == [4, 4, 4]
+    lows = [0.0, 0.1, math.nextafter(config.epsilon, 0.0), -1e-3]
+    for t, low in enumerate(lows, start=12):
+        table.settle([(0, 1, low), (1, 0, low), (2, 4, low)], rho_at(config.schedule, t))
+        assert table._gap == [5, 5, 5] and table.select() is deployed
+        assert np.all(table.log_wealth >= -math.log(config.alpha))
 
 
 @st.composite

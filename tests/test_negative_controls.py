@@ -84,12 +84,17 @@ def test_coverage_catches_the_mutant(mutant, real_frequency, request):
 AUDIT_HORIZON = 500
 
 
-def step_payoffs(table: AccountTable, k, low) -> np.ndarray:
+def step_payoffs(table: AccountTable, charges) -> np.ndarray:
     """This step's payoff per account, shaped like ``table``'s account arrays:
-    epsilon below each split ``k``, ``low`` from it on."""
-    points = np.arange(table.log_wealth.shape[-1])
-    return np.where(points < np.asarray(k)[..., None], table.epsilon,
-                    np.asarray(low, dtype=float)[..., None])
+    ``low`` from each charge's split ``k`` on, epsilon everywhere else."""
+    pay = np.full(table.log_wealth.shape, table.epsilon)
+    if pay.ndim == 1:
+        k, low = charges
+        pay[k:] = low
+    else:
+        for row, k, low in charges:
+            pay[row, k:] = low
+    return pay
 
 
 def audit_wagers(monkeypatch) -> list[float]:
@@ -98,12 +103,12 @@ def audit_wagers(monkeypatch) -> list[float]:
     of audited steps' rates, which grows as they settle."""
     settle, audited = AccountTable.settle, []
 
-    def checked(table, k, low, rho_t):
+    def checked(table, charges, rho_t):
         past = ThresholdAccount(sum_payoff=table.sum_payoff.copy(),
                                 sum_payoff_sq=table.sum_payoff_sq.copy())
         m_t = payoff_bound(table.epsilon, table.rho_min, rho_t)
         expected = adaptive_lambda(past, m_t, table.cap)
-        settle(table, k, low, rho_t)
+        settle(table, charges, rho_t)
         wagers = np.ascontiguousarray(table.last_lambda)
         assert wagers.shape == expected.shape
         assert np.array_equal(wagers.view(np.int64), expected.view(np.int64)), \
@@ -119,12 +124,12 @@ def peeking_wager(monkeypatch):
     """(i): bet on sums that already hold the current payoff."""
     settle = AccountTable.settle
 
-    def peek(table, k, low, rho_t):
-        pay = step_payoffs(table, k, low)
+    def peek(table, charges, rho_t):
+        pay = step_payoffs(table, charges)
         s1, s2 = table.sum_payoff.copy(), table.sum_payoff_sq.copy()
         table.sum_payoff[...] = s1 + pay
         table.sum_payoff_sq[...] = s2 + np.square(pay)
-        settle(table, k, low, rho_t)
+        settle(table, charges, rho_t)
         # Leave the sums as an honest settle would.
         table.sum_payoff[...] = s1 + pay
         table.sum_payoff_sq[...] = s2 + np.square(pay)

@@ -257,8 +257,7 @@ class TestRiskTracker:
         spec, schedule = easy_hard(break_at=30), ConstantSchedule(0.05)
         config = RouterConfig(grid=ThresholdGrid(values=np.linspace(0.0, 1.0, 5)),
                               schedule=schedule)
-        eps = config.epsilon
-        worst = eps - (1.0 - schedule.rho_min) / 0.05
+        worst = config.epsilon - (1.0 - schedule.rho_min) / 0.05
         table = AccountTable(config, 2)
         block, whole = (RiskTracker(spec, schedule, config.grid, weighted=True, rows=2)
                         for _ in range(2))
@@ -266,8 +265,7 @@ class TestRiskTracker:
         for t in range(1, 60):
             # Both rows bet on every point at steps 2-4, and at step 4 the
             # worst payoff from point 2 on sinks their sums there for good.
-            k, low = ([2, 2], [worst, worst]) if t == 4 else ([5, 5], [eps, eps])
-            table.settle(k, low, 0.05)
+            table.settle([(0, 2, worst), (1, 2, worst)] if t == 4 else [], 0.05)
             block.absorb(t, table.last_lambda[:, :table.extent])
             whole.absorb(t, table.last_lambda)
             extents.append(table.extent)
@@ -623,6 +621,28 @@ class TestLockstep:
             assert report["violations"] == sum(flags)
             assert np.array_equal(lanes, u_hat)
 
+    def test_a_one_step_unsafe_deployment_is_counted(self, monkeypatch):
+        """A fixed-sequence block folds its deployment flags only when the
+        table hands back a new list. A lane that deploys an unsafe index for
+        exactly one step and then drops back still counts as violated."""
+        config, spec, horizon, n_reps = RouterConfig(), uniform_linear(), 200, 3
+        unsafe = oracle_risk_grid(spec, config.grid.values, deployment_rate(config.schedule))
+        spike = int(np.flatnonzero(unsafe > config.epsilon)[0])
+        assert mc_safety("bpac", config, spec, horizon, n_reps)["violations"] == 0
+        select, steps = AccountTable.select, []
+
+        def scripted(table):
+            deployed = select(table)
+            steps.append(deployed)
+            if len(steps) == 50:
+                assert deployed[1] < spike
+                return [*deployed[:1], spike, *deployed[2:]]
+            return deployed
+
+        monkeypatch.setattr(AccountTable, "select", scripted)
+        assert mc_safety("bpac", config, spec, horizon, n_reps)["violations"] == 1
+        assert len(steps) == horizon and steps[49] is steps[50]
+
     @pytest.mark.parametrize("chunk", [7, bpac.simulation.DRAW_CHUNK])
     def test_fallback_spec_matches_serial_replications(self, chunk, monkeypatch):
         horizon, n_reps, base_seed = 200, 8, 0
@@ -765,9 +785,9 @@ class TestGateAudit:
 
     def test_a_second_read_of_an_escalated_lane_is_refused(self, monkeypatch):
         def rereading(t, scores, draws, deployed, rho_t, gates, config):
-            coins, k, low = route_lanes(t, scores, draws, deployed, rho_t, gates, config)
-            gates[coins.index(1)].reveal(t, 1)
-            return coins, k, low
+            escalated, charges = route_lanes(t, scores, draws, deployed, rho_t, gates, config)
+            gates[escalated[0]].reveal(t, 1)
+            return escalated, charges
 
         # deployed threshold 0 at step 1: every lane escalates
         monkeypatch.setattr(bpac.simulation, "route_lanes", rereading)
