@@ -171,6 +171,18 @@ def rho_at(schedule: Schedule, t: int) -> float:
     return float(schedule.rate_at(t))
 
 
+def rate_pieces(schedule: Schedule, start: int, stop: int):
+    """Yield ``(first, end, rho)`` runs that cover steps [start, stop) in order,
+    ``rho`` being ``rho_at`` of every step of the run. A two-stage schedule
+    changes its rate once, after ``t_warm``; ``stop`` may be ``math.inf``."""
+    while start < stop:
+        end = stop
+        if isinstance(schedule, TwoStageSchedule) and start <= schedule.t_warm:
+            end = min(stop, schedule.t_warm + 1)
+        yield start, end, rho_at(schedule, start)
+        start = end
+
+
 def deployment_rate(schedule: Schedule) -> float:
     """Long-run exploration rate, the one in force after any warmup."""
     if isinstance(schedule, TwoStageSchedule):

@@ -30,7 +30,7 @@ from .core import (
     deployment_rate,
     json_number,
     load_json,
-    rho_at,
+    rate_pieces,
     tagged_from_dict,
     tagged_to_dict,
     validate_config,
@@ -39,6 +39,7 @@ from .engine import (
     AccountTable,
     LossGate,
     LossGateViolation,
+    OutOfOrderObservation,
     RouterState,
     ThresholdAccount,
     _escalation_low,
@@ -444,17 +445,30 @@ def oracle_threshold(spec: SyntheticStreamSpec, epsilon: float, rho: float,
     return float(grid.values[over[0]]) if over.size else None
 
 
+def _law_pieces(spec: SyntheticStreamSpec, schedule: Schedule, start: int, stop):
+    """Yield ``(first, end, segment, rho)`` runs that cover steps [start, stop)
+    in order, on each of which both the segment and the rate are constant."""
+    for first, end, seg in spec.pieces(start, stop):
+        for lo, hi, rho in rate_pieces(schedule, first, end):
+            yield lo, hi, seg, rho
+
+
 class RiskTracker:
     """Evaluator-side conditional and weighted cumulative risk.
 
     Per step the conditional risk vector r_t(u) = (1 - rho_t) *
     E[loss * 1{score < u}] comes straight from the active segment's law.
+    Steps come one at a time from 1, so the tracker carries one piece at a
+    time: the risk vector of a run of steps with one segment and one rate
+    (``_law_pieces``), and the last step it covers.
     When wager weights are supplied, the tracker also maintains the
     wager-weighted average of past conditional risks per grid point,
     the quantity the mixture certificate controls on shifting streams.
     With ``rows``, it keeps those weighted sums for R runs on one stream
     law, one wager row per run. ``absorb`` takes the wagers of the whole
-    grid or of any leading block ``[0, a)`` that holds every nonzero wager.
+    grid or of any leading block ``[0, a)`` that holds every nonzero wager;
+    serial runs and lockstep lanes alike hand it only their table's live
+    block ``last_lambda[..., :extent]``.
     """
 
     def __init__(self, spec: SyntheticStreamSpec, schedule: Schedule,
@@ -464,10 +478,10 @@ class RiskTracker:
         self.schedule = schedule
         self.grid_values = grid.values
         self.weighted = weighted
-        # ``_segment_risk`` of the grid, keyed by (segment, rate).
-        self._risk_cache: dict[tuple[int, float], np.ndarray] = {}
         n = grid.values.size
         self.steps = 0
+        # The active piece's ``_segment_risk`` and the last step it covers.
+        self._risk, self._last = None, 0
         self.risk_sum = np.zeros(n)
         if weighted:
             # Rows are stored grid-major, like ``AccountTable``, so a wager
@@ -475,25 +489,44 @@ class RiskTracker:
             shape = n if rows is None else (n, rows)
             self.weight_sum = np.zeros(shape).T
             self.weighted_risk_sum = np.zeros(shape).T
+            # One step's wagers times its risks.
+            self._product = np.empty(shape).T
+            # Views of both sums, the product and the piece's risks on the
+            # wagers' block [0, a), made again when a or the piece changes.
+            self._width, self._block = None, ()
 
     def absorb(self, t: int, wagers: np.ndarray | None = None) -> np.ndarray:
-        """Fold step t into the running sums; returns r_t over the grid."""
-        seg, rho_t = self.spec.segment_index_at(t), rho_at(self.schedule, t)
-        r = self._risk_cache.get((seg, rho_t))
-        if r is None:
-            r = self._risk_cache[seg, rho_t] = _segment_risk(self.spec.segments[seg],
-                                                             self.grid_values, rho_t)
-        self.steps += 1
-        self.risk_sum += r
+        """Fold step t into the running sums; returns r_t over the grid.
+
+        Raises, before any sum changes, ``OutOfOrderObservation`` unless t
+        is ``steps + 1``, ``ValueError`` when a weighted tracker gets no
+        wagers, and ``StreamExhausted`` past a bounded spec's end.
+        """
+        if t != self.steps + 1:
+            raise OutOfOrderObservation(
+                f"risk tracker expected step {self.steps + 1}, got {t}")
+        if self.weighted and wagers is None:
+            raise ValueError("weighted tracking needs the step's wagers")
+        if t > self._last:
+            _, end, seg, rho = next(_law_pieces(self.spec, self.schedule, t, math.inf))
+            self._risk, self._last = _segment_risk(seg, self.grid_values, rho), end - 1
+            self._width = None
+        r = self._risk
+        self.steps = t
+        np.add(self.risk_sum, r, self.risk_sum)
         if self.weighted:
-            if wagers is None:
-                raise ValueError("weighted tracking needs the step's wagers")
             # The wagers may come as a leading block [0, a) of the grid:
             # past it every wager is +0.0, which leaves both sums' bits as
             # they are.
             a = wagers.shape[-1]
-            self.weight_sum[..., :a] += wagers
-            self.weighted_risk_sum[..., :a] += wagers * r[:a]
+            if a != self._width:
+                self._width = a
+                self._block = (self.weight_sum[..., :a], self.weighted_risk_sum[..., :a],
+                               self._product[..., :a], r[:a])
+            weights, risks, product, block_risk = self._block
+            np.add(weights, wagers, weights)
+            np.multiply(wagers, block_risk, product)
+            np.add(risks, product, risks)
         return r
 
     def weighted_risk_at(self, index):
@@ -512,10 +545,10 @@ class RiskTracker:
             plain = (self.risk_sum[index] / self.steps if self.steps
                      else np.zeros(w.shape))
             return np.divide(self.weighted_risk_sum[at], w, out=plain, where=w > 0.0)
-        w = self.weight_sum[index]
+        w = self.weight_sum.item(index)
         if w > 0.0:
-            return float(self.weighted_risk_sum[index] / w)
-        return float(self.risk_sum[index] / self.steps) if self.steps else 0.0
+            return self.weighted_risk_sum.item(index) / w
+        return self.risk_sum.item(index) / self.steps if self.steps else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +719,8 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
         er.append(acc.er)
         if tracker is not None:
             if tracker.weighted:
-                r_vec = tracker.absorb(obs.index, state.table.last_lambda)
+                table = state.table
+                r_vec = tracker.absorb(obs.index, table.last_lambda[:table.extent])
                 weighted_risk.append(tracker.weighted_risk_at(idx))
             else:
                 r_vec = tracker.absorb(obs.index)
@@ -707,8 +741,12 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
         """A risk tracker column, NaN where the tracker recorded nothing."""
         return np.array(values, dtype=float) if values else np.full(n, math.nan)
 
-    rho = (np.array([rho_at(config.schedule, t) for t in range(1, n + 1)], dtype=float)
-           if method is Method.BPAC else np.full(n, state.rho))
+    if method is Method.BPAC:
+        rho = np.empty(n)
+        for first, end, rate in rate_pieces(config.schedule, 1, n + 1):
+            rho[first - 1:end - 1] = rate
+    else:
+        rho = np.full(n, state.rho)
     return Trajectory(method=method.value, seed=seed_label,
                       config_hash=config_digest(config),
                       t=np.arange(1, n + 1, dtype=np.int64),
@@ -843,14 +881,16 @@ def _engine_lanes(config: RouterConfig, spec: SyntheticStreamSpec, horizon: int,
             row[:], losses, _ = _draw(spec, stream, start, stop)
             gate.hold(start, losses.tolist())
         draws = np.array([coin.random(stop - start) for coin in coins])
-        for t, lane_scores, lane_draws in zip(range(start, stop), scores.T.tolist(),
-                                              draws.T.tolist()):
-            rho_t = rho_at(config.schedule, t)
-            escalated, charges = route_lanes(t, lane_scores, lane_draws, deployed, rho_t,
-                                             gates, config)
-            table.settle(charges, rho_t)
-            deployed = table.select()
-            yield t, deployed, escalated
+        step_scores, step_draws = scores.T.tolist(), draws.T.tolist()
+        for first, end, rho_t in rate_pieces(config.schedule, start, stop):
+            at = slice(first - start, end - start)
+            for t, lane_scores, lane_draws in zip(range(first, end), step_scores[at],
+                                                  step_draws[at]):
+                escalated, charges = route_lanes(t, lane_scores, lane_draws, deployed, rho_t,
+                                                 gates, config)
+                table.settle(charges, rho_t)
+                deployed = table.select()
+                yield t, deployed, escalated
 
 
 def _baseline_lanes(lanes: list[tuple[MeanState, Any]], spec: SyntheticStreamSpec,
@@ -1020,22 +1060,21 @@ def pinned_threshold_study(spec: SyntheticStreamSpec, threshold: float,
     crossed = np.zeros(n_reps, dtype=bool)
     payoffs = np.empty((horizon, n_reps))
 
-    for t in range(1, horizon + 1):
-        seg = spec.segment_at(t)
-        rho_t = rho_at(config.schedule, t)
-        score = np.asarray(seg.score.sample(rng, n_reps))
-        latent = (rng.random(n_reps) < seg.loss.prob(score)).astype(float)
-        coin = rng.random(n_reps) < np.where(score >= threshold, 1.0, rho_t)
-        # Only a query explored below the threshold, at propensity rho_t,
-        # charges its row, at the split 0: the whole one-point grid.
-        low = [config.epsilon] * n_reps
-        charges = []
-        for r in np.flatnonzero(coin & (score < threshold)).tolist():
-            low[r] = _escalation_low(float(latent[r]), rho_t, rho_t, config, t, r)
-            charges.append((r, 0, low[r]))
-        table.settle(charges, rho_t)
-        payoffs[t - 1] = low
-        crossed |= log_wealth >= bar
+    for first, end, seg, rho_t in _law_pieces(spec, config.schedule, 1, horizon + 1):
+        for t in range(first, end):
+            score = np.asarray(seg.score.sample(rng, n_reps))
+            latent = (rng.random(n_reps) < seg.loss.prob(score)).astype(float)
+            coin = rng.random(n_reps) < np.where(score >= threshold, 1.0, rho_t)
+            # Only a query explored below the threshold, at propensity rho_t,
+            # charges its row, at the split 0: the whole one-point grid.
+            low = [config.epsilon] * n_reps
+            charges = []
+            for r in np.flatnonzero(coin & (score < threshold)).tolist():
+                low[r] = _escalation_low(float(latent[r]), rho_t, rho_t, config, t, r)
+                charges.append((r, 0, low[r]))
+            table.settle(charges, rho_t)
+            payoffs[t - 1] = low
+            crossed |= log_wealth >= bar
 
     return {
         "threshold": threshold,
@@ -1081,9 +1120,9 @@ def regret_harness(payoffs, epsilon: float, cap: float,
     horizon = d.size
     if horizon == 0:
         raise ValueError("payoff stream is empty")
-    bound_at = {rho: payoff_bound(epsilon, schedule.rho_min, rho)
-                for rho in map(float, schedule.emitted_rates())}
-    m_seq = np.array([bound_at[rho_at(schedule, t)] for t in range(1, horizon + 1)])
+    m_seq = np.empty(horizon)
+    for first, end, rho in rate_pieces(schedule, 1, horizon + 1):
+        m_seq[first - 1:end - 1] = payoff_bound(epsilon, schedule.rho_min, rho)
 
     prior = ThresholdAccount(sum_payoff=np.concatenate(([0.0], np.cumsum(d)))[:-1],
                              sum_payoff_sq=np.concatenate(([0.0], np.cumsum(d * d)))[:-1])

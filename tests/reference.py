@@ -9,14 +9,17 @@ integrates a score density numerically, the cross-check for the closed
 forms of ``simulation.mean_loss_below``. ``fixed_sequence_index``,
 ``fixed_sequence_rows`` and ``mean_index`` search the whole grid for the
 indices that ``AccountTable.select`` and ``baselines.mean_step`` carry
-from step to step.
+from step to step. ``StepRiskTracker`` looks up the segment, the rate and
+the risk vector at every step, where ``simulation.RiskTracker`` carries
+them a piece at a time.
 """
 
 import numpy as np
 from scipy import integrate, special
 
+from bpac.core import rho_at
 from bpac.engine import ThresholdAccount
-from bpac.simulation import BetaScore, UniformScore
+from bpac.simulation import BetaScore, UniformScore, _segment_risk
 
 
 def ips_payoff(loss, coin, pi, uncertainty, threshold: float, rho_min: float,
@@ -97,3 +100,43 @@ def mean_index(sums: np.ndarray, t: int, epsilon: float, slack: float) -> int:
     """
     n = int((sums / t + slack).searchsorted(epsilon, "right"))
     return n - 1 if n else 0
+
+
+class StepRiskTracker:
+    """``simulation.RiskTracker`` with every lookup made at every step: the
+    segment by ``segment_index_at``, the rate by ``rho_at`` and the risk
+    vector by ``_segment_risk``. It takes any step, as the tracker once did."""
+
+    def __init__(self, spec, schedule, grid, weighted: bool = False, rows: int | None = None):
+        self.spec, self.schedule, self.grid_values = spec, schedule, grid.values
+        self.weighted = weighted
+        n = grid.values.size
+        self.steps = 0
+        self.risk_sum = np.zeros(n)
+        if weighted:
+            shape = n if rows is None else (n, rows)
+            self.weight_sum = np.zeros(shape).T
+            self.weighted_risk_sum = np.zeros(shape).T
+
+    def absorb(self, t: int, wagers=None) -> np.ndarray:
+        seg = self.spec.segments[self.spec.segment_index_at(t)]
+        r = _segment_risk(seg, self.grid_values, rho_at(self.schedule, t))
+        self.steps += 1
+        self.risk_sum += r
+        if self.weighted:
+            a = wagers.shape[-1]
+            self.weight_sum[..., :a] += wagers
+            self.weighted_risk_sum[..., :a] += wagers * r[:a]
+        return r
+
+    def weighted_risk_at(self, index):
+        if self.weight_sum.ndim == 2:
+            at = (np.arange(self.weight_sum.shape[0]), index)
+            w = self.weight_sum[at]
+            plain = (self.risk_sum[index] / self.steps if self.steps
+                     else np.zeros(w.shape))
+            return np.divide(self.weighted_risk_sum[at], w, out=plain, where=w > 0.0)
+        w = self.weight_sum[index]
+        if w > 0.0:
+            return float(self.weighted_risk_sum[index] / w)
+        return float(self.risk_sum[index] / self.steps) if self.steps else 0.0

@@ -42,3 +42,4 @@ def test_compare_steps_each_traced_layer_once_per_method_step(tmp_path, capsys):
     assert calls["baselines.naive_step"] == per_method
     assert calls["baselines.hoeff_step"] == per_method
     assert calls["metrics.MetricAccumulator.update"] == 3 * per_method
+    assert calls["simulation.RiskTracker.absorb"] == 3 * per_method

@@ -24,7 +24,7 @@ from bpac import (
     rho_at,
     validate_config,
 )
-from bpac.core import config_violations
+from bpac.core import config_violations, rate_pieces
 
 
 class TestSchedules:
@@ -49,6 +49,22 @@ class TestSchedules:
     def test_deployment_rate(self):
         assert deployment_rate(TwoStageSchedule(0.7, 0.05, 200)) == 0.05
         assert deployment_rate(ConstantSchedule(0.3)) == 0.3
+
+    @given(constant=st.booleans(), t_warm=st.integers(0, 12), start=st.integers(1, 15),
+           length=st.integers(0, 15))
+    def test_rate_pieces_equal_rho_at_every_step(self, constant, t_warm, start, length):
+        sched = ConstantSchedule(0.3) if constant else TwoStageSchedule(0.7, 0.05, t_warm)
+        pieces = list(rate_pieces(sched, start, start + length))
+        assert [t for first, end, _ in pieces for t in range(first, end)] == list(
+            range(start, start + length))
+        for first, end, rho in pieces:
+            assert first < end
+            assert all(rho == rho_at(sched, t) for t in range(first, end))
+        # The rate changes at most once, so a run ends only where it does.
+        assert [rho_at(sched, first) for first, _, _ in pieces[1:]] == [0.05] * len(pieces[1:])
+        first, end, rho = next(rate_pieces(sched, start, math.inf))
+        assert (first, end, rho) == ((start, t_warm + 1, 0.7) if not constant and start <= t_warm
+                                     else (start, math.inf, rho_at(sched, start)))
 
     @given(rho_warm=st.floats(0.01, 0.99), rho_deploy=st.floats(0.01, 0.99),
            t_warm=st.integers(0, 10**4))

@@ -35,9 +35,9 @@ from bpac.core import (
     rho_at,
 )
 from bpac.baselines import MeanState
-from bpac.engine import (AccountTable, InvalidObservation, LossGateViolation, RouterState,
-                         adaptive_lambda, payoff_bound, propensity, route, route_lanes,
-                         update_account)
+from bpac.engine import (AccountTable, InvalidObservation, LossGate, LossGateViolation,
+                         OutOfOrderObservation, RouterState, adaptive_lambda, payoff_bound,
+                         propensity, route, route_lanes, update_account)
 from bpac.simulation import (
     LOSS_KINDS,
     BetaScore,
@@ -77,7 +77,7 @@ from bpac.simulation import (
     uniform_linear,
     wilson_interval,
 )
-from reference import account_table, ips_payoff, quad_mean_loss_below
+from reference import StepRiskTracker, account_table, ips_payoff, quad_mean_loss_below
 
 
 class TestSpecs:
@@ -212,7 +212,103 @@ class TestOracle:
         assert mean_loss_below(score, loss, u) <= mean_loss_below(score, loss, 1.0) + 1e-15
 
 
+def same_bits(a, b) -> bool:
+    """Whether two floats or float arrays hold the same doubles, signed zeros included."""
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# Segment laws for tracker cases: every score law and loss law kind.
+TRACKER_LAWS = [(UniformScore(), LinearLoss(0.5)), (UniformScore(0.2, 0.9), ConstantLoss(0.3)),
+                (BetaScore(2.0, 5.0), PowerLoss(0.8, 2.0)), (UniformScore(), LinearLoss(1.0))]
+
+
+@st.composite
+def tracker_cases(draw):
+    """A spec, a schedule, the tracker's rows and weighting, and a wager seed.
+
+    The first segment bound falls just before, at or just after ``t_warm``,
+    and ``t_warm`` may be 0, 1 or past every step read."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    laws = [draw(st.sampled_from(TRACKER_LAWS)) for _ in lengths]
+    if draw(st.booleans()):
+        lengths.append(None)
+        laws.append(draw(st.sampled_from(TRACKER_LAWS)))
+    spec = SyntheticStreamSpec(tuple(StreamSegment(length, score, loss)
+                                     for length, (score, loss) in zip(lengths, laws)))
+    horizon = sum(length for length in lengths if length) + 4
+    t_warm = draw(st.sampled_from([0, 1, lengths[0] - 1, lengths[0], lengths[0] + 1,
+                                   horizon + 1]))
+    schedule = draw(st.sampled_from([TwoStageSchedule(0.5, 0.05, t_warm),
+                                     ConstantSchedule(0.1)]))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    weighted = rows is not None or draw(st.booleans())
+    return spec, schedule, horizon, rows, weighted, draw(st.integers(0, 2**16))
+
+
 class TestRiskTracker:
+    @given(tracker_cases(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_carried_piece_equals_a_lookup_every_step(self, case, whole):
+        """The tracker that carries one piece at a time equals the one that
+        looks everything up every step, bit for bit, after every step; on a
+        bounded spec both refuse the same first step past its end."""
+        spec, schedule, horizon, rows, weighted, seed = case
+        grid = ThresholdGrid(values=np.linspace(0.0, 1.0, 6))
+        carried = RiskTracker(spec, schedule, grid, weighted=weighted, rows=rows)
+        reference = StepRiskTracker(spec, schedule, grid, weighted=weighted, rows=rows)
+        rng = np.random.default_rng(seed)
+        n, lanes = grid.n, 1 if rows is None else rows
+        for t in range(1, horizon + 1):
+            wagers = None
+            if weighted:
+                # A leading block of wagers, or the whole grid with zeros
+                # past its live prefix; either way +0.0 past some point.
+                a = int(rng.integers(0, n + 1))
+                wagers = np.zeros((n, lanes)).T
+                wagers[:, :a] = rng.random((lanes, a)) * 0.1
+                if not whole:
+                    wagers = wagers[:, :a]
+                if rows is None:
+                    wagers = wagers[0]
+            try:
+                expected = reference.absorb(t, wagers)
+            except StreamExhausted:
+                with pytest.raises(StreamExhausted):
+                    carried.absorb(t, wagers)
+                assert t == spec.total_length + 1
+                break
+            assert same_bits(carried.absorb(t, wagers), expected)
+            assert carried.steps == reference.steps == t
+            names = ("risk_sum", "weight_sum", "weighted_risk_sum") if weighted else ("risk_sum",)
+            for name in names:
+                assert same_bits(getattr(carried, name), getattr(reference, name)), name
+            if weighted:
+                index = (int(rng.integers(0, n)) if rows is None
+                         else rng.integers(0, n, rows).tolist())
+                assert same_bits(carried.weighted_risk_at(index),
+                                 reference.weighted_risk_at(index))
+        else:
+            assert spec.total_length is None or spec.total_length >= horizon
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_a_step_out_of_order_is_refused_before_any_sum_changes(self, weighted):
+        spec, grid = easy_hard(break_at=3), ThresholdGrid.from_step(step=0.25)
+        tracker = RiskTracker(spec, ConstantSchedule(0.05), grid, weighted=weighted)
+        wagers = np.full(grid.n, 0.02) if weighted else None
+        tracker.absorb(1, wagers)
+        before = {name: getattr(tracker, name).copy()
+                  for name in ("risk_sum", "weight_sum", "weighted_risk_sum")
+                  if hasattr(tracker, name)}
+        for t in (5, 1, 0):
+            with pytest.raises(OutOfOrderObservation, match=f"expected step 2, got {t}$"):
+                tracker.absorb(t, wagers)
+        assert tracker.steps == 1
+        for name, sums in before.items():
+            assert same_bits(getattr(tracker, name), sums), name
+        tracker.absorb(2, wagers)
+        assert tracker.steps == 2
+
     def test_constant_wagers_match_unweighted_mean(self):
         spec = easy_hard(break_at=10)
         grid = ThresholdGrid.from_step(0.1)
@@ -242,6 +338,7 @@ class TestRiskTracker:
                               ThresholdGrid.from_step(0.5), weighted=True)
         with pytest.raises(ValueError):
             tracker.absorb(1)
+        assert tracker.steps == 0 and not tracker.risk_sum.any()
 
     def test_unweighted_refuses_weighted_query(self):
         tracker = RiskTracker(uniform_linear(), ConstantSchedule(0.05),
@@ -279,6 +376,35 @@ class TestRiskTracker:
         for now, then in zip((block.weight_sum[:, 4], block.weighted_risk_sum[:, 4]),
                              last_live):
             assert np.array_equal(now.view(np.int64), then.view(np.int64))
+
+    def test_a_serial_run_hands_its_tracker_the_live_block(self):
+        """A serial bpac run on a shifting stream gives the same bits whether
+        its tracker gets each step's live block of wagers or whole rows, a
+        point that went dead keeps its sums' bits, and the run's
+        ``weighted_risk`` column is what both trackers read."""
+        spec, config, horizon, seed = easy_hard(break_at=100), RouterConfig(
+            grid=ThresholdGrid.from_step(step=0.05)), 400, 3
+        stream_rng, coin_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        state, gate = RouterState.fresh(config, rng=coin_rng), LossGate()
+        block, whole = (RiskTracker(spec, config.schedule, config.grid, weighted=True)
+                        for _ in range(2))
+        readouts, extents = [], []
+        for obs in stream_events(spec, stream_rng, horizon):
+            _, state = bpac.engine.step(state, obs, gate)
+            table = state.table
+            block.absorb(obs.index, table.last_lambda[:table.extent])
+            whole.absorb(obs.index, table.last_lambda)
+            for name in ("weight_sum", "weighted_risk_sum"):
+                assert same_bits(getattr(block, name), getattr(whole, name)), name
+            readouts.append(block.weighted_risk_at(state.deployed_index))
+            assert same_bits(readouts[-1], whole.weighted_risk_at(state.deployed_index))
+            extents.append(table.extent)
+            if table.extent == config.grid.n:
+                top_live = block.weight_sum[-1], block.weighted_risk_sum[-1]
+        assert extents[-1] < config.grid.n and top_live[0] > 0.0
+        assert same_bits((block.weight_sum[-1], block.weighted_risk_sum[-1]), top_live)
+        traj = run_replication("bpac", config, spec, horizon, seed)
+        assert same_bits(traj.weighted_risk, readouts)
 
     def test_heavier_wagers_on_hard_segment_raise_weighted_risk(self):
         spec = easy_hard(break_at=20)
