@@ -22,6 +22,7 @@ import numpy as np
 
 from .baselines import MeanState, mean_step
 from .core import (
+    ConstantSchedule,
     RouterConfig,
     Schedule,
     StreamObservation,
@@ -457,10 +458,13 @@ class RiskTracker:
     """Evaluator-side conditional and weighted cumulative risk.
 
     Per step the conditional risk vector r_t(u) = (1 - rho_t) *
-    E[loss * 1{score < u}] comes straight from the active segment's law.
-    Steps come one at a time from 1, so the tracker carries one piece at a
-    time: the risk vector of a run of steps with one segment and one rate
-    (``_law_pieces``), and the last step it covers.
+    E[loss * 1{score < u}] comes straight from the active segment's law,
+    rho_t being ``schedule``'s rate at step t: the rate the scored run
+    routes at, which for a baseline is its constant deployment rate.
+    Steps come one at a time from 1, so the tracker walks one
+    ``_law_pieces`` iterator from step 1 and carries one piece at a time:
+    the risk vector of a run of steps with one segment and one rate, and
+    the last step it covers.
     When wager weights are supplied, the tracker also maintains the
     wager-weighted average of past conditional risks per grid point,
     the quantity the mixture certificate controls on shifting streams.
@@ -474,8 +478,7 @@ class RiskTracker:
     def __init__(self, spec: SyntheticStreamSpec, schedule: Schedule,
                  grid: ThresholdGrid, weighted: bool = False,
                  rows: int | None = None):
-        self.spec = spec
-        self.schedule = schedule
+        self._pieces = _law_pieces(spec, schedule, 1, math.inf)
         self.grid_values = grid.values
         self.weighted = weighted
         n = grid.values.size
@@ -500,7 +503,8 @@ class RiskTracker:
 
         Raises, before any sum changes, ``OutOfOrderObservation`` unless t
         is ``steps + 1``, ``ValueError`` when a weighted tracker gets no
-        wagers, and ``StreamExhausted`` past a bounded spec's end.
+        wagers, and ``StreamExhausted`` at the first step past a bounded
+        spec's end, which leaves the tracker spent.
         """
         if t != self.steps + 1:
             raise OutOfOrderObservation(
@@ -508,7 +512,7 @@ class RiskTracker:
         if self.weighted and wagers is None:
             raise ValueError("weighted tracking needs the step's wagers")
         if t > self._last:
-            _, end, seg, rho = next(_law_pieces(self.spec, self.schedule, t, math.inf))
+            _, end, seg, rho = next(self._pieces)
             self._risk, self._last = _segment_risk(seg, self.grid_values, rho), end - 1
             self._width = None
         r = self._risk
@@ -618,9 +622,10 @@ _COLUMNS = tuple(f.name for f in fields(Trajectory) if f.type == "np.ndarray")
 
 
 def _is_count(value, least: int) -> bool:
-    """Whether ``value`` is an integer, numpy's included, of at least ``least``."""
+    """Whether ``value`` is an integer, numpy's included but not a bool, of at
+    least ``least``."""
     try:
-        return operator.index(value) >= least
+        return not isinstance(value, bool) and operator.index(value) >= least
     except TypeError:
         return False
 
@@ -630,6 +635,20 @@ def _check_seed(seed, name: str = "seed") -> None:
     numpy's ``SeedSequence`` refuses it untyped."""
     if not _is_count(seed, 0):
         raise ValueError(f"{name} must be an integer >= 0, got {seed!r}")
+
+
+def _check_options(hoeff_variant, emit_wealth_every=0, workers=None) -> None:
+    """Refuse with ``ValueError``, whatever the method, an ``ips_hoeff``
+    variant that is not "per_point" or "union_over_grid", a wealth-snapshot
+    period that is not an integer >= 0 and a worker count that is neither
+    None nor an integer >= 1."""
+    if hoeff_variant not in ("per_point", "union_over_grid"):
+        raise ValueError(f"hoeff_variant must be 'per_point' or 'union_over_grid', "
+                         f"got {hoeff_variant!r}")
+    if not _is_count(emit_wealth_every, 0):
+        raise ValueError(f"emit_wealth_every must be an integer >= 0, got {emit_wealth_every!r}")
+    if workers is not None and not _is_count(workers, 1):
+        raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
 
 
 def check_run(method: Method, config: RouterConfig, spec: SyntheticStreamSpec | None,
@@ -681,6 +700,11 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
     the running metrics and the risk tracker's readouts. The columns that
     follow from those (``t``, ``rho``, ``u_hat``, ``deploy_risk``,
     ``realized_loss``) are built as whole arrays after the last step.
+    The run's exploration schedule is chosen once, next to its state: the
+    config's for bpac, and for a baseline a ``ConstantSchedule`` at the
+    rate it routes at from step 1. The ``rho`` column, the risk tracker and
+    the deploy-risk oracle all read that one schedule, so every risk column
+    is scored at the method's own rates.
     Risk columns need the generating laws, so they are NaN when no spec
     is supplied (recorded traces), and ``weighted_risk`` is NaN too unless
     a bpac run meets a multi-segment stream, the one case ``mc_safety``
@@ -688,15 +712,15 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
     escalation, or ``LossGateViolation`` is raised.
     """
     state, advance = _fresh(method, config, coin_rng, fixed_wager, hoeff_variant)
+    schedule = config.schedule if method is Method.BPAC else ConstantSchedule(state.rho)
     gate = LossGate()
 
     grid_values = config.grid.values
     risk_grid = tracker = None
     if spec is not None:
         if spec.is_iid:
-            risk_grid = oracle_risk_grid(spec, grid_values,
-                                         deployment_rate(config.schedule))
-        tracker = RiskTracker(spec, config.schedule, config.grid,
+            risk_grid = oracle_risk_grid(spec, grid_values, deployment_rate(schedule))
+        tracker = RiskTracker(spec, schedule, config.grid,
                               weighted=method is Method.BPAC and not spec.is_iid)
     snap_every = emit_wealth_every if method is Method.BPAC else 0
 
@@ -741,12 +765,9 @@ def _drive(method: Method, config: RouterConfig, events, coin_rng,
         """A risk tracker column, NaN where the tracker recorded nothing."""
         return np.array(values, dtype=float) if values else np.full(n, math.nan)
 
-    if method is Method.BPAC:
-        rho = np.empty(n)
-        for first, end, rate in rate_pieces(config.schedule, 1, n + 1):
-            rho[first - 1:end - 1] = rate
-    else:
-        rho = np.full(n, state.rho)
+    rho = np.empty(n)
+    for first, end, rate in rate_pieces(schedule, 1, n + 1):
+        rho[first - 1:end - 1] = rate
     return Trajectory(method=method.value, seed=seed_label,
                       config_hash=config_digest(config),
                       t=np.arange(1, n + 1, dtype=np.int64),
@@ -772,11 +793,13 @@ def run_replication(method, config: RouterConfig, spec: SyntheticStreamSpec,
     ``seed`` (int or SeedSequence) splits into independent stream and
     coin generators, so different methods given the same seed face the
     identical sequence of queries and latent losses. ``check_run`` refuses
-    a bad run before any draw, then a seed that is neither a SeedSequence
-    nor an integer >= 0 raises ``ValueError``.
+    a bad run before any draw, then ``_check_options`` a bad
+    ``hoeff_variant`` or ``emit_wealth_every``, then a seed that is neither
+    a SeedSequence nor an integer >= 0 raises ``ValueError``.
     """
     method = parse_method(method)
     check_run(method, config, spec, horizon, fixed_wager)
+    _check_options(hoeff_variant, emit_wealth_every)
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
@@ -801,11 +824,13 @@ def replay_trace(method, config: RouterConfig, events, *,
     Only the exploration coins are random here; they come from
     ``coin_seed`` (default: the config's seed). Risk columns are NaN
     because a recorded trace does not reveal its generating laws.
-    ``check_run`` refuses a bad run before any event is read, then a
-    ``coin_seed`` that is not an integer >= 0 raises ``ValueError``.
+    ``check_run`` refuses a bad run before any event is read, then
+    ``_check_options`` a bad ``hoeff_variant`` or ``emit_wealth_every``,
+    then a ``coin_seed`` that is not an integer >= 0 raises ``ValueError``.
     """
     method = parse_method(method)
     check_run(method, config, None, None, fixed_wager)
+    _check_options(hoeff_variant, emit_wealth_every)
     seed = config.seed if coin_seed is None else coin_seed
     _check_seed(seed, "coin_seed")
     coin_rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -986,14 +1011,16 @@ def mc_safety(method, config: RouterConfig, spec: SyntheticStreamSpec,
     gates did not open exactly once per escalation raises
     ``LossGateViolation``; a ``horizon`` or ``n_reps`` that is not an
     integer >= 1 raises ``ValueError``, and ``check_run`` refuses before
-    the criterion; then a ``base_seed`` that is not an integer >= 0 raises
-    ``ValueError``.
+    ``_check_options`` (a bad ``hoeff_variant`` or ``workers``), which
+    refuses before the criterion; then a ``base_seed`` that is not an
+    integer >= 0 raises ``ValueError``.
     """
     method = parse_method(method)
     if not (_is_count(horizon, 1) and _is_count(n_reps, 1)):
         raise ValueError(f"a coverage study needs integers horizon >= 1 and n_reps >= 1, "
                          f"got {horizon!r} and {n_reps!r}")
     check_run(method, config, spec, horizon, fixed_wager)
+    _check_options(hoeff_variant, workers=workers)
     criterion = _safety_criterion(method, spec, criterion)
     _check_seed(base_seed, "base_seed")
 

@@ -645,7 +645,7 @@ PINNED_RUNS = [
     ("sweep --horizon 60 --seeds 1,2 --epsilons 0.05,0.1",
      "d8e86df7ed80874bd128360d046f454f48723186ce7e75db5ff4b98c7f63dac6"),
     ("compare --spec easy_hard --horizon 60 --seeds 1,2",
-     "c33c6a945d0a3d61f431ff64714df8341d9671156d3ba54eed423a0f4e49c063"),
+     "c5ae62f7e6abf48e22eeb0ac689b3b4cf997d5bda228068a6cadb82794b62961"),
     ("ablate --preset lambda --horizon 60 --seeds 1,2",
      "1c2c3bec5db02905cc28bc02ae579e3556b74953f74760c0a4637e0e604eca8f"),
     ("ablate --preset rho --horizon 60 --seeds 1",

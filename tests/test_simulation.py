@@ -57,6 +57,7 @@ from bpac.simulation import (
     UnknownMethod,
     _BLOCK_LOSSES,
     _draw,
+    _segment_risk,
     easy_hard,
     generate_event,
     load_stream_spec,
@@ -520,6 +521,50 @@ class TestReplications:
         traj = run_replication("bpac", config, uniform_linear(), 120, seed=4)
         np.testing.assert_allclose(traj.mean_cond_risk, traj.cond_risk,
                                    rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec", [
+        uniform_linear(),
+        easy_hard(break_at=30),
+        SyntheticStreamSpec((StreamSegment(25, UniformScore(0.1, 0.9), LinearLoss(0.6)),
+                             StreamSegment(55, BetaScore(2.0, 1.5), PowerLoss(0.9, 1.5))),
+                            name="bounded"),
+    ], ids=["uniform_linear", "easy_hard", "bounded"])
+    @pytest.mark.parametrize("schedule", [
+        ConstantSchedule(0.5),
+        TwoStageSchedule(0.65, 0.5, 0),
+        TwoStageSchedule(0.65, 0.5, 1),
+        TwoStageSchedule(0.65, 0.5, 40),
+        TwoStageSchedule(0.65, 0.5, 1000),
+    ], ids=["constant", "t_warm_0", "t_warm_1", "t_warm_40", "t_warm_past_horizon"])
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_risk_columns_use_the_runs_own_rates(self, method, schedule, spec):
+        """Every step's ``cond_risk`` is the active segment's deployed risk at
+        the deployed threshold, at that step's ``rho``, bit for bit; ``rho``
+        is the rate the method routes at (its propensity below the
+        threshold): the schedule's for bpac, the deployment rate from step 1
+        for a baseline. So on one segment a baseline's ``cond_risk`` is its
+        ``deploy_risk``. At this loose budget every method deploys above
+        0, where the rate shapes the risk."""
+        config = RouterConfig(epsilon=0.3, alpha=0.9, grid=ThresholdGrid.from_step(step=0.05),
+                              schedule=schedule)
+        traj = run_replication(method, config, spec, 80, seed=5)
+        assert traj.u_hat.max() > 0.0
+        if method == "bpac":
+            rates = [rho_at(schedule, t) for t in range(1, 81)]
+        else:
+            rates = [deployment_rate(schedule)] * 80
+        assert traj.rho.tolist() == rates
+        below = traj.pi < 1.0
+        assert below.any() and np.array_equal(traj.pi[below], traj.rho[below])
+        values = config.grid.values
+        deployed = np.searchsorted(values, traj.u_hat)
+        assert np.array_equal(values[deployed], traj.u_hat)
+        for t, index, rho, risk in zip(traj.t.tolist(), deployed.tolist(),
+                                       traj.rho.tolist(), traj.cond_risk.tolist()):
+            expected = _segment_risk(spec.segment_at(t), values, rho)[index]
+            assert same_bits(risk, expected), t
+        if spec.is_iid and method != "bpac":
+            assert same_bits(traj.cond_risk, traj.deploy_risk)
 
     def test_shifting_run_tracks_weighted_risk(self):
         traj = run_replication("bpac", RouterConfig(), easy_hard(break_at=40),
@@ -1264,7 +1309,7 @@ class TestCounts:
     cases are in ``TestMcSafety.test_empty_study_rejected``."""
 
     @pytest.mark.parametrize("method", ["bpac", "o_naive"])
-    @pytest.mark.parametrize("horizon", [-3, 2.5, None, "7"])
+    @pytest.mark.parametrize("horizon", [-3, 2.5, None, "7", True])
     def test_a_bad_horizon_is_refused(self, method, horizon, no_draw):
         with pytest.raises(ValueError, match="horizon must be an integer >= 0"):
             run_replication(method, RouterConfig(), uniform_linear(), horizon, 1)
@@ -1291,7 +1336,7 @@ class TestSeeds:
     ``ValueError``, before any draw, and take numpy's integers (and, for
     ``run_replication``, a SeedSequence)."""
 
-    @pytest.mark.parametrize("seed", [2.5, -1, "7", None, np.float64(3.0)])
+    @pytest.mark.parametrize("seed", [2.5, -1, "7", None, np.float64(3.0), True])
     @pytest.mark.parametrize("entry, name", [
         (lambda seed: run_replication("bpac", LOOSE, uniform_linear(), 40, seed), "seed"),
         (lambda seed: mc_safety("bpac", LOOSE, uniform_linear(), 40, 3, base_seed=seed),
@@ -1321,6 +1366,53 @@ class TestSeeds:
         assert np.array_equal(study["payoffs"],
                               pinned_threshold_study(spec, 0.3, config, 40, 3,
                                                      base_seed=4)["payoffs"])
+
+
+class TestOptions:
+    """The run doors refuse, with a ``ValueError`` that names it and before
+    any draw, an option they would otherwise misread: a wealth-snapshot
+    period or a worker count that is not an integer in range, and an
+    ``ips_hoeff`` variant it does not know, whatever the method."""
+
+    @pytest.mark.parametrize("every", [-5, 2.5, True, "20", None])
+    @pytest.mark.parametrize("entry", [
+        lambda every: run_replication("bpac", LOOSE, uniform_linear(), 40, 1,
+                                      emit_wealth_every=every),
+        lambda every: replay_trace("bpac", LOOSE, unread_trace(), emit_wealth_every=every),
+    ], ids=["run_replication", "replay_trace"])
+    def test_a_bad_snapshot_period_is_refused(self, entry, every, no_draw):
+        with pytest.raises(ValueError, match="^emit_wealth_every must be an integer >= 0, got"):
+            entry(every)
+
+    @pytest.mark.parametrize("workers", ["2", -3, 0, 2.5, True])
+    def test_a_bad_worker_count_is_refused(self, workers, no_draw):
+        with pytest.raises(ValueError, match="^workers must be None or an integer >= 1, got"):
+            mc_safety("bpac", LOOSE, uniform_linear(), 40, 3, workers=workers)
+
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    @pytest.mark.parametrize("entry", [
+        lambda method, variant: run_replication(method, LOOSE, uniform_linear(), 40, 1,
+                                                hoeff_variant=variant),
+        lambda method, variant: replay_trace(method, LOOSE, unread_trace(),
+                                             hoeff_variant=variant),
+        lambda method, variant: mc_safety(method, LOOSE, uniform_linear(), 40, 3,
+                                          hoeff_variant=variant),
+    ], ids=["run_replication", "replay_trace", "mc_safety"])
+    @pytest.mark.parametrize("variant", ["per-point", "", None])
+    def test_an_unknown_hoeff_variant_is_refused_for_every_method(self, entry, method,
+                                                                   variant, no_draw):
+        with pytest.raises(ValueError, match="^hoeff_variant must be 'per_point' or "
+                                             "'union_over_grid', got"):
+            entry(method, variant)
+
+    def test_numpy_integers_run_like_ints(self):
+        spec = uniform_linear()
+        snapped = run_replication("bpac", LOOSE, spec, 40, 2, emit_wealth_every=np.int64(10))
+        assert [t for t, _ in snapped.wealth_snapshots] == [10, 20, 30, 40]
+        assert snapped.digest() == run_replication("bpac", LOOSE, spec, 40, 2,
+                                                   emit_wealth_every=10).digest()
+        assert (mc_safety("bpac", LOOSE, spec, 40, 3, workers=np.int64(1))
+                == mc_safety("bpac", LOOSE, spec, 40, 3))
 
 
 class TestRegret:
