@@ -30,8 +30,12 @@ positive only on a prefix ``[0, a)`` and exactly 0 past it, where
 ``log1p(0 * payoff)`` is a signed zero and leaves log-wealth bit-for-bit
 unchanged. Skipping those accounts changes no bit of the result.
 
-The single-run path takes two more shortcuts, each exact:
+The single-run path takes three more shortcuts, each exact:
 
+- Its live prefix ``a`` is carried from step to step. Since
+  ``sum_payoff`` never increases along the grid, ``a`` stands while the
+  sum just before it stays above 0 and the sum at it stays at most 0;
+  only when one of those two changed sign is the grid searched again.
 - A step whose payoff is the same on both sides of the split (a cheap
   step, or an escalation that observed loss 0) settles as ``k = n``.
 - Every wager is at most ``cap / m_t``, or exactly the fixed wager, and
@@ -99,7 +103,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RouterConfig, SelectionMode, StreamObservation, rho_at, validate_config
+from .core import (RouterConfig, SelectionMode, StreamObservation, rate_pieces,
+                   slot_setters, validate_config)
 
 
 # Steps a table of rows holds one extent bound for (module docstring).
@@ -141,7 +146,7 @@ class LossGateViolation(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Decision:
     """What the router did on one step, before any account settlement."""
 
@@ -149,6 +154,17 @@ class Decision:
     coin: int
     observed_loss: float | None
     threshold_used: float
+
+    def __init__(self, propensity: float, coin: int, observed_loss: float | None,
+                 threshold_used: float) -> None:
+        set_propensity, set_coin, set_loss, set_threshold = _DECISION_SLOTS
+        set_propensity(self, propensity)
+        set_coin(self, coin)
+        set_loss(self, observed_loss)
+        set_threshold(self, threshold_used)
+
+
+_DECISION_SLOTS = slot_setters(Decision)
 
 
 @dataclass
@@ -341,7 +357,7 @@ class AccountTable:
         # The bar 1 / alpha, divided by each point's prior mass under mixture.
         self.log_bars = -(math.log(config.alpha)
                           + (np.log(config.prior.mass) if self.mixture else 0.0))
-        n = config.grid.n
+        n = self._n = config.grid.n
         shape = (n,) if rows is None else (n, rows)
         # Grid point n is a sentinel at -inf, below every bar, so every
         # search for a gap ends there at the latest.
@@ -352,20 +368,28 @@ class AccountTable:
         self._sums = np.zeros((2, *shape))
         self._s1, self._s2 = self._sums
         self._work = np.empty(shape)
+        # Chosen once per table: the settle kernel, and the (G, columns)
+        # wealth table that mixture selection scans.
+        self._rows = rows
         if rows is None:
-            # Per-step constants of the single-run path, made once: the
-            # reversed sums for the prefix search and the (2, 1) payoff
-            # columns [p, p * p] of each side of the split.
+            self._kernel = AccountTable._settle_run
+            self._lw_columns = self._lw[:, None]
+            # Per-table constants of the single-run path: the reversed sums
+            # for the prefix search, and the (2, 1) payoff columns
+            # [p, p * p] of each side of the split, the epsilon side filled
+            # once.
             self._s1_reversed = self._s1[::-1]
             self._high_column, self._low_column = np.empty((2, 2, 1))
+            self._high_column[:, 0] = self.epsilon, self.epsilon * self.epsilon
+            # A fixed wager bets on every point, from the first step on.
+            self._cut(0 if fixed_wager is None else n)
         else:
+            self._kernel = AccountTable._settle_rows
+            self._lw_columns = self._lw
             self._pay = np.empty(shape)
             self._positive = np.empty(shape, dtype=bool)
             # The held extent bound and the steps it still holds for.
             self._bound = self._held = 0
-            # Each row's fixed-sequence deployed index, carried from step
-            # to step.
-            self._deployed = [0] * rows
         self.log_wealth, self.sum_payoff = self._lw.T, self._s1.T
         self.sum_payoff_sq, self.last_lambda = self._s2.T, self._lam.T
         # Grid points [0, extent) of a wager buffer may be nonzero: the live
@@ -373,10 +397,19 @@ class AccountTable:
         # fixed wager.
         self._extent = 0
         self._spare_extent = 0
-        # Each row's gap under the fixed-sequence rule: its first grid point
-        # below the bar. Every account starts at log-wealth 0, below the
-        # positive bar -log(alpha).
+        # Each row's gap under the fixed-sequence rule, its first grid point
+        # below the bar, and the index it deploys, both carried from step to
+        # step. Every account starts at log-wealth 0, below the positive bar
+        # -log(alpha).
         self._gap = 0 if rows is None else [0] * rows
+        self._deployed = 0 if rows is None else [0] * rows
+
+    def _cut(self, a: int) -> None:
+        """Cut a single run's views of the first ``a`` grid points, which
+        ``_settle_run`` reuses while its live prefix stays at ``a``."""
+        self._cut_at = a
+        self._work_a, self._s1_a, self._s2_a = self._work[:a], self._s1[:a], self._s2[:a]
+        self._lw_a, self._lam_a, self._spare_a = self._lw[:a], self._lam[:a], self._spare[:a]
 
     @property
     def extent(self) -> int:
@@ -404,26 +437,32 @@ class AccountTable:
             # two-stage schedule changes once.
             self._rate = rho_t
             self._top = self.cap / payoff_bound(self.epsilon, self.rho_min, rho_t)
-        if self._lw.ndim == 1:
-            self._settle_run(*charges)
-        else:
-            self._settle_rows(charges)
-        self.last_lambda = self._lam.T
+        self._kernel(self, charges)
 
-    def _settle_run(self, k: int, low: float) -> None:
+    def _live_prefix(self, a: int) -> int:
+        """A single run's live prefix, the first grid point with
+        ``sum_payoff <= 0``, carried from ``a``, the last step's (module
+        docstring)."""
+        s1, n = self._s1, self._n
+        if (a == n or s1.item(a) <= 0.0) and (a == 0 or s1.item(a - 1) > 0.0):
+            return a
+        return n - int(self._s1_reversed.searchsorted(0.0, "right"))
+
+    def _settle_run(self, charges: tuple[int, float]) -> None:
         """``settle`` for a single run, one numpy call per array job."""
-        lam, work = self._spare, self._work
-        n = lam.size
+        k, low = charges
+        lam, n = self._spare, self._n
         high, top = self.epsilon, self._top
         if low == high:
             # One payoff on both sides of the split: settle it as one side.
             k = n
         if self.fixed_wager is None:
-            # Accounts with sum_payoff <= 0 form a suffix of the grid.
-            a = n - int(self._s1_reversed.searchsorted(0.0, "right"))
-            growth, wagers = work[:a], lam[:a]
-            np.add(self._s2[:a], 1.0, growth)
-            np.divide(self._s1[:a], growth, growth)
+            a = self._live_prefix(self._extent)
+            if a != self._cut_at:
+                self._cut(a)
+            growth, wagers = self._work_a, self._spare_a
+            np.add(self._s2_a, 1.0, growth)
+            np.divide(self._s1_a, growth, growth)
             # The ratio is >= 0 on the live prefix, so clip(., 0, top) is a
             # minimum.
             np.minimum(growth, top, out=wagers)
@@ -433,8 +472,10 @@ class AccountTable:
                 lam[a:self._spare_extent] = 0.0
         else:
             a = n
-            growth, wagers = work, lam
-            lam.fill(top)
+            growth, wagers = self._work_a, self._spare_a
+            # The fixed wager stays in a buffer once written.
+            if self._spare_extent < n:
+                lam.fill(top)
 
         if k < a:
             # No wager exceeds ``top``, so only a ``low`` that ruins ``top``
@@ -448,21 +489,22 @@ class AccountTable:
         else:
             np.multiply(wagers, high, growth)
         self._spare, self._lam = self._lam, lam
+        self._spare_a, self._lam_a = self._lam_a, wagers
         self._spare_extent, self._extent = self._extent, a
+        self.last_lambda = lam
 
         np.log1p(growth, growth)
-        lw = self._lw[:a]
+        lw = self._lw_a
         np.add(lw, growth, lw)
-        sums, high_column = self._sums, self._high_column
-        high_column[0, 0], high_column[1, 0] = high, high * high
+        sums = self._sums
         if k < n:
             low_column = self._low_column
             low_column[0, 0], low_column[1, 0] = low, low * low
             head, tail = sums[:, :k], sums[:, k:]
-            np.add(head, high_column, head)
+            np.add(head, self._high_column, head)
             np.add(tail, low_column, tail)
         else:
-            np.add(sums, high_column, sums)
+            np.add(sums, self._high_column, sums)
         if not self.mixture:
             self._move_gap(k, low, a)
 
@@ -476,7 +518,8 @@ class AccountTable:
         else:
             start = gap
         # Every point before ``start`` still clears the bar.
-        self._gap = start + int((lw[start:] < bar).argmax())
+        self._gap = gap = start + int((lw[start:] < bar).argmax())
+        self._deployed = max(gap - 1, 0)
 
     def _settle_rows(self, charges: list[tuple[int, int, float]]) -> None:
         """``settle`` for an (R, G) table, on the block ``[0, a)`` its held
@@ -548,6 +591,7 @@ class AccountTable:
         np.add(s1, pay, out=s1)
         np.multiply(pay, pay, out=pay)
         np.add(s2, pay, out=s2)
+        self.last_lambda = self._lam.T
         if not self.mixture:
             self._move_gaps(charges, a)
 
@@ -598,11 +642,10 @@ class AccountTable:
         changes. Mixture deploys the last point clearing its bar, or 0, from
         a scan of the whole grid, a single run's as a one-column table.
         """
-        lw = self._lw
         if not self.mixture:
-            return self._deployed if lw.ndim == 2 else max(self._gap - 1, 0)
-        deployed = _mixture_rows(lw.reshape(len(lw), -1), self.log_bars)
-        return deployed.tolist() if lw.ndim == 2 else int(deployed[0])
+            return self._deployed
+        deployed = _mixture_rows(self._lw_columns, self.log_bars).tolist()
+        return deployed[0] if self._rows is None else deployed
 
 
 @dataclass
@@ -611,7 +654,9 @@ class RouterState:
 
     ``table`` holds a single run's accounts, which ``step`` settles in
     place; see ``AccountTable`` for how long an array read from them stays
-    valid.
+    valid. ``step`` carries the exploration rate of the current
+    ``rate_pieces`` piece of the schedule and the step that ends it, so it
+    reads the schedule once per piece.
     """
 
     config: RouterConfig
@@ -619,6 +664,8 @@ class RouterState:
     rng: np.random.Generator
     t: int = 0
     deployed_index: int = 0
+    _rate: float = field(default=math.nan, init=False, repr=False, compare=False)
+    _rate_end: float = field(default=0, init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, config: RouterConfig, *, rng=None,
@@ -722,10 +769,13 @@ def step(state: RouterState, obs: StreamObservation,
         raise OutOfOrderObservation(
             f"expected observation index {t}, got {obs.index}")
     cfg = state.config
-    rho_t = rho_at(cfg.schedule, t)
+    if t >= state._rate_end:
+        _, state._rate_end, state._rate = next(rate_pieces(cfg.schedule, t, math.inf))
+    rho_t = state._rate
     threshold_used = cfg.grid.grid_list[state.deployed_index]
     pi, coin, observed, k, low = route(obs, threshold_used, rho_t, state.rng, gate, cfg)
-    state.table.settle((k, low), rho_t)
-    state.deployed_index = state.table.select()
+    table = state.table
+    table.settle((k, low), rho_t)
+    state.deployed_index = table.select()
     state.t = t
     return Decision(pi, coin, observed, threshold_used), state

@@ -9,7 +9,8 @@ integrates a score density numerically, the cross-check for the closed
 forms of ``simulation.mean_loss_below``. ``fixed_sequence_index``,
 ``fixed_sequence_rows`` and ``mean_index`` search the whole grid for the
 indices that ``AccountTable.select`` and ``baselines.mean_step`` carry
-from step to step. ``StepRiskTracker`` looks up the segment, the rate and
+from step to step, and ``live_prefix`` for the live prefix a single run's
+``AccountTable`` carries. ``StepRiskTracker`` looks up the segment, the rate and
 the risk vector at every step, where ``simulation.RiskTracker`` carries
 them a piece at a time.
 """
@@ -90,6 +91,12 @@ def fixed_sequence_rows(log_wealth: np.ndarray, log_bar: float) -> np.ndarray:
     first_gap = qualified.argmin(axis=0)
     full = qualified[first_gap, np.arange(first_gap.size)]
     return np.where(full, qualified.shape[0] - 1, np.maximum(first_gap - 1, 0))
+
+
+def live_prefix(sum_payoff: np.ndarray) -> int:
+    """The first grid point with ``sum_payoff <= 0``, by one search of the
+    whole grid; the sums never increase along it."""
+    return sum_payoff.size - int(sum_payoff[::-1].searchsorted(0.0, "right"))
 
 
 def mean_index(sums: np.ndarray, t: int, epsilon: float, slack: float) -> int:

@@ -6,7 +6,7 @@ redirected at the sys level so the tests read the same bytes a shell would.
 
 import contextlib
 import dataclasses
-import hashlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -20,6 +20,8 @@ from bpac.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 from bpac.records import read_trajectory
 from bpac.simulation import UniformScore, generate_event, uniform_linear
 from bpac.traces import write_trace
+
+DIGEST_MATRIX = Path(__file__).resolve().parents[1] / "scripts" / "digest_matrix.py"
 
 
 def run_cli(*argv):
@@ -653,6 +655,13 @@ PINNED_RUNS = [
 ]
 
 
+def load_digest_matrix():
+    spec = importlib.util.spec_from_file_location("digest_matrix", DIGEST_MATRIX)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("argv, digest", PINNED_RUNS, ids=[argv for argv, _ in PINNED_RUNS])
 def test_outputs_match_pinned_digests(tmp_path, monkeypatch, argv, digest):
     # relative paths: stdout and replay_summary.json embed them
@@ -661,8 +670,8 @@ def test_outputs_match_pinned_digests(tmp_path, monkeypatch, argv, digest):
     write_trace("trace.csv", [generate_event(uniform_linear(), rng, t) for t in range(1, 61)])
     code, stdout, err = run_cli(*argv.split(), "--out", "out")
     assert (code, err) == (EXIT_OK, "")
-    h = hashlib.sha256(stdout.encode())
-    for path in sorted(p for p in Path("out").rglob("*") if p.is_file()):
-        h.update(path.as_posix().encode())
-        h.update(path.read_bytes())
-    assert h.hexdigest() == digest
+    assert load_digest_matrix().output_digest(stdout, Path("out")) == digest
+
+
+def test_the_digest_matrix_runs_the_pinned_runs():
+    assert load_digest_matrix().CLI_RUNS == [argv for argv, _ in PINNED_RUNS]

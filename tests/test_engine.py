@@ -1,14 +1,19 @@
 import bisect
+import dataclasses
 import math
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bpac.engine
 from bpac import (
     ConfigError,
     ConstantSchedule,
+    Decision,
     InvalidObservation,
     LossGate,
     LossGateViolation,
@@ -32,8 +37,10 @@ from bpac import (
     uniform_linear,
     update_account,
 )
+from bpac.core import rate_pieces
 from bpac.engine import EXTENT_HOLD, AccountTable, _mixture_rows, route, route_lanes
-from reference import account_table, fixed_sequence_index, fixed_sequence_rows, ips_payoff
+from reference import (account_table, fixed_sequence_index, fixed_sequence_rows, ips_payoff,
+                       live_prefix)
 
 EPS = 0.08
 RHO_MIN = 0.05
@@ -346,6 +353,125 @@ class TestStep:
             return out
 
         assert run() == run()
+
+
+@st.composite
+def rate_cases(draw):
+    """A constant or a two-stage schedule whose warmup ends at step 0,
+    inside a run of ``horizon`` steps or past it, and a loss per step."""
+    horizon = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        schedule = ConstantSchedule(draw(st.sampled_from([0.05, 0.3, 0.7])))
+    else:
+        t_warm = draw(st.one_of(st.just(0), st.integers(1, horizon),
+                                st.integers(horizon + 1, horizon + 5)))
+        schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.05, t_warm=t_warm)
+    losses = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=horizon, max_size=horizon))
+    return schedule, losses, draw(st.integers(0, 2**32 - 1))
+
+
+def route_below_every_candidate(schedule, losses, seed):
+    """Step a run on scores below 0, which sit under every candidate, so
+    every step explores at the rate in force: its propensity, the rate its
+    settle is given and the table's wager cap are those of ``rho_at`` at
+    that step, and the schedule is read once per piece."""
+    config = RouterConfig(grid=ThresholdGrid.from_step(step=0.25), schedule=schedule)
+    state = RouterState.fresh(config, rng=seed)
+    settled, settle = [], state.table.settle
+    state.table.settle = lambda charges, rho_t: settled.append(rho_t) or settle(charges, rho_t)
+    gate = LossGate()
+    with mock.patch.object(bpac.engine, "rate_pieces",
+                           wraps=bpac.engine.rate_pieces) as pieces:
+        for t, loss in enumerate(losses, start=1):
+            decision, state = step(state, make_obs(t, -0.5, loss), gate)
+            rho = rho_at(schedule, t)
+            assert decision.propensity == rho
+            assert settled[-1] == rho
+            assert state.table._top == config.betting_cap / payoff_bound(
+                config.epsilon, schedule.rho_min, rho)
+    assert pieces.call_count == len(list(rate_pieces(schedule, 1, len(losses) + 1)))
+
+
+WARMUP_ENDS_AT_3 = (TwoStageSchedule(rho_warm=0.7, rho_deploy=0.05, t_warm=3), [1.0] * 6, 0)
+
+
+@settings(deadline=None)
+@given(case=rate_cases())
+@example(case=WARMUP_ENDS_AT_3)
+def test_every_step_routes_and_settles_at_rho_at(case):
+    """``step`` carries the rate of the schedule piece in force, step
+    ``t_warm + 1`` included."""
+    route_below_every_candidate(*case)
+
+
+def test_a_rate_carried_past_its_piece_fails(monkeypatch):
+    """A mutant whose first piece never ends routes the steps after the
+    warmup at the warm rate, and fails the property and the worked example."""
+    monkeypatch.setattr(bpac.engine, "rate_pieces", lambda schedule, start, stop: iter(
+        [(start, math.inf, rho_at(schedule, start))]))
+    with pytest.raises(AssertionError):
+        test_every_step_routes_and_settles_at_rho_at()
+    with pytest.raises(AssertionError):
+        route_below_every_candidate(*WARMUP_ENDS_AT_3)
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_out_of_order_raises_before_the_rate_or_the_coin(steps):
+    """Fresh, and at the step that ends the warmup, a step out of order
+    reads no rate and draws no coin."""
+    schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.05, t_warm=3)
+    state = RouterState.fresh(RouterConfig(schedule=schedule), rng=5)
+    gate = LossGate()
+    for t in range(1, steps + 1):
+        step(state, make_obs(t, 0.5, 1.0), gate)
+    coins = state.rng.bit_generator.state
+    with mock.patch.object(bpac.engine, "rate_pieces",
+                           side_effect=AssertionError("rate read")):
+        with pytest.raises(OutOfOrderObservation):
+            step(state, make_obs(steps + 2), gate)
+    assert state.rng.bit_generator.state == coins
+    assert (state.t, gate.access_count) == (steps, steps)
+    decision, _ = step(state, make_obs(steps + 1, -0.5, 0.0), gate)
+    assert decision.propensity == rho_at(schedule, steps + 1)
+
+
+# Each record, its field values and its repr.
+FROZEN_RECORDS = [
+    (Decision, (0.05, 1, 1.0, 0.25),
+     "Decision(propensity=0.05, coin=1, observed_loss=1.0, threshold_used=0.25)"),
+    (StreamObservation, (3, 0.5, 0.0, 100, 500),
+     "StreamObservation(index=3, uncertainty=0.5, latent_loss=0.0, tokens_cheap=100, "
+     "tokens_expensive=500)"),
+]
+
+
+@pytest.mark.parametrize("cls, values, text", FROZEN_RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in FROZEN_RECORDS])
+def test_records_keep_the_frozen_dataclass_contract(cls, values, text):
+    """Built by position or by keyword, a record compares, hashes, prints,
+    copies, replaces and pickles as a frozen dataclass, and refuses to change.
+    It is slotted, so a trace's events hold no dict each."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    record = cls(*values)
+    assert not hasattr(record, "__dict__")
+    assert record == cls(**dict(zip(names, values)))
+    assert dataclasses.astuple(record) == values
+    assert hash(record) == hash(values)
+    assert repr(record) == text
+    assert pickle.loads(pickle.dumps(record)) == record
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert dataclasses.astuple(record) == values
+    moved = dataclasses.replace(record, **{names[1]: 0})
+    assert dataclasses.astuple(moved) == (values[0], 0, *values[2:])
+    assert moved != record
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, extra=1)
 
 
 class TestInvalidObservation:
@@ -1015,3 +1141,76 @@ def test_a_block_refreshes_its_bound_once_per_hold(monkeypatch):
     horizon = 300
     mc_safety("bpac", RouterConfig(), uniform_linear(), horizon, 3)
     assert 0 < len(calls) <= math.ceil(horizon / EXTENT_HOLD)
+
+
+@st.composite
+def prefix_cases(draw):
+    """A single-run table, on a one-point grid or a wider one, and a plan of
+    (k, low) splits per step: uncharged steps, charges with 0 < low <
+    epsilon and charges down to the worst payoff, with splits anywhere
+    along the grid, so below, inside and past the live prefix."""
+    n = draw(st.integers(1, 8))
+    horizon = draw(st.integers(1, 40))
+    schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.05,
+                                t_warm=draw(st.integers(0, horizon)))
+    mode = draw(st.sampled_from(SelectionMode))
+    config = RouterConfig(epsilon=draw(st.sampled_from([0.08, 0.25])), selection_mode=mode,
+                          prior=Prior.uniform(n) if mode is SelectionMode.MIXTURE else None,
+                          grid=ThresholdGrid(values=np.linspace(0.0, 1.0, n)),
+                          schedule=schedule)
+    fixed_wager = None
+    if draw(st.booleans()):
+        worst = max(payoff_bound(config.epsilon, schedule.rho_min, r)
+                    for r in schedule.emitted_rates())
+        fixed_wager = draw(st.floats(0.0, 0.99 / worst))
+    plan = []
+    for t in range(1, horizon + 1):
+        top = (1.0 - schedule.rho_min) / rho_at(schedule, t)
+        charge = st.one_of(st.floats(0.0, config.epsilon, exclude_min=True, exclude_max=True),
+                           st.just(top), st.floats(0.0, top))
+        low = config.epsilon - draw(charge) if draw(st.booleans()) else config.epsilon
+        plan.append((draw(st.integers(0, n)), low))
+    return config, fixed_wager, plan
+
+
+def prefix_shrinks():
+    """The first step pays epsilon everywhere, so the prefix jumps from 0 to
+    5; a charge from point 2 on pulls it back to 2, a charge with 0 < low <
+    epsilon keeps it, and uncharged steps regrow it."""
+    schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.05, t_warm=2)
+    config = RouterConfig(epsilon=0.25, grid=ThresholdGrid(values=np.linspace(0.0, 1.0, 5)),
+                          schedule=schedule)
+    plan = [(5, 0.25), (5, 0.25), (2, 0.25 - 0.95 / 0.7), (0, 0.1)] + [(5, 0.25)] * 12
+    return config, None, plan
+
+
+def settle_and_check_prefix(config, fixed_wager, plan):
+    """Settle a single run's table on ``plan``. The live prefix it settles,
+    carried from step to step, equals a search of the whole grid's sums
+    before each step, or the whole grid under a fixed wager, and past it no
+    wager is live."""
+    table = AccountTable(config, fixed_wager=fixed_wager)
+    n = config.grid.n
+    for t, charges in enumerate(plan, start=1):
+        expected = n if fixed_wager is not None else live_prefix(table.sum_payoff)
+        table.settle(charges, rho_at(config.schedule, t))
+        assert table.extent == expected
+        assert not table.last_lambda[expected:].any()
+
+
+@settings(deadline=None)
+@given(case=prefix_cases())
+@example(case=prefix_shrinks())
+def test_carried_live_prefix_equals_a_search_of_the_whole_grid(case):
+    settle_and_check_prefix(*case)
+
+
+def test_a_prefix_that_never_moves_back_fails(monkeypatch):
+    """A mutant carry that only ever moves the prefix forward fails the
+    property, and the worked example catches it on its own."""
+    monkeypatch.setattr(AccountTable, "_live_prefix",
+                        lambda table, a: max(a, live_prefix(table.sum_payoff)))
+    with pytest.raises(AssertionError):
+        test_carried_live_prefix_equals_a_search_of_the_whole_grid()
+    with pytest.raises(AssertionError):
+        settle_and_check_prefix(*prefix_shrinks())

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run end to end as subprocesses."""
 
+import hashlib
 import json
 import os
 import runpy
@@ -16,12 +17,17 @@ from bpac.simulation import (LinearLoss, StreamSegment, SyntheticStreamSpec, Uni
 
 REPO = Path(__file__).resolve().parents[1]
 REGRET_STUDY = REPO / "scripts" / "regret_study.py"
+DIGEST_MATRIX = REPO / "scripts" / "digest_matrix.py"
+
+
+def run_script(script: Path, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(bpac.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, str(script), *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def run_regret_study(*argv: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(Path(bpac.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, str(REGRET_STUDY), *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return run_script(REGRET_STUDY, *argv)
 
 
 def test_regret_study_prints_its_table():
@@ -75,3 +81,54 @@ def test_regret_study_refuses_a_horizon_past_its_stream_before_settling(
     assert out.out == ""
     assert "horizon 200 exceeds the stream's total length 100" in out.err
     assert settled == []
+
+
+# A slice of the digest matrix that touches every family of cases (serial
+# runs of each method, engine.step, mc_safety under both criteria, the
+# pinned study, regret_harness and a CLI run) in about 1.5 s, and the
+# sha256 of the JSON it writes. A change that moves any output moves it.
+MATRIX_SLICE = ("run/*/two_stage/easy_hard/G101", "step/*/G101", "mc/bpac/*/R5",
+                "pinned/two_segment/*", "regret/two_segment/*", "cli/replay*")
+MATRIX_SLICE_CASES = 18
+MATRIX_SLICE_DIGEST = "eca0f73dd1c7d8120413211e71a514222c73d946679446dd37baeef7dbf2046e"
+
+
+def test_digest_matrix_slice_is_pinned(tmp_path):
+    out = tmp_path / "slice.json"
+    run = run_script(DIGEST_MATRIX, *(f"--only={glob}" for glob in MATRIX_SLICE),
+                     "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    assert (run.stdout, run.stderr) == ("", "")
+    text = out.read_text()
+    assert len(json.loads(text)) == MATRIX_SLICE_CASES
+    assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_SLICE_DIGEST
+
+
+def test_digest_matrix_lists_the_cases_that_differ(tmp_path):
+    """``--against`` names each case whose digest differs and each case one
+    side lacks, and exits 1; against itself it exits 0."""
+    ours = tmp_path / "ours.json"
+    assert run_script(DIGEST_MATRIX, "--only=cli/mc-safety*", "--out", str(ours)).returncode == 0
+    digests = json.loads(ours.read_text())
+    assert list(digests) == ["cli/mc-safety --horizon 60 --n-reps 3"]
+    same = run_script(DIGEST_MATRIX, "--only=cli/mc-safety*", "--against", str(ours))
+    assert same.returncode == 0
+    assert json.loads(same.stdout) == digests
+    assert same.stderr == "0 of 1 cases differ\n"
+
+    theirs = tmp_path / "theirs.json"
+    theirs.write_text(json.dumps({"cli/mc-safety --horizon 60 --n-reps 3": "0" * 64,
+                                  "cli/mc-safety --horizon 61": "1" * 64,
+                                  "run/not/in/the/slice": "2" * 64}))
+    differ = run_script(DIGEST_MATRIX, "--only=cli/mc-safety*", "--against", str(theirs))
+    assert differ.returncode == 1
+    assert differ.stderr.splitlines() == ["differs: cli/mc-safety --horizon 60 --n-reps 3",
+                                          "only there: cli/mc-safety --horizon 61",
+                                          "2 of 2 cases differ"]
+
+
+def test_digest_matrix_refuses_a_glob_that_matches_nothing():
+    run = run_script(DIGEST_MATRIX, "--only=nothing/*")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "no case matches" in run.stderr
