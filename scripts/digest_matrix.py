@@ -18,10 +18,15 @@ The matrix:
   each method under both selection modes, a constant and a two-stage
   schedule, the built-in specs and a bounded two-segment spec, at G = 101
   and 1001; bpac also with a fixed wager (``/wager``) and with wealth
-  snapshots (``/snapshots``). The digest is ``Trajectory.digest``.
-- ``step/<spec>/G<n>``: events fed to ``engine.step`` one call at a time,
-  up to G = 10001; the digest covers every ``Decision`` and the final
-  accounts.
+  snapshots (``/snapshots``), and on ``easy_hard`` under the two-stage
+  schedule at G = 10001, where a single run moves the log-wealth of its
+  capped prefix by scalar adds. The digest is ``Trajectory.digest``; every bpac run
+  keeps a wealth snapshot at its horizon, so the digest covers its final
+  log-wealth.
+- ``step/<events>/G<n>``: events fed to ``engine.step`` one call at a
+  time, up to G = 10001, from each spec and from ``fractional``,
+  ``uniform_linear``'s events with fractional latent losses from halfway
+  on; the digest covers every ``Decision`` and the final accounts.
 - ``mc/<method>/<mode>/<criterion>/R<reps>``: ``mc_safety`` reports under
   both criteria at R = 1, 5, 25 and 30 replications.
 - ``pinned/<spec>/<schedule>`` and ``regret/<spec>/<schedule>``: the
@@ -29,7 +34,7 @@ The matrix:
 - ``cli/<argv>``: the CLI runs that ``tests/test_cli.py`` pins, digested by
   ``output_digest``.
 
-The full matrix takes about 20 s on a 2-core x86 box.
+The full matrix takes about 15 s on a 2-core x86 box.
 """
 from __future__ import annotations
 
@@ -128,6 +133,9 @@ def grid_config(n: int, mode: SelectionMode = SelectionMode.FIXED_SEQUENCE,
 
 
 def run_case(method, config, spec, **options):
+    if method == "bpac":
+        options.setdefault("emit_wealth_every", HORIZON)
+
     def digest():
         h = hashlib.sha256()
         for seed in SEEDS:
@@ -137,12 +145,27 @@ def run_case(method, config, spec, **options):
     return digest
 
 
-def step_case(spec, n):
+def spec_events(spec):
+    return lambda: stream_events(spec, np.random.default_rng(11), HORIZON)
+
+
+def fractional_events():
+    """``uniform_linear``'s events with latent losses drawn uniformly from
+    [0, 1] from halfway on: the charges with 0 < loss < 1 that end a single
+    run's capped-prefix shortcut."""
+    rng = np.random.default_rng(13)
+    for obs in spec_events(uniform_linear())():
+        if obs.index > HORIZON // 2:
+            obs = dataclasses.replace(obs, latent_loss=float(rng.random()))
+        yield obs
+
+
+def step_case(events, n):
     def digest():
         state = RouterState.fresh(grid_config(n), rng=7)
         gate = LossGate()
         h = hashlib.sha256()
-        for obs in stream_events(spec, np.random.default_rng(11), HORIZON):
+        for obs in events():
             decision, state = step(state, obs, gate)
             h.update(repr(dataclasses.astuple(decision)).encode())
         for column in (state.table.log_wealth, state.table.sum_payoff,
@@ -201,9 +224,14 @@ def matrix() -> dict:
                                                               fixed_wager=FIXED_WAGER)
                             cases[f"{name}/snapshots"] = run_case(
                                 method, config, spec, emit_wealth_every=SNAPSHOT_EVERY)
-    for spec_name, spec in SPECS.items():
+    for mode_name, mode in modes.items():
+        cases[f"run/bpac/{mode_name}/two_stage/easy_hard/G10001"] = run_case(
+            "bpac", grid_config(10001, mode, SCHEDULES["two_stage"]), SPECS["easy_hard"])
+    events = {name: spec_events(spec) for name, spec in SPECS.items()}
+    events["fractional"] = fractional_events
+    for events_name, source in events.items():
         for n in (101, 1001, 10001):
-            cases[f"step/{spec_name}/G{n}"] = step_case(spec, n)
+            cases[f"step/{events_name}/G{n}"] = step_case(source, n)
     for reps in (1, 5, 25, 30):
         for mode_name, mode in modes.items():
             config = grid_config(1001, mode)

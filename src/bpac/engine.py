@@ -30,6 +30,34 @@ positive only on a prefix ``[0, a)`` and exactly 0 past it, where
 ``log1p(0 * payoff)`` is a signed zero and leaves log-wealth bit-for-bit
 unchanged. Skipping those accounts changes no bit of the result.
 
+Capped prefix. On a single run, the live accounts that bet exactly the top
+wager ``top = cap / m_t`` form a leading block ``[0, c)``, and their
+log-wealth is settled with one scalar add per side of the split. The
+proof: every step adds epsilon squared to ``sum_payoff_sq`` before its
+split and ``low * low`` past it. While no charge with a split inside the
+grid has had ``low * low`` below epsilon squared, which only a fractional
+loss gives (``-epsilon < low < epsilon``), ``sum_payoff_sq`` starts at 0
+and never decreases along the grid, rounding being monotone. On the live
+prefix ``sum_payoff`` is positive and never increases, and a rounded
+quotient of positive numbers never increases when its numerator falls or
+its denominator grows, so the ratio ``sum_payoff / (sum_payoff_sq + 1)``
+never increases along it either. Past ``a`` the ratio is at most 0 <
+``top``. So ``{ratio >= top}`` is the block ``[0, c)`` with ``c <= a``.
+Each account in it grows by ``log1p(top * epsilon)`` before the split and
+by ``log1p(top * low)`` past it; the first is taken once per rate, the
+second only when the split falls inside the block, both by numpy on a
+one-point array, which gives the bits of its array loop.
+``c`` is carried from step to step: it stands while the ratio just before
+it still reaches ``top`` and the ratio at it does not, both computed in
+Python floats, which add and divide as numpy does; otherwise the side of
+``c`` that check rules in is bisected. The first fractional charge turns
+the flag ``_capping`` off, and the run settles every live account by
+array passes from then on. The block is looked for only while the live
+prefix has at least ``CAPPED_WIDTH`` points; below that, the check and
+the extra views cost more than the passes they save. The wagers
+themselves are still computed over the whole live prefix. A fixed wager
+is this block over the whole grid, with no check and no flag.
+
 The single-run path takes three more shortcuts, each exact:
 
 - Its live prefix ``a`` is carried from step to step. Since
@@ -114,6 +142,17 @@ from .core import (RouterConfig, SelectionMode, StreamObservation, rate_pieces,
 # size for mixture under the weighted criterion at 25 lanes: a longer hold
 # searches less often but settles a wider block.
 EXTENT_HOLD = 16
+
+# Live-prefix width from which a single run looks for its capped prefix
+# (module docstring). settle + select on 4000 recorded easy_hard steps,
+# default config (shared 2-core x86 box, CPU time, best of 5 alternating
+# rounds of best-of-9), with the block looked for at every width / never:
+# G=1001 (live prefix about 420) 9.79 / 8.44 us, G=2001 (about 850) 10.89 /
+# 10.49, G=3001 (about 1270) 12.63 / 12.66, G=5001 (about 2100) 14.38 /
+# 14.64, and at G=10001 the step saves about 2.5 us. The two break even
+# near 1300 points; below about a thousand, the two-point check, the extra
+# views and the scalar adds cost more than the passes they save.
+CAPPED_WIDTH = 1024
 
 
 class WagerOutOfRange(RuntimeError):
@@ -381,8 +420,14 @@ class AccountTable:
             self._s1_reversed = self._s1[::-1]
             self._high_column, self._low_column = np.empty((2, 2, 1))
             self._high_column[:, 0] = self.epsilon, self.epsilon * self.epsilon
-            # A fixed wager bets on every point, from the first step on.
-            self._cut(0 if fixed_wager is None else n)
+            # The capped prefix: whether it still holds, where it was last
+            # found, log1p(top * epsilon) for the top in force (None until
+            # needed), and a one-point buffer to take a log1p in.
+            self._capping, self._capped = True, 0
+            self._log_high, self._one = None, np.empty(1)
+            # A fixed wager caps the whole grid from the first step on.
+            end = 0 if fixed_wager is None else n
+            self._cut(end, end)
         else:
             self._kernel = AccountTable._settle_rows
             self._lw_columns = self._lw
@@ -404,12 +449,15 @@ class AccountTable:
         self._gap = 0 if rows is None else [0] * rows
         self._deployed = 0 if rows is None else [0] * rows
 
-    def _cut(self, a: int) -> None:
-        """Cut a single run's views of the first ``a`` grid points, which
-        ``_settle_run`` reuses while its live prefix stays at ``a``."""
-        self._cut_at = a
-        self._work_a, self._s1_a, self._s2_a = self._work[:a], self._s1[:a], self._s2[:a]
-        self._lw_a, self._lam_a, self._spare_a = self._lw[:a], self._lam[:a], self._spare[:a]
+    def _cut(self, c: int, a: int) -> None:
+        """Cut a single run's views of its live prefix ``[0, a)``, where its
+        wagers are computed, and of ``[c, a)`` past its capped prefix, where
+        log-wealth moves by array passes; ``_settle_run`` reuses them while
+        both ends stay put."""
+        self._cut_c, self._cut_a = c, a
+        self._ratio, self._s1_a, self._s2_a = self._work[:a], self._s1[:a], self._s2[:a]
+        self._lam_a, self._spare_a = self._lam[:a], self._spare[:a]
+        self._growth, self._lw_c = self._work[c:a], self._lw[c:a]
 
     @property
     def extent(self) -> int:
@@ -429,14 +477,17 @@ class AccountTable:
         the live-prefix invariant (module docstring) the adaptive wager, the
         ``log1p`` and the wealth update run on ``[0, a)`` only, where ``a``
         is a single run's live prefix or a table's held extent bound; each
-        row bets exactly 0 past its own prefix. A table refuses a ``low``
-        above epsilon. Raises before any account changes.
+        row bets exactly 0 past its own prefix. A single run moves the
+        log-wealth of its capped prefix, where every wager is the top, by
+        scalar adds. A table refuses a ``low`` above epsilon. Raises before
+        any account changes.
         """
         if rho_t != self._rate and self.fixed_wager is None:
             # The wager cap cap / m_t moves only with the rate, which a
             # two-stage schedule changes once.
             self._rate = rho_t
             self._top = self.cap / payoff_bound(self.epsilon, self.rho_min, rho_t)
+            self._log_high = None
         self._kernel(self, charges)
 
     def _live_prefix(self, a: int) -> int:
@@ -448,8 +499,38 @@ class AccountTable:
             return a
         return n - int(self._s1_reversed.searchsorted(0.0, "right"))
 
+    def _capped_prefix(self, a: int) -> int:
+        """A single run's capped prefix, the first grid point of ``[0, a)``
+        whose ratio ``sum_payoff / (sum_payoff_sq + 1)`` is below the top
+        wager, or ``a``: the last step's, if the ratio just before it still
+        reaches the top and the ratio at it does not, else a bisection of
+        the side that check rules in (module docstring). Python floats add
+        and divide as numpy's ``add`` and ``divide`` do."""
+        s1, s2, top = self._s1, self._s2, self._top
+        c = lo = hi = min(self._capped, a)
+        if c and s1.item(c - 1) / (s2.item(c - 1) + 1.0) < top:
+            lo, hi = 0, c - 1
+        elif c < a and s1.item(c) / (s2.item(c) + 1.0) >= top:
+            lo, hi = c + 1, a
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if s1.item(mid) / (s2.item(mid) + 1.0) >= top:
+                lo = mid + 1
+            else:
+                hi = mid
+        self._capped = lo
+        return lo
+
+    def _log1p(self, x: float) -> float:
+        """``log1p(x)`` from numpy's array loop, on a one-point array."""
+        one = self._one
+        one[0] = x
+        return np.log1p(one, one).item()
+
     def _settle_run(self, charges: tuple[int, float]) -> None:
-        """``settle`` for a single run, one numpy call per array job."""
+        """``settle`` for a single run: one numpy call per array job, and one
+        scalar add per side of the split for the log-wealth of its capped
+        prefix ``[0, c)`` (module docstring)."""
         k, low = charges
         lam, n = self._spare, self._n
         high, top = self.epsilon, self._top
@@ -458,44 +539,59 @@ class AccountTable:
             k = n
         if self.fixed_wager is None:
             a = self._live_prefix(self._extent)
-            if a != self._cut_at:
-                self._cut(a)
-            growth, wagers = self._work_a, self._spare_a
-            np.add(self._s2_a, 1.0, growth)
-            np.divide(self._s1_a, growth, growth)
+            c = self._capped_prefix(a) if a >= CAPPED_WIDTH and self._capping else 0
+            if a != self._cut_a or c != self._cut_c:
+                self._cut(c, a)
+            ratio = self._ratio
+            np.add(self._s2_a, 1.0, ratio)
+            np.divide(self._s1_a, ratio, ratio)
             # The ratio is >= 0 on the live prefix, so clip(., 0, top) is a
             # minimum.
-            np.minimum(growth, top, out=wagers)
+            np.minimum(ratio, top, out=self._spare_a)
             # The buffer last held the wagers of two steps ago; clear only
             # the points that were live then and are not now.
             if self._spare_extent > a:
                 lam[a:self._spare_extent] = 0.0
         else:
-            a = n
-            growth, wagers = self._work_a, self._spare_a
+            # Every account bets the fixed wager: the whole grid is capped.
+            a = c = n
             # The fixed wager stays in a buffer once written.
             if self._spare_extent < n:
                 lam.fill(top)
 
-        if k < a:
-            # No wager exceeds ``top``, so only a ``low`` that ruins ``top``
-            # needs the largest wager it meets (module docstring).
-            if low * top <= -1.0:
-                worst = low * float(np.maximum.reduce(lam[k:a]))
-                if worst <= -1.0:
-                    raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
-            np.multiply(lam[:k], high, growth[:k])
-            np.multiply(lam[k:a], low, growth[k:])
-        else:
-            np.multiply(wagers, high, growth)
+        # No wager exceeds ``top``, so only a ``low`` that ruins ``top``
+        # needs the largest wager it meets (module docstring).
+        if k < a and low * top <= -1.0:
+            worst = low * (top if k < c else float(np.maximum.reduce(lam[k:a])))
+            if worst <= -1.0:
+                raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
         self._spare, self._lam = self._lam, lam
+        wagers = self._spare_a
         self._spare_a, self._lam_a = self._lam_a, wagers
         self._spare_extent, self._extent = self._extent, a
         self.last_lambda = lam
 
-        np.log1p(growth, growth)
-        lw = self._lw_a
-        np.add(lw, growth, lw)
+        if c < a:
+            growth = self._growth
+            if k < a:
+                # Past the capped prefix, epsilon up to the split and low on.
+                j = k if k > c else c
+                np.multiply(lam[c:j], high, growth[:j - c])
+                np.multiply(lam[j:a], low, growth[j - c:])
+            else:
+                np.multiply(lam[c:a] if c else wagers, high, growth)
+            np.log1p(growth, growth)
+            np.add(self._lw_c, growth, self._lw_c)
+        if c:
+            lw, j = self._lw, min(k, c)
+            if j:
+                if self._log_high is None:
+                    self._log_high = self._log1p(top * high)
+                head = lw[:j]
+                np.add(head, self._log_high, head)
+            if j < c:
+                tail = lw[j:c]
+                np.add(tail, self._log1p(top * low), tail)
         sums = self._sums
         if k < n:
             low_column = self._low_column
@@ -503,6 +599,9 @@ class AccountTable:
             head, tail = sums[:, :k], sums[:, k:]
             np.add(head, self._high_column, head)
             np.add(tail, low_column, tail)
+            if k and low > -high:
+                # From here on sum_payoff_sq may dip along the grid.
+                self._capping = False
         else:
             np.add(sums, self._high_column, sums)
         if not self.mixture:

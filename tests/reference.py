@@ -9,10 +9,11 @@ integrates a score density numerically, the cross-check for the closed
 forms of ``simulation.mean_loss_below``. ``fixed_sequence_index``,
 ``fixed_sequence_rows`` and ``mean_index`` search the whole grid for the
 indices that ``AccountTable.select`` and ``baselines.mean_step`` carry
-from step to step, and ``live_prefix`` for the live prefix a single run's
-``AccountTable`` carries. ``StepRiskTracker`` looks up the segment, the rate and
-the risk vector at every step, where ``simulation.RiskTracker`` carries
-them a piece at a time.
+from step to step, and ``live_prefix`` and ``capped_prefix`` for the live
+and the capped prefix a single run's ``AccountTable`` carries.
+``StepRiskTracker`` looks up the segment, the rate and the risk vector at
+every step, where ``simulation.RiskTracker`` carries them a piece at a
+time.
 """
 
 import numpy as np
@@ -97,6 +98,14 @@ def live_prefix(sum_payoff: np.ndarray) -> int:
     """The first grid point with ``sum_payoff <= 0``, by one search of the
     whole grid; the sums never increase along it."""
     return sum_payoff.size - int(sum_payoff[::-1].searchsorted(0.0, "right"))
+
+
+def capped_prefix(sum_payoff: np.ndarray, sum_payoff_sq: np.ndarray, top: float) -> int:
+    """The first grid point whose ratio ``sum_payoff / (sum_payoff_sq + 1)``
+    is below ``top``, by one pass over the whole grid; the grid's size if
+    there is none."""
+    below = sum_payoff / (sum_payoff_sq + 1.0) < top
+    return int(below.argmax()) if below.any() else below.size
 
 
 def mean_index(sums: np.ndarray, t: int, epsilon: float, slack: float) -> int:

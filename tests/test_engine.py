@@ -38,9 +38,10 @@ from bpac import (
     update_account,
 )
 from bpac.core import rate_pieces
-from bpac.engine import EXTENT_HOLD, AccountTable, _mixture_rows, route, route_lanes
-from reference import (account_table, fixed_sequence_index, fixed_sequence_rows, ips_payoff,
-                       live_prefix)
+from bpac.engine import (CAPPED_WIDTH, EXTENT_HOLD, AccountTable, _mixture_rows, route,
+                         route_lanes)
+from reference import (account_table, capped_prefix, fixed_sequence_index, fixed_sequence_rows,
+                       ips_payoff, live_prefix)
 
 EPS = 0.08
 RHO_MIN = 0.05
@@ -738,12 +739,25 @@ def certified_index(config, shadows) -> int:
     return max(prefix - 1, 0)
 
 
+def capped_widths():
+    """The engine's gate on the capped prefix, then a gate of 1, which takes
+    the capped path on every grid: each a context to settle under."""
+    return (mock.patch.object(bpac.engine, "CAPPED_WIDTH", width) for width in (CAPPED_WIDTH, 1))
+
+
 class TestSettlementParity:
     @settings(deadline=None)
     @given(case=parity_cases())
     def test_table_matches_scalar_replay_every_step(self, case):
-        """The fused in-place kernel equals a per-account scalar replay bit for bit."""
-        config, fixed_wager, observations, seed = case
+        """The fused in-place kernel equals a per-account scalar replay bit for
+        bit, with the capped path gated as the engine gates it and taken on
+        every grid."""
+        for width in capped_widths():
+            with width:
+                self.replay(*case)
+
+    @staticmethod
+    def replay(config, fixed_wager, observations, seed):
         grid = config.grid.values
         rho_min = config.schedule.rho_min
         state = RouterState.fresh(config, rng=seed, fixed_wager=fixed_wager)
@@ -1184,25 +1198,76 @@ def prefix_shrinks():
     return config, None, plan
 
 
+def capped_block_moves():
+    """Under the capped path on every grid, a 5-point grid whose capped
+    prefix is empty for the first steps, then the whole live prefix, then
+    shrinks to 2 and to 0 under charges below it, regrows when the rate
+    falls at step 13 and the top wager with it, and shrinks again; charges
+    split the grid below, at and past the capped prefix and past the live
+    one, and every ``low`` is at most -epsilon, so the shortcut stands."""
+    schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.3, t_warm=12)
+    config = RouterConfig(epsilon=0.25, grid=ThresholdGrid(values=np.linspace(0.0, 1.0, 5)),
+                          schedule=schedule)
+    worst = 0.25 - 0.7 / 0.3
+    plan = ([(5, 0.25)] * 8 + [(2, -0.75), (5, 0.25), (0, -0.75), (5, 0.25), (3, -0.5),
+                               (3, -0.5)]
+            + [(5, 0.25)] * 3 + [(1, worst), (2, -0.5), (5, 0.25), (4, -0.5)])
+    return config, None, plan
+
+
+def sums_of_squares_dip():
+    """Charges with 0 < low < epsilon from point 2 of a 3-point grid add less
+    to ``sum_payoff_sq`` past the split than before it, so the sums of
+    squares dip along the grid from the first step and the shortcut is
+    off. After step 26 the ratio at point 1 is below the top wager and the
+    ratio at point 2 above it: a capped prefix carried over the whole live
+    prefix would pass its two-point check there and settle point 1 as if it
+    bet the top wager."""
+    config = RouterConfig(epsilon=0.25, betting_cap=0.6,
+                          grid=ThresholdGrid(values=np.linspace(0.0, 1.0, 3)),
+                          schedule=ConstantSchedule(0.7))
+    return config, None, [(2, 0.2)] * 25 + [(1, -0.1), (3, 0.25)]
+
+
 def settle_and_check_prefix(config, fixed_wager, plan):
     """Settle a single run's table on ``plan``. The live prefix it settles,
     carried from step to step, equals a search of the whole grid's sums
     before each step, or the whole grid under a fixed wager, and past it no
-    wager is live."""
+    wager is live. Where the table takes its capped prefix, that equals a
+    search of the whole grid too, and the top wager is bet on it. While the
+    shortcut stands, ``sum_payoff_sq`` never decreases along the grid."""
     table = AccountTable(config, fixed_wager=fixed_wager)
     n = config.grid.n
     for t, charges in enumerate(plan, start=1):
+        rho_t = rho_at(config.schedule, t)
         expected = n if fixed_wager is not None else live_prefix(table.sum_payoff)
-        table.settle(charges, rho_at(config.schedule, t))
+        capping = (fixed_wager is None and table._capping
+                   and expected >= bpac.engine.CAPPED_WIDTH)
+        if capping:
+            top = config.betting_cap / payoff_bound(config.epsilon, config.schedule.rho_min,
+                                                     rho_t)
+            capped = capped_prefix(table.sum_payoff, table.sum_payoff_sq, top)
+        table.settle(charges, rho_t)
         assert table.extent == expected
         assert not table.last_lambda[expected:].any()
+        if capping:
+            assert table._capped == capped
+            assert np.all(table.last_lambda[:capped] == top)
+        if table._capping:
+            assert np.all(np.diff(table.sum_payoff_sq) >= 0.0)
 
 
 @settings(deadline=None)
 @given(case=prefix_cases())
 @example(case=prefix_shrinks())
+@example(case=capped_block_moves())
+@example(case=sums_of_squares_dip())
 def test_carried_live_prefix_equals_a_search_of_the_whole_grid(case):
-    settle_and_check_prefix(*case)
+    """The carried live prefix, and the carried capped prefix with the
+    capped path gated as the engine gates it and taken on every grid."""
+    for width in capped_widths():
+        with width:
+            settle_and_check_prefix(*case)
 
 
 def test_a_prefix_that_never_moves_back_fails(monkeypatch):
@@ -1214,3 +1279,112 @@ def test_a_prefix_that_never_moves_back_fails(monkeypatch):
         test_carried_live_prefix_equals_a_search_of_the_whole_grid()
     with pytest.raises(AssertionError):
         settle_and_check_prefix(*prefix_shrinks())
+
+
+def test_the_capped_path_takes_the_bits_of_the_array_path():
+    """What the capped path computes one value at a time equals what the
+    array path computes for that value inside a long array, at any offset:
+    ``np.log1p`` of ``top * epsilon`` and of ``top * low`` on a one-point
+    array, for every rate the default schedule emits and losses across
+    [0, 1]; and the ratio ``s1.item(j) / (s2.item(j) + 1.0)`` in Python
+    floats against numpy's ``add`` then ``divide``."""
+    config = RouterConfig()
+    eps, rho_min = config.epsilon, config.schedule.rho_min
+    rng = np.random.default_rng(5)
+    for rho in config.schedule.emitted_rates():
+        top = config.betting_cap / payoff_bound(eps, rho_min, rho)
+        lows = [eps - (1.0 - rho_min) * (loss / pi) for loss in np.linspace(0.0, 1.0, 41)
+                for pi in (rho, 1.0)]
+        products = [top * eps] + [top * low for low in lows]
+        assert np.array_equal(np.multiply(np.full(len(lows), top), lows), products[1:])
+        one = np.empty(1)
+        for x in products:
+            one[0] = x
+            np.log1p(one, one)
+            for offset in (0, 1, 3, 8):
+                block = rng.uniform(-0.5, 0.5, 4099 + offset)
+                at = rng.integers(offset, block.size, 5)
+                block[at] = x
+                view = block[offset:]
+                np.log1p(view, view)
+                assert np.array_equal(bits(block[at]), bits(np.full(at.size, one[0])))
+
+    s1 = np.concatenate([rng.uniform(0.0, 50.0, 5000), rng.uniform(-1.0, 1.0, 5000)])
+    s2 = np.concatenate([rng.uniform(0.0, 100.0, 5000), rng.uniform(0.0, 1e-3, 5000)])
+    for offset in (0, 1, 5):
+        ratio = np.add(s2[offset:], 1.0)
+        np.divide(s1[offset:], ratio, ratio)
+        scalar = [s1.item(j) / (s2.item(j) + 1.0) for j in range(offset, s1.size)]
+        assert np.array_equal(bits(ratio), bits(scalar))
+
+
+def settle_against_reference(config, plan):
+    """Settle a single run's table on ``plan`` with the capped path taken on
+    every grid, and a G-point reference account beside it; both hold the
+    same bits after every step. Returns ``(k, c, a)`` of each step that
+    took its capped prefix."""
+    table, shadow = AccountTable(config), account_table(config.grid.n)
+    seen = []
+    find = AccountTable._capped_prefix
+
+    def recorded(table, a):
+        c = find(table, a)
+        seen.append((k, c, a))
+        return c
+
+    with (mock.patch.object(bpac.engine, "CAPPED_WIDTH", 1),
+          mock.patch.object(AccountTable, "_capped_prefix", recorded)):
+        for t, (k, low) in enumerate(plan, start=1):
+            rho_t = rho_at(config.schedule, t)
+            m_t = payoff_bound(config.epsilon, config.schedule.rho_min, rho_t)
+            reference_settle(shadow, k, config.epsilon, low, m_t, config.betting_cap)
+            table.settle((k, low), rho_t)
+            assert_same_bits(table, None, shadow)
+    return seen
+
+
+def test_the_capped_path_meets_every_kind_of_split():
+    """The worked example settles like the reference while its capped
+    prefix is empty, partial and the whole live prefix, and its splits fall
+    below, at and past the capped prefix and past the live one."""
+    seen = settle_against_reference(*capped_block_moves()[::2])
+    kinds = {(c == 0, c == a, k < c, k == c, c < k < a, a <= k) for k, c, a in seen}
+    assert {(True, False), (False, False), (False, True)} <= {kind[:2] for kind in kinds}
+    assert all(any(kind[i] for kind in kinds) for i in range(2, 6))
+
+
+def test_sums_of_squares_that_dip_turn_the_shortcut_off():
+    """After a charge with 0 < low < epsilon the run never takes its capped
+    prefix again, and it still settles like the reference."""
+    assert settle_against_reference(*sums_of_squares_dip()[::2]) == []
+
+
+def test_a_capped_prefix_that_never_moves_back_fails(monkeypatch):
+    """A mutant carry that only ever moves the capped prefix forward settles
+    log-wealth at the top wager where the ratio fell below it: the reference
+    replay, the search of the whole grid and the property all catch it."""
+    find = AccountTable._capped_prefix
+
+    def forward(table, a):
+        carried = min(table._capped, a)
+        table._capped = max(carried, find(table, a))
+        return table._capped
+
+    monkeypatch.setattr(AccountTable, "_capped_prefix", forward)
+    with pytest.raises(AssertionError):
+        settle_against_reference(*capped_block_moves()[::2])
+    with pytest.raises(AssertionError):
+        with mock.patch.object(bpac.engine, "CAPPED_WIDTH", 1):
+            settle_and_check_prefix(*capped_block_moves())
+    with pytest.raises(AssertionError):
+        test_carried_live_prefix_equals_a_search_of_the_whole_grid()
+
+
+def test_a_shortcut_that_ignores_dipping_sums_of_squares_fails(monkeypatch):
+    """A mutant that keeps the shortcut after a fractional charge trusts a
+    carried capped prefix whose ratios no longer fall along the grid, and
+    settles point 1 of the worked example as if it bet the top wager."""
+    monkeypatch.setattr(AccountTable, "_capping",
+                        property(lambda table: True, lambda table, value: None), raising=False)
+    with pytest.raises(AssertionError, match="^log_wealth"):
+        settle_against_reference(*sums_of_squares_dip()[::2])

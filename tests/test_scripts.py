@@ -89,8 +89,8 @@ def test_regret_study_refuses_a_horizon_past_its_stream_before_settling(
 # sha256 of the JSON it writes. A change that moves any output moves it.
 MATRIX_SLICE = ("run/*/two_stage/easy_hard/G101", "step/*/G101", "mc/bpac/*/R5",
                 "pinned/two_segment/*", "regret/two_segment/*", "cli/replay*")
-MATRIX_SLICE_CASES = 18
-MATRIX_SLICE_DIGEST = "eca0f73dd1c7d8120413211e71a514222c73d946679446dd37baeef7dbf2046e"
+MATRIX_SLICE_CASES = 19
+MATRIX_SLICE_DIGEST = "1fdde44ded840bd960c33bf3cb6bc7fca2096f4e3e5edadc5aedee8951be3d98"
 
 
 def test_digest_matrix_slice_is_pinned(tmp_path):
