@@ -29,12 +29,17 @@ The matrix:
   on; the digest covers every ``Decision`` and the final accounts.
 - ``mc/<method>/<mode>/<criterion>/R<reps>``: ``mc_safety`` reports under
   both criteria at R = 1, 5, 25 and 30 replications.
+- ``lanes/<mode>/<adaptive|wager>/R<reps>/G<n>``: an R-row
+  ``AccountTable``, with the adaptive or a fixed wager, driven through
+  ``route_lanes`` and ``settle`` on R ``uniform_linear`` lanes at R = 1, 5
+  and 25 and G = 101 and 1001; the digest covers every step's deployed
+  indices and the final accounts, which no ``mc/`` report holds.
 - ``pinned/<spec>/<schedule>`` and ``regret/<spec>/<schedule>``: the
   pinned-threshold study and ``regret_harness`` on its first row.
 - ``cli/<argv>``: the CLI runs that ``tests/test_cli.py`` pins, digested by
   ``output_digest``.
 
-The full matrix takes about 15 s on a 2-core x86 box.
+The full matrix takes about 20 s on a 2-core x86 box.
 """
 from __future__ import annotations
 
@@ -53,8 +58,8 @@ import numpy as np
 
 import bpac.cli
 from bpac.core import (ConstantSchedule, Prior, RouterConfig, SelectionMode, ThresholdGrid,
-                       TwoStageSchedule, validate_config)
-from bpac.engine import LossGate, RouterState, step
+                       TwoStageSchedule, rho_at, validate_config)
+from bpac.engine import AccountTable, LossGate, RouterState, route_lanes, step
 from bpac.simulation import (BetaScore, ConstantTokens, LinearLoss, PowerLoss, StreamSegment,
                              SyntheticStreamSpec, UniformScore, UniformTokens, easy_hard,
                              generate_event, mc_safety, pinned_threshold_study, regret_harness,
@@ -176,6 +181,33 @@ def step_case(events, n):
     return digest
 
 
+def lanes_case(config, reps, fixed_wager):
+    def digest():
+        table = AccountTable(config, reps, fixed_wager=fixed_wager)
+        lanes = [list(stream_events(SPECS["uniform_linear"], np.random.default_rng(seed), HORIZON))
+                 for seed in range(reps)]
+        coins = [np.random.default_rng(100 + seed).random(HORIZON).tolist()
+                 for seed in range(reps)]
+        gates = [LossGate() for _ in range(reps)]
+        for gate, events in zip(gates, lanes):
+            gate.hold(1, [obs.latent_loss for obs in events])
+        h = hashlib.sha256()
+        deployed = [0] * reps
+        for t in range(1, HORIZON + 1):
+            rho_t = rho_at(config.schedule, t)
+            _, charges = route_lanes(t, [events[t - 1].uncertainty for events in lanes],
+                                     [draws[t - 1] for draws in coins], deployed, rho_t, gates,
+                                     config)
+            table.settle(charges, rho_t)
+            deployed = table.select()
+            h.update(repr(deployed).encode())
+        for column in (table.log_wealth, table.sum_payoff, table.sum_payoff_sq,
+                       table.last_lambda):
+            h.update(np.ascontiguousarray(column).tobytes())
+        return h.hexdigest()
+    return digest
+
+
 def mc_case(method, config, spec, reps, criterion):
     return lambda: value_digest(mc_safety(method, config, spec, 1200, reps, base_seed=5,
                                           criterion=criterion, workers=1))
@@ -242,6 +274,12 @@ def matrix() -> dict:
         for method in ("o_naive", "ips_hoeff"):
             cases[f"mc/{method}/fixed_sequence/deployment/R{reps}"] = mc_case(
                 method, grid_config(1001), SPECS["uniform_linear"], reps, "deployment")
+    for mode_name, mode in modes.items():
+        for wager_name, wager in (("adaptive", None), ("wager", FIXED_WAGER)):
+            for reps in (1, 5, 25):
+                for n in (101, 1001):
+                    cases[f"lanes/{mode_name}/{wager_name}/R{reps}/G{n}"] = lanes_case(
+                        grid_config(n, mode), reps, wager)
     for spec_name, spec in SPECS.items():
         for sched_name, schedule in SCHEDULES.items():
             cases[f"pinned/{spec_name}/{sched_name}"] = pinned_case(spec, schedule, False)

@@ -58,7 +58,7 @@ the extra views cost more than the passes they save. The wagers
 themselves are still computed over the whole live prefix. A fixed wager
 is this block over the whole grid, with no check and no flag.
 
-The single-run path takes three more shortcuts, each exact:
+The single-run path takes two more shortcuts, each exact:
 
 - Its live prefix ``a`` is carried from step to step. Since
   ``sum_payoff`` never increases along the grid, ``a`` stands while the
@@ -66,10 +66,13 @@ The single-run path takes three more shortcuts, each exact:
   only when one of those two changed sign is the grid searched again.
 - A step whose payoff is the same on both sides of the split (a cheap
   step, or an escalation that observed loss 0) settles as ``k = n``.
-- Every wager is at most ``cap / m_t``, or exactly the fixed wager, and
-  rounding a product by a fixed negative scalar is monotone. So no
-  account can be ruined unless ``low`` times that bound is ``<= -1``, and
-  only then is the largest wager past the split reduced.
+
+One wager buffer. ``settle`` checks for ruin before it writes a wager,
+then overwrites a table's one wager buffer in place. Every wager is at most
+``top``, and rounding a product by a fixed negative scalar is monotone, so
+only a charge with ``low * top <= -1`` is checked, against the largest
+wager past its split: ``top`` in a capped prefix or under a fixed wager,
+else ``min(top, largest ratio)``, read off the ratio.
 
 Carried gap. The fixed-sequence rule deploys the point before a row's
 gap, its first grid point whose log-wealth is below the bar (0 when the
@@ -368,24 +371,20 @@ class AccountTable:
     ``simulation`` advances Monte Carlo replications in lockstep. Every
     row shares the config, so the grid, the bars and any fixed wager. The
     (R, G) arrays are transposed views of grid-major storage, so the live
-    prefix of every row together is one contiguous block. ``sum_payoff``
-    and ``sum_payoff_sq`` are the two halves of one array, so one add
-    settles both. ``settle`` writes the step's wagers into a spare buffer
-    and rebinds ``last_lambda`` to it once every row is known to survive,
-    so a ``last_lambda`` array is only valid until the next step; copy it
-    to keep it.
+    prefix of every row together is one contiguous block.
+    ``last_lambda`` is one view of the table's one wager buffer, bound
+    once, which each ``settle`` overwrites in place; copy it to keep it.
     """
 
     def __init__(self, config: RouterConfig, rows: int | None = None, *,
                  fixed_wager: float | None = None):
         """Fresh accounts at unit wealth.
 
-        The config has passed ``validate_config`` in every caller:
-        ``RouterState.fresh``, ``mc_safety`` and ``pinned_threshold_study``.
-        ``fixed_wager`` replaces the adaptive wager with a constant (an
-        ablation knob); it must leave every reachable payoff survivable.
+        The config has passed ``validate_config``, and ``fixed_wager``
+        ``check_fixed_wager``, in every caller: ``RouterState.fresh``,
+        ``mc_safety`` and ``pinned_threshold_study``. ``fixed_wager``
+        replaces the adaptive wager with a constant (an ablation knob).
         """
-        check_fixed_wager(config, fixed_wager)
         self.epsilon, self.rho_min = config.epsilon, config.schedule.rho_min
         self.fixed_wager = fixed_wager
         self.cap = config.betting_cap
@@ -403,9 +402,8 @@ class AccountTable:
         self._lw_ends = np.zeros((n + 1, *shape[1:]))
         self._lw_ends[n] = -np.inf
         self._lw = self._lw_ends[:n]
-        self._lam, self._spare = np.zeros(shape), np.zeros(shape)
-        self._sums = np.zeros((2, *shape))
-        self._s1, self._s2 = self._sums
+        self._lam = np.zeros(shape)
+        self._s1, self._s2 = np.zeros((2, *shape))
         self._work = np.empty(shape)
         # Chosen once per table: the settle kernel, and the (G, columns)
         # wealth table that mixture selection scans.
@@ -413,21 +411,14 @@ class AccountTable:
         if rows is None:
             self._kernel = AccountTable._settle_run
             self._lw_columns = self._lw[:, None]
-            # Per-table constants of the single-run path: the reversed sums
-            # for the prefix search, and the (2, 1) payoff columns
-            # [p, p * p] of each side of the split, the epsilon side filled
-            # once.
+            # The reversed sums, for the prefix search.
             self._s1_reversed = self._s1[::-1]
-            self._high_column, self._low_column = np.empty((2, 2, 1))
-            self._high_column[:, 0] = self.epsilon, self.epsilon * self.epsilon
             # The capped prefix: whether it still holds, where it was last
             # found, log1p(top * epsilon) for the top in force (None until
             # needed), and a one-point buffer to take a log1p in.
             self._capping, self._capped = True, 0
             self._log_high, self._one = None, np.empty(1)
-            # A fixed wager caps the whole grid from the first step on.
-            end = 0 if fixed_wager is None else n
-            self._cut(end, end)
+            self._cut(0, 0)
         else:
             self._kernel = AccountTable._settle_rows
             self._lw_columns = self._lw
@@ -437,11 +428,10 @@ class AccountTable:
             self._bound = self._held = 0
         self.log_wealth, self.sum_payoff = self._lw.T, self._s1.T
         self.sum_payoff_sq, self.last_lambda = self._s2.T, self._lam.T
-        # Grid points [0, extent) of a wager buffer may be nonzero: the live
+        # Grid points [0, extent) of the wager buffer may be nonzero: the live
         # prefix, or the held bound, it was last written with, or n for a
         # fixed wager.
         self._extent = 0
-        self._spare_extent = 0
         # Each row's gap under the fixed-sequence rule, its first grid point
         # below the bar, and the index it deploys, both carried from step to
         # step. Every account starts at log-wealth 0, below the positive bar
@@ -454,10 +444,9 @@ class AccountTable:
         wagers are computed, and of ``[c, a)`` past its capped prefix, where
         log-wealth moves by array passes; ``_settle_run`` reuses them while
         both ends stay put."""
-        self._cut_c, self._cut_a = c, a
+        self._cut_c = c
         self._ratio, self._s1_a, self._s2_a = self._work[:a], self._s1[:a], self._s2[:a]
-        self._lam_a, self._spare_a = self._lam[:a], self._spare[:a]
-        self._growth, self._lw_c = self._work[c:a], self._lw[c:a]
+        self._lam_a, self._growth, self._lw_c = self._lam[:a], self._work[c:a], self._lw[c:a]
 
     @property
     def extent(self) -> int:
@@ -479,8 +468,8 @@ class AccountTable:
         is a single run's live prefix or a table's held extent bound; each
         row bets exactly 0 past its own prefix. A single run moves the
         log-wealth of its capped prefix, where every wager is the top, by
-        scalar adds. A table refuses a ``low`` above epsilon. Raises before
-        any account changes.
+        scalar adds. A table refuses a ``low`` above epsilon. The ruin guard
+        reads the ratio, and raises before any account or wager changes.
         """
         if rho_t != self._rate and self.fixed_wager is None:
             # The wager cap cap / m_t moves only with the rate, which a
@@ -532,44 +521,40 @@ class AccountTable:
         scalar add per side of the split for the log-wealth of its capped
         prefix ``[0, c)`` (module docstring)."""
         k, low = charges
-        lam, n = self._spare, self._n
+        lam, n, extent = self._lam, self._n, self._extent
         high, top = self.epsilon, self._top
         if low == high:
             # One payoff on both sides of the split: settle it as one side.
             k = n
         if self.fixed_wager is None:
-            a = self._live_prefix(self._extent)
+            a = self._live_prefix(extent)
             c = self._capped_prefix(a) if a >= CAPPED_WIDTH and self._capping else 0
-            if a != self._cut_a or c != self._cut_c:
+            if a != extent or c != self._cut_c:
                 self._cut(c, a)
             ratio = self._ratio
             np.add(self._s2_a, 1.0, ratio)
             np.divide(self._s1_a, ratio, ratio)
-            # The ratio is >= 0 on the live prefix, so clip(., 0, top) is a
-            # minimum.
-            np.minimum(ratio, top, out=self._spare_a)
-            # The buffer last held the wagers of two steps ago; clear only
-            # the points that were live then and are not now.
-            if self._spare_extent > a:
-                lam[a:self._spare_extent] = 0.0
         else:
             # Every account bets the fixed wager: the whole grid is capped.
             a = c = n
-            # The fixed wager stays in a buffer once written.
-            if self._spare_extent < n:
-                lam.fill(top)
 
-        # No wager exceeds ``top``, so only a ``low`` that ruins ``top``
-        # needs the largest wager it meets (module docstring).
+        # Only a ``low`` that ruins ``top`` needs the largest wager it meets,
+        # read off the ratio (module docstring).
         if k < a and low * top <= -1.0:
-            worst = low * (top if k < c else float(np.maximum.reduce(lam[k:a])))
+            worst = low * (top if k < c else min(top, float(np.maximum.reduce(ratio[k:a]))))
             if worst <= -1.0:
                 raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
-        self._spare, self._lam = self._lam, lam
-        wagers = self._spare_a
-        self._spare_a, self._lam_a = self._lam_a, wagers
-        self._spare_extent, self._extent = self._extent, a
-        self.last_lambda = lam
+        if self.fixed_wager is None:
+            # The ratio is >= 0 on the live prefix, so clip(., 0, top) is a
+            # minimum. Clear only the points that were live last step and
+            # are not now.
+            np.minimum(ratio, top, out=self._lam_a)
+            if extent > a:
+                lam[a:extent] = 0.0
+        elif extent < a:
+            # The fixed wager stays in the buffer once written.
+            lam.fill(top)
+        self._extent = a
 
         if c < a:
             growth = self._growth
@@ -579,7 +564,7 @@ class AccountTable:
                 np.multiply(lam[c:j], high, growth[:j - c])
                 np.multiply(lam[j:a], low, growth[j - c:])
             else:
-                np.multiply(lam[c:a] if c else wagers, high, growth)
+                np.multiply(lam[c:a] if c else self._lam_a, high, growth)
             np.log1p(growth, growth)
             np.add(self._lw_c, growth, self._lw_c)
         if c:
@@ -592,18 +577,20 @@ class AccountTable:
             if j < c:
                 tail = lw[j:c]
                 np.add(tail, self._log1p(top * low), tail)
-        sums = self._sums
+        s1, s2 = self._s1, self._s2
         if k < n:
-            low_column = self._low_column
-            low_column[0, 0], low_column[1, 0] = low, low * low
-            head, tail = sums[:, :k], sums[:, k:]
-            np.add(head, self._high_column, head)
-            np.add(tail, low_column, tail)
+            head, tail = s1[:k], s1[k:]
+            np.add(head, high, head)
+            np.add(tail, low, tail)
+            head, tail = s2[:k], s2[k:]
+            np.add(head, high * high, head)
+            np.add(tail, low * low, tail)
             if k and low > -high:
                 # From here on sum_payoff_sq may dip along the grid.
                 self._capping = False
         else:
-            np.add(sums, self._high_column, sums)
+            np.add(s1, high, s1)
+            np.add(s2, high * high, s2)
         if not self.mixture:
             self._move_gap(k, low, a)
 
@@ -650,8 +637,7 @@ class AccountTable:
             if lr < lowest:
                 lowest = lr
 
-        lam, work = self._spare, self._work
-        n = work.shape[0]
+        lam, work, extent = self._lam, self._work, self._extent
         if self.fixed_wager is None:
             if not self._held:
                 self._bound, self._held = self._hold_extent(), EXTENT_HOLD
@@ -662,27 +648,28 @@ class AccountTable:
             np.divide(self._s1[:a], live, out=live)
             # Past a row's own prefix its ratio is <= 0, and its wager 0.
             np.maximum(live, 0.0, out=live)
-            # The ratio is >= 0 now, so clip(., 0, cap) is a minimum.
-            np.minimum(live, top, out=lam[:a])
-            if self._spare_extent > a:
-                lam[a:self._spare_extent] = 0.0
         else:
-            a = n
-            if self._spare_extent < n:
-                lam.fill(top)
-        self._spare_extent = a
+            a, live = self._n, None
 
-        growth = work[:a]
-        np.multiply(lam[:a], pay[:a], out=growth)
-        # No wager exceeds ``top``, so only a ``low`` that ruins ``top``
-        # needs the smallest growth factor.
-        if lowest * top <= -1.0 and a:
-            worst = float(np.minimum.reduce(growth, axis=None))
+        # Only a row charged a ``low`` that ruins ``top`` needs the largest
+        # wager it meets, read off the ratio (module docstring).
+        if lowest * top <= -1.0:
+            worst = min((lr * (top if live is None else min(top, float(live[kr:, r].max())))
+                         for r, kr, lr in charges if kr < a), default=0.0)
             if worst <= -1.0:
                 raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
-        self._spare, self._lam = self._lam, lam
-        self._spare_extent, self._extent = self._extent, a
+        wagers = lam[:a]
+        if live is not None:
+            # The ratio is >= 0 now, so clip(., 0, cap) is a minimum.
+            np.minimum(live, top, out=wagers)
+            if extent > a:
+                lam[a:extent] = 0.0
+        elif extent < a:
+            lam.fill(top)
+        self._extent = a
 
+        growth = work[:a]
+        np.multiply(wagers, pay[:a], out=growth)
         np.log1p(growth, out=growth)
         lw = self._lw[:a]
         np.add(lw, growth, out=lw)
@@ -690,7 +677,6 @@ class AccountTable:
         np.add(s1, pay, out=s1)
         np.multiply(pay, pay, out=pay)
         np.add(s2, pay, out=s2)
-        self.last_lambda = self._lam.T
         if not self.mixture:
             self._move_gaps(charges, a)
 
@@ -771,11 +757,13 @@ class RouterState:
               fixed_wager: float | None = None) -> "RouterState":
         """Start a run at step 0 with unit wealth everywhere.
 
-        Raises ``ConfigError`` for a config that fails ``validate_config``.
-        ``rng`` seeds the routing coins as in ``coin_generator``;
-        ``fixed_wager`` is checked and applied as in ``AccountTable``.
+        Raises ``ConfigError`` for a config that fails ``validate_config``,
+        and ``WagerOutOfRange`` for a ``fixed_wager`` that fails
+        ``check_fixed_wager``; ``rng`` seeds the routing coins as in
+        ``coin_generator``.
         """
         validate_config(config)
+        check_fixed_wager(config, fixed_wager)
         return cls(config=config, rng=coin_generator(config, rng),
                    table=AccountTable(config, fixed_wager=fixed_wager))
 

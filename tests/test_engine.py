@@ -821,10 +821,12 @@ class TestAccountTable:
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_live_prefix_shrinks_and_regrows(self, rows):
-        """Clearing only the stale tail of a wager buffer leaves exact zeros."""
+        """Clearing only the stale tail of the wager buffer leaves exact
+        zeros, and ``last_lambda`` stays one array over the run."""
         config = self.config()
         charges = self.CHARGES[:1] if rows is None else self.CHARGES
         table = AccountTable(config, rows)
+        held = table.last_lambda
         shadows = [account_table(8) for _ in charges]
         prefixes = [[] for _ in charges]
         for t in range(1, 90):
@@ -838,6 +840,7 @@ class TestAccountTable:
                 table.settle((k, low), self.RHO)
             else:
                 table.settle(row_charges(splits, EPS), self.RHO)
+            assert table.last_lambda is held
             for r, shadow in enumerate(shadows):
                 assert_same_bits(table, None if rows is None else r, shadow)
                 lam = np.asarray(table.last_lambda).reshape(len(charges), 8)[r]
@@ -894,6 +897,86 @@ class TestAccountTable:
             table.settle((k, low), 0.7)
             reference_settle(shadow, k, EPS, low, m_t, config.betting_cap)
             assert_same_bits(table, None, shadow)
+
+    # At rate 0.7 the top wager is about 0.70. Step 1 charges point 7 while
+    # nothing bets, so it stays dead; twelve uncharged steps cap every live
+    # wager; a charge of -0.5 from point 5 on leaves points 5 and 6 betting
+    # about 0.35. Then every ``low`` below is at most -1 / top: a split in
+    # the capped block [0, 5) ruins, and past it only a large enough one.
+    RUIN_WARMUP = [(7, -1.0)] + [(8, EPS)] * 12 + [(5, -0.5)]
+    RUIN_PROBES = [(6, -2.0), (5, -3.5), (2, -2.0), (5, -2.0), (6, -30.0), (0, -2.0),
+                   (8, EPS), (4, -2.0)]
+    RUIN_ROW_PROBES = [[(0, 6, -2.0)], [(0, 5, -3.5), (2, 2, -2.0)],
+                       [(1, 5, -2.0), (2, 6, -2.0)], [(0, 6, -30.0)], [(1, 0, -2.0)], [],
+                       [(0, 4, -2.0), (1, 7, -30.0)]]
+
+    def settle_or_ruin(self, table, shadows, charges):
+        """Settle one step of ``charges`` (a single run's ``(k, low)``, or a
+        table's ``(row, k, low)`` list) at rate 0.7, and hold the table to the
+        reference: if some row's reference step would ruin an account, the
+        table raises the reference's message and changes nothing, else both
+        settle to the same bits. Returns whether it raised."""
+        m_t, cap = payoff_bound(EPS, RHO_MIN, 0.7), table.cap
+        if table._rows is None:
+            splits = [charges]
+        else:
+            splits = [(8, EPS)] * len(shadows)
+            for r, k, low in charges:
+                splits[r] = (k, low)
+        worst = min(float(np.min(adaptive_lambda(shadow, m_t, cap)
+                                 * np.where(np.arange(8) < k, EPS, low)))
+                    for shadow, (k, low) in zip(shadows, splits))
+        if worst > -1.0:
+            table.settle(charges, 0.7)
+            for r, (shadow, (k, low)) in enumerate(zip(shadows, splits)):
+                reference_settle(shadow, k, EPS, low, m_t, cap)
+                assert_same_bits(table, None if table._rows is None else r, shadow)
+            return False
+        names = ("log_wealth", "sum_payoff", "sum_payoff_sq", "last_lambda")
+        before = [getattr(table, name).copy() for name in names]
+        extent = table.extent
+        with pytest.raises(WagerOutOfRange) as raised:
+            table.settle(charges, 0.7)
+        assert str(raised.value) == f"wealth factor would drop to {1.0 + worst:.3g}"
+        for name, value in zip(names, before):
+            assert np.array_equal(bits(getattr(table, name)), bits(value)), name
+        assert table.extent == extent
+        return True
+
+    def test_the_adaptive_ruin_guard_raises_only_on_ruin(self):
+        """A single run, with the capped path gated as the engine gates it and
+        taken on every grid: charges whose ``low * top <= -1`` split the grid
+        in the capped block, past it and past the live prefix. Those whose
+        largest wager past the split survives settle like the reference
+        replay bit for bit; the rest raise its message and change nothing,
+        ``last_lambda`` and ``extent`` included, and the run goes on."""
+        config = self.config()
+        top = config.betting_cap / payoff_bound(EPS, RHO_MIN, 0.7)
+        for width in capped_widths():
+            with width:
+                table, shadow, seen = AccountTable(config), account_table(8), set()
+                for k, low in self.RUIN_WARMUP:
+                    self.settle_or_ruin(table, [shadow], (k, low))
+                for k, low in self.RUIN_PROBES:
+                    c = capped_prefix(shadow.sum_payoff, shadow.sum_payoff_sq, top)
+                    a = live_prefix(shadow.sum_payoff)
+                    raised = self.settle_or_ruin(table, [shadow], (k, low))
+                    seen.add((k < c, c <= k < a, raised))
+        assert all(low * top <= -1.0 for k, low in self.RUIN_PROBES if k < 8)
+        assert {(True, False, True), (False, True, True), (False, True, False),
+                (False, False, False)} <= seen
+
+    def test_the_adaptive_ruin_guard_of_a_table_checks_every_charged_row(self):
+        """A table of 3 rows: a step ruins if any charged row's largest wager
+        past its split ruins, and then raises the smallest growth factor of
+        all of them; a row charged past its own live prefix, inside the held
+        bound, survives any ``low``."""
+        table, shadows = AccountTable(self.config(), 3), [account_table(8) for _ in range(3)]
+        for k, low in self.RUIN_WARMUP:
+            self.settle_or_ruin(table, shadows, [(r, k, low) for r in range(3) if low != EPS])
+        raised = [self.settle_or_ruin(table, shadows, charges)
+                  for charges in self.RUIN_ROW_PROBES]
+        assert raised == [False, True, False, False, True, False, True]
 
 
 @st.composite
