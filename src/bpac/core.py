@@ -503,10 +503,28 @@ def _grid_from_raw(raw: Any) -> ThresholdGrid:
         raise fail(f"malformed grid document {raw!r}") from None
 
 
+class _DuplicateKey(ValueError):
+    """A JSON object gives one key twice."""
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """``object_pairs_hook`` that builds an object and refuses a key given
+    twice in it, which ``json`` would otherwise settle by keeping the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise _DuplicateKey(f"duplicate key {key!r} in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_json(path: str | Path, fail: Fail) -> Any:
-    """Parse a JSON file; text that is not JSON raises ``fail(message)``."""
+    """Parse a JSON file; text that is not JSON, or an object that gives a
+    key twice, at any depth, raises ``fail(message)``."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except _DuplicateKey as exc:
+        raise fail(str(exc)) from None
     except ValueError as exc:
         raise fail(f"not valid JSON: {exc}") from None
 

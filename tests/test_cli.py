@@ -152,6 +152,22 @@ class TestErrorPaths:
         error = stderr_error(err)
         assert (error["kind"], error["key"]) == ("config", "epsilon")
 
+    @pytest.mark.parametrize("kind, flag, text", [
+        ("config", "--config", '{"epsilon": 0.05, "epsilon": 0.2}'),
+        ("spec", "--spec", '{"segments": [{"score": {"kind": "uniform"},'
+                           ' "loss": {"kind": "linear", "kappa": 0.5, "kappa": 0.9}}]}'),
+    ], ids=["config", "spec"])
+    def test_duplicated_json_key_exits_invalid(self, tmp_path, no_replication, kind, flag,
+                                               text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, stdout, err = run_cli("simulate", flag, str(path),
+                                    "--out", str(tmp_path / "x"), "--horizon", "10")
+        assert (code, stdout) == (EXIT_INVALID, "")
+        error = stderr_error(err)
+        assert (error["kind"], error["key"]) == (kind, "<file>")
+        assert "duplicate key" in error["message"]
+
     @pytest.mark.parametrize("doc, key", [
         ({"segments": 3}, "segments"),
         ({"segments": [{"score": {"kind": "uniform"},

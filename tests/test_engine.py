@@ -1369,21 +1369,26 @@ def test_the_capped_path_takes_the_bits_of_the_array_path():
     array path computes for that value inside a long array, at any offset:
     ``np.log1p`` of ``top * epsilon`` and of ``top * low`` on a one-point
     array, for every rate the default schedule emits and losses across
-    [0, 1]; and the ratio ``s1.item(j) / (s2.item(j) + 1.0)`` in Python
-    floats against numpy's ``add`` then ``divide``."""
+    [0, 1]; the ratio ``s1.item(j) / (s2.item(j) + 1.0)`` in Python
+    floats against numpy's ``add`` then ``divide``; and each ufunc the
+    settle kernels call, with an operand the kernels hold as a 0-d float64
+    array, against the Python float it holds."""
     config = RouterConfig()
     eps, rho_min = config.epsilon, config.schedule.rho_min
     rng = np.random.default_rng(5)
+    operands = [1.0, 0.0, eps, eps * eps, -EXTENT_HOLD * eps]
     for rho in config.schedule.emitted_rates():
         top = config.betting_cap / payoff_bound(eps, rho_min, rho)
         lows = [eps - (1.0 - rho_min) * (loss / pi) for loss in np.linspace(0.0, 1.0, 41)
                 for pi in (rho, 1.0)]
         products = [top * eps] + [top * low for low in lows]
         assert np.array_equal(np.multiply(np.full(len(lows), top), lows), products[1:])
+        operands += [top, *lows, *(low * low for low in lows)]
         one = np.empty(1)
         for x in products:
             one[0] = x
             np.log1p(one, one)
+            operands.append(one.item())
             for offset in (0, 1, 3, 8):
                 block = rng.uniform(-0.5, 0.5, 4099 + offset)
                 at = rng.integers(offset, block.size, 5)
@@ -1399,6 +1404,17 @@ def test_the_capped_path_takes_the_bits_of_the_array_path():
         np.divide(s1[offset:], ratio, ratio)
         scalar = [s1.item(j) / (s2.item(j) + 1.0) for j in range(offset, s1.size)]
         assert np.array_equal(bits(ratio), bits(scalar))
+
+    block = rng.uniform(-50.0, 50.0, 4099)
+    block[:4] = 0.0, -0.0, 1e-300, -1e-300
+    for x in operands:
+        block[rng.integers(8, block.size, 5)] = x
+        for offset in (0, 1, 3, 8):
+            view = block[offset:]
+            for ufunc in (np.add, np.multiply, np.minimum, np.maximum, np.greater):
+                with_array, with_float = ufunc(view, np.array(x)), ufunc(view, x)
+                assert with_array.dtype == with_float.dtype
+                assert with_array.tobytes() == with_float.tobytes(), (ufunc, x, offset)
 
 
 def settle_against_reference(config, plan):

@@ -85,12 +85,15 @@ def test_regret_study_refuses_a_horizon_past_its_stream_before_settling(
 
 # A slice of the digest matrix that touches every family of cases (serial
 # runs of each method, engine.step, mc_safety under both criteria, the
-# pinned study, regret_harness and a CLI run) in about 1.5 s, and the
-# sha256 of the JSON it writes. A change that moves any output moves it.
+# pinned study, regret_harness and a CLI run) in about 2 s, and the sha256
+# of the JSON it writes. A change that moves any output moves it. The G=10001
+# step cases reach a single run's capped prefix, and the lanes case the
+# rows kernel on a grid wider than one point, with its final accounts.
 MATRIX_SLICE = ("run/*/two_stage/easy_hard/G101", "step/*/G101", "mc/bpac/*/R5",
-                "pinned/two_segment/*", "regret/two_segment/*", "cli/replay*")
-MATRIX_SLICE_CASES = 19
-MATRIX_SLICE_DIGEST = "1fdde44ded840bd960c33bf3cb6bc7fca2096f4e3e5edadc5aedee8951be3d98"
+                "pinned/two_segment/*", "regret/two_segment/*", "cli/replay*",
+                "step/*/G10001", "lanes/fixed_sequence/adaptive/R5/G1001")
+MATRIX_SLICE_CASES = 24
+MATRIX_SLICE_DIGEST = "409b9e2ccb5a94ac45f9e984de8c4ccfd31e61f8eda89e2764d64b8a288f1d26"
 
 
 def test_digest_matrix_slice_is_pinned(tmp_path):

@@ -43,6 +43,7 @@ from bpac.simulation import (
     SyntheticStreamSpec,
     UniformScore,
     UniformTokens,
+    load_stream_spec,
     spec_from_dict,
     spec_to_dict,
 )
@@ -240,6 +241,31 @@ class TestMalformed:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert err.value.violations[0].key == "<file>"
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"epsilon": 0.05, "epsilon": 0.2}', "epsilon"),
+        ('{"schedule": {"kind": "constant", "rho": 0.1, "rho": 0.3}}', "rho"),
+    ], ids=["top", "schedule"])
+    def test_config_file_refuses_a_duplicated_key(self, tmp_path, text, key):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert [(v.code, v.key, v.message) for v in err.value.violations] == [
+            ("BadValue", "<file>", f"duplicate key {key!r} in one JSON object")]
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"name": "a", "segments": [], "name": "b"}', "name"),
+        ('{"segments": [{"score": {"kind": "uniform"},'
+         ' "loss": {"kind": "linear", "kappa": 0.5, "kappa": 0.9}}]}', "kappa"),
+    ], ids=["top", "segment_loss"])
+    def test_spec_file_refuses_a_duplicated_key(self, tmp_path, text, key):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(SpecError) as err:
+            load_stream_spec(path)
+        assert err.value.key == "<file>"
+        assert str(err.value) == f"<file>: duplicate key {key!r} in one JSON object"
 
 
 class TestFuzz:
