@@ -26,7 +26,8 @@ The matrix:
 - ``step/<events>/G<n>``: events fed to ``engine.step`` one call at a
   time, up to G = 10001, from each spec and from ``fractional``,
   ``uniform_linear``'s events with fractional latent losses from halfway
-  on; the digest covers every ``Decision`` and the final accounts.
+  on, and ``uniform_linear``'s at G = 100001 too; the digest covers every
+  ``Decision`` and the final accounts.
 - ``mc/<method>/<mode>/<criterion>/R<reps>``: ``mc_safety`` reports under
   both criteria at R = 1, 5, 25 and 30 replications.
 - ``lanes/<mode>/<adaptive|wager>/R<reps>/G<n>``: an R-row
@@ -264,6 +265,7 @@ def matrix() -> dict:
     for events_name, source in events.items():
         for n in (101, 1001, 10001):
             cases[f"step/{events_name}/G{n}"] = step_case(source, n)
+    cases["step/uniform_linear/G100001"] = step_case(events["uniform_linear"], 100001)
     for reps in (1, 5, 25, 30):
         for mode_name, mode in modes.items():
             config = grid_config(1001, mode)

@@ -519,14 +519,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def load_json(path: str | Path, fail: Fail) -> Any:
-    """Parse a JSON file; text that is not JSON, or an object that gives a
-    key twice, at any depth, raises ``fail(message)``."""
+    """Parse a JSON file; text that is not JSON, an object that gives a key
+    twice, at any depth, or nesting deeper than Python's recursion limit
+    raises ``fail(message)``."""
     try:
         return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except _DuplicateKey as exc:
         raise fail(str(exc)) from None
     except ValueError as exc:
         raise fail(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise fail("not valid JSON: nested too deeply to parse") from None
 
 
 def load_config(path: str | Path) -> RouterConfig:

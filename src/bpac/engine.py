@@ -31,17 +31,18 @@ positive only on a prefix ``[0, a)`` and exactly 0 past it, where
 unchanged. Skipping those accounts changes no bit of the result.
 
 Capped prefix. On a single run, the live accounts that bet exactly the top
-wager ``top = cap / m_t`` form a leading block ``[0, c)``, and their
-log-wealth is settled with one scalar add per side of the split. The
-proof: every step adds epsilon squared to ``sum_payoff_sq`` before its
-split and ``low * low`` past it. While no charge with a split inside the
-grid has had ``low * low`` below epsilon squared, which only a fractional
-loss gives (``-epsilon < low < epsilon``), ``sum_payoff_sq`` starts at 0
-and never decreases along the grid, rounding being monotone. On the live
-prefix ``sum_payoff`` is positive and never increases, and a rounded
-quotient of positive numbers never increases when its numerator falls or
-its denominator grows, so the ratio ``sum_payoff / (sum_payoff_sq + 1)``
-never increases along it either. Past ``a`` the ratio is at most 0 <
+wager ``top = cap / m_t`` form a leading block ``[0, c)``. Their wagers are
+not computed, and their log-wealth is settled with one scalar add per side
+of the split. The proof: every step adds epsilon squared to
+``sum_payoff_sq`` before its split and ``low * low`` past it. While no
+charge with a split inside the grid has had ``low * low`` below epsilon
+squared, which only a fractional loss gives (``-epsilon < low <
+epsilon``), ``sum_payoff_sq`` starts at 0 and never decreases along the
+grid, rounding being monotone. On the live prefix ``sum_payoff`` is
+positive and never increases, and a rounded quotient of positive numbers
+never increases when its numerator falls or its denominator grows, so the
+ratio ``sum_payoff / (sum_payoff_sq + 1)`` never increases along it
+either. Past ``a`` the ratio is at most 0 <
 ``top``. So ``{ratio >= top}`` is the block ``[0, c)`` with ``c <= a``.
 Each account in it grows by ``log1p(top * epsilon)`` before the split and
 by ``log1p(top * low)`` past it; the first is taken once per rate, the
@@ -54,9 +55,8 @@ Python floats, which add and divide as numpy does; otherwise the side of
 the flag ``_capping`` off, and the run settles every live account by
 array passes from then on. The block is looked for only while the live
 prefix has at least ``CAPPED_WIDTH`` points; below that, the check and
-the extra views cost more than the passes they save. The wagers
-themselves are still computed over the whole live prefix. A fixed wager
-is this block over the whole grid, with no check and no flag.
+the extra views cost more than the passes they save. A fixed wager is
+this block over the whole grid, with no check and no flag.
 
 The single-run path takes two more shortcuts, each exact:
 
@@ -72,7 +72,16 @@ then overwrites a table's one wager buffer in place. Every wager is at most
 ``top``, and rounding a product by a fixed negative scalar is monotone, so
 only a charge with ``low * top <= -1`` is checked, against the largest
 wager past its split: ``top`` in a capped prefix or under a fixed wager,
-else ``min(top, largest ratio)``, read off the ratio.
+else ``min(top, largest ratio)``, read off the ratio. A single run computes
+the ratio and ``min(ratio, top)`` on ``[c, a)`` only, and its buffer keeps
+``top`` on ``[0, c)``: ``top_end`` marks the end of the buffer's run of the
+current ``top``. When ``c`` moves back, the points from ``c`` on take
+their wagers below ``top``, and ``top_end`` moves back to ``c``; when the
+block grows past ``top_end``, ``top`` is written on ``[top_end, c)``, once
+(a fixed wager's whole grid on its first step). A two-stage schedule's
+rate change moves ``top`` itself, so the buffer holds the new one nowhere
+and ``top_end`` restarts at 0; without that, points of the old block would
+keep the old rate's wager.
 
 Array operands. Every ufunc call of the settle kernels takes its scalar
 operand as a 0-d float64 array, not a Python float, which numpy converts
@@ -87,8 +96,8 @@ the bits agree. The table builds 1, 0, epsilon and epsilon squared once;
 it keeps the top wager and ``log1p(top * epsilon)`` per rate; and a
 single run writes its ``low`` and ``low * low`` into two 0-d buffers on
 each step whose ``low`` is not epsilon. Where Python itself compares the
-values (the ruin guard, the capped-prefix check, the fixed-wager fill)
-they stay Python floats.
+values (the ruin guard, the capped-prefix check, the fill of the top
+wager) they stay Python floats.
 
 Carried gap. The fixed-sequence rule deploys the point before a row's
 gap, its first grid point whose log-wealth is below the bar (0 when the
@@ -165,12 +174,15 @@ EXTENT_HOLD = 16
 # Live-prefix width from which a single run looks for its capped prefix
 # (module docstring). settle + select on 4000 recorded easy_hard steps,
 # default config (shared 2-core x86 box, CPU time, best of 5 alternating
-# rounds of best-of-9), with the block looked for at every width / never:
-# G=1001 (live prefix about 420) 9.79 / 8.44 us, G=2001 (about 850) 10.89 /
-# 10.49, G=3001 (about 1270) 12.63 / 12.66, G=5001 (about 2100) 14.38 /
-# 14.64, and at G=10001 the step saves about 2.5 us. The two break even
-# near 1300 points; below about a thousand, the two-point check, the extra
-# views and the scalar adds cost more than the passes they save.
+# rounds of best-of-9), with the block looked for at every width / never,
+# now that it skips both the wager and the log-wealth passes: G=1001 (live
+# prefix about 415) 6.83 / 6.28 us, G=2001 (about 830) 7.65 / 8.13, G=3001
+# (about 1240) 8.33 / 10.05, G=5001 (about 2070) 10.11 / 13.84; a second
+# run read G=1501 (about 620) 7.33 / 8.00. The two break even between
+# about 415 and 620 points, down from about 1300 when only the log-wealth
+# was skipped. The gate stays above the default grid's 1001 points, where
+# the two-point check, the extra views and the scalar adds still cost more
+# than the passes they save.
 CAPPED_WIDTH = 1024
 
 
@@ -414,8 +426,10 @@ class AccountTable:
         self._point_0d = self._point.reshape(())
         self._low, self._low_sq = np.empty(()), np.empty(())
         # The largest wager, for the rate ``settle`` last met: cap / m_t, or
-        # the fixed wager (``_set_top``).
+        # the fixed wager (``_set_top``); and a single run's wager buffer
+        # holds it on [0, top_end).
         self._rate = self._top = None
+        self._top_end = 0
         if fixed_wager is not None:
             self._set_top(fixed_wager)
         self.mixture = config.selection_mode is SelectionMode.MIXTURE
@@ -467,13 +481,15 @@ class AccountTable:
         self._deployed = 0 if rows is None else [0] * rows
 
     def _cut(self, c: int, a: int) -> None:
-        """Cut a single run's views of its live prefix ``[0, a)``, where its
-        wagers are computed, and of ``[c, a)`` past its capped prefix, where
-        log-wealth moves by array passes; ``_settle_run`` reuses them while
-        both ends stay put."""
+        """Cut a single run's views of ``[c, a)``, the live prefix past its
+        capped prefix, where wagers are computed and log-wealth moves by
+        array passes; ``_settle_run`` reuses them while both ends stay put."""
         self._cut_c = c
-        self._ratio, self._s1_a, self._s2_a = self._work[:a], self._s1[:a], self._s2[:a]
-        self._lam_a, self._growth, self._lw_c = self._lam[:a], self._work[c:a], self._lw[c:a]
+        if c < self._top_end:
+            # From c on the buffer is about to take wagers below the top.
+            self._top_end = c
+        self._ratio, self._s1_c, self._s2_c = self._work[c:a], self._s1[c:a], self._s2[c:a]
+        self._lam_c, self._lw_c = self._lam[c:a], self._lw[c:a]
 
     @property
     def extent(self) -> int:
@@ -493,9 +509,10 @@ class AccountTable:
         the live-prefix invariant (module docstring) the adaptive wager, the
         ``log1p`` and the wealth update run on ``[0, a)`` only, where ``a``
         is a single run's live prefix or a table's held extent bound; each
-        row bets exactly 0 past its own prefix. A single run moves the
-        log-wealth of its capped prefix, where every wager is the top, by
-        scalar adds. A table refuses a ``low`` above epsilon. The ruin guard
+        row bets exactly 0 past its own prefix. A single run skips the
+        array passes over its capped prefix, where every wager is the top:
+        its buffer keeps the top there, and its log-wealth moves by scalar
+        adds. A table refuses a ``low`` above epsilon. The ruin guard
         reads the ratio, and raises before any account or wager changes.
         """
         if rho_t != self._rate and self.fixed_wager is None:
@@ -507,9 +524,11 @@ class AccountTable:
 
     def _set_top(self, top: float) -> None:
         """Keep the top wager as a Python float, for the checks Python makes,
-        and it and ``log1p(top * epsilon)`` as 0-d operands."""
+        and it and ``log1p(top * epsilon)`` as 0-d operands. A single run's
+        wager buffer holds the new top nowhere yet."""
         self._top, self._top_0d = top, np.array(top)
         self._log_high = self._log1p(top * self.epsilon).copy()
+        self._top_end = 0
 
     def _live_prefix(self, a: int) -> int:
         """A single run's live prefix, the first grid point with
@@ -551,9 +570,10 @@ class AccountTable:
         return self._point_0d
 
     def _settle_run(self, charges: tuple[int, float]) -> None:
-        """``settle`` for a single run: one numpy call per array job, and one
-        scalar add per side of the split for the log-wealth of its capped
-        prefix ``[0, c)`` (module docstring)."""
+        """``settle`` for a single run: one numpy call per array job past its
+        capped prefix ``[0, c)``, and in it the top wager kept in the buffer
+        and one scalar add per side of the split for the log-wealth (module
+        docstring)."""
         k, low = charges
         lam, n, extent = self._lam, self._n, self._extent
         high, top = self._high, self._top
@@ -567,9 +587,11 @@ class AccountTable:
             c = self._capped_prefix(a) if a >= CAPPED_WIDTH and self._capping else 0
             if a != extent or c != self._cut_c:
                 self._cut(c, a)
+            # The ratio on [c, a) only: in the capped prefix every wager is
+            # the top.
             ratio = self._ratio
-            np.add(self._s2_a, self._one, ratio)
-            np.divide(self._s1_a, ratio, ratio)
+            np.add(self._s2_c, self._one, ratio)
+            np.divide(self._s1_c, ratio, ratio)
         else:
             # Every account bets the fixed wager: the whole grid is capped.
             a = c = n
@@ -577,33 +599,37 @@ class AccountTable:
         # Only a ``low`` that ruins ``top`` needs the largest wager it meets,
         # read off the ratio (module docstring).
         if k < a and low * top <= -1.0:
-            worst = low * (top if k < c else min(top, float(np.maximum.reduce(ratio[k:a]))))
+            worst = low * (top if k < c else min(top, float(np.maximum.reduce(ratio[k - c:]))))
             if worst <= -1.0:
                 raise WagerOutOfRange(f"wealth factor would drop to {1.0 + worst:.3g}")
         if self.fixed_wager is None:
             # The ratio is >= 0 on the live prefix, so clip(., 0, top) is a
             # minimum. Clear only the points that were live last step and
             # are not now.
-            np.minimum(ratio, self._top_0d, out=self._lam_a)
+            np.minimum(ratio, self._top_0d, out=self._lam_c)
             if extent > a:
                 lam[a:extent] = 0.0
-        elif extent < a:
-            # The fixed wager stays in the buffer once written.
-            lam.fill(top)
         self._extent = a
 
         if c < a:
-            growth = self._growth
+            # The growth past the capped prefix, in the ratio's buffer:
+            # epsilon up to the split and low on.
+            growth = ratio
             if k < a:
-                # Past the capped prefix, epsilon up to the split and low on.
                 j = k if k > c else c
                 np.multiply(lam[c:j], high, growth[:j - c])
                 np.multiply(lam[j:a], self._low, growth[j - c:])
             else:
-                np.multiply(lam[c:a] if c else self._lam_a, high, growth)
+                np.multiply(self._lam_c, high, growth)
             np.log1p(growth, growth)
             np.add(self._lw_c, growth, self._lw_c)
         if c:
+            if c > self._top_end:
+                # The buffer holds the top on [0, top_end) already; write it
+                # only where the capped prefix, or a fixed wager's grid, grew
+                # past that.
+                lam[self._top_end:c] = top
+                self._top_end = c
             lw, j = self._lw, min(k, c)
             if j:
                 head = lw[:j]

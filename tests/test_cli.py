@@ -168,6 +168,21 @@ class TestErrorPaths:
         assert (error["kind"], error["key"]) == (kind, "<file>")
         assert "duplicate key" in error["message"]
 
+    @pytest.mark.parametrize("kind, flag, key", [("config", "--config", "prior"),
+                                                 ("spec", "--spec", "segments")],
+                             ids=["config", "spec"])
+    def test_json_nested_too_deeply_exits_invalid(self, tmp_path, no_replication, kind, flag,
+                                                  key):
+        """Nesting past Python's recursion limit is a bad file, not a crash."""
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"{key}": {"[" * 100_000}{"]" * 100_000}}}')
+        code, stdout, err = run_cli("simulate", flag, str(path),
+                                    "--out", str(tmp_path / "x"), "--horizon", "10")
+        assert (code, stdout) == (EXIT_INVALID, "")
+        error = stderr_error(err)
+        assert (error["kind"], error["key"]) == (kind, "<file>")
+        assert error["message"].endswith("not valid JSON: nested too deeply to parse")
+
     @pytest.mark.parametrize("doc, key", [
         ({"segments": 3}, "segments"),
         ({"segments": [{"score": {"kind": "uniform"},

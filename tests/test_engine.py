@@ -1487,3 +1487,79 @@ def test_a_shortcut_that_ignores_dipping_sums_of_squares_fails(monkeypatch):
                         property(lambda table: True, lambda table, value: None), raising=False)
     with pytest.raises(AssertionError, match="^log_wealth"):
         settle_against_reference(*sums_of_squares_dip()[::2])
+
+
+def wide_block_moves():
+    """A grid of ``CAPPED_WIDTH`` + 101 points, so the engine looks for its
+    capped prefix. The block forms over the whole grid at step 8 and shrinks
+    to half of it under a charge; when the rate falls at step 11 the top
+    wager falls too, and the block grows back over the whole grid. After it
+    shrinks again, a charge at the worst payoff from point 100 on pulls the
+    live prefix under ``CAPPED_WIDTH``, so the run settles by array passes
+    until the prefix regrows and the block forms again, first on the 100
+    points before that charge. A charge with 0 < low < epsilon then turns
+    the shortcut off."""
+    n = CAPPED_WIDTH + 101
+    schedule = TwoStageSchedule(rho_warm=0.7, rho_deploy=0.3, t_warm=10)
+    config = RouterConfig(epsilon=0.25, grid=ThresholdGrid(values=np.linspace(0.0, 1.0, n)),
+                          schedule=schedule)
+    half, worst = n // 2, 0.25 - 0.7 / 0.3
+    plan = ([(n, 0.25)] * 8 + [(half, -0.75), (n, 0.25), (0, -0.75)] + [(n, 0.25)] * 3
+            + [(half, -0.5), (n, 0.25), (100, worst)] + [(n, 0.25)] * 12
+            + [(half, 0.1), (n, 0.25)])
+    return config, None, plan
+
+
+def settle_and_check_wagers(config, fixed_wager, plan):
+    """Settle a single run's table on ``plan`` beside a reference replay of
+    the whole grid. After every step ``last_lambda`` holds the reference's
+    wagers bit for bit: the top wager in the capped prefix, whichever rate
+    set it. Returns each step's live prefix, capped prefix, top wager and
+    whether the shortcut still stands."""
+    n, cap = config.grid.n, config.betting_cap
+    table, shadow = AccountTable(config, fixed_wager=fixed_wager), account_table(n)
+    seen = []
+    for t, (k, low) in enumerate(plan, start=1):
+        rho_t = rho_at(config.schedule, t)
+        m_t = payoff_bound(config.epsilon, config.schedule.rho_min, rho_t)
+        lam = (adaptive_lambda(shadow, m_t, cap) if fixed_wager is None
+               else np.full(n, fixed_wager))
+        update_account(shadow, lam, np.where(np.arange(n) < k, config.epsilon, low))
+        table.settle((k, low), rho_t)
+        assert np.array_equal(bits(table.last_lambda), bits(lam)), t
+        seen.append((table.extent, table._cut_c, table._top, table._capping))
+    return seen
+
+
+@settings(deadline=None)
+@given(case=prefix_cases())
+@example(case=capped_block_moves())
+@example(case=wide_block_moves())
+@example(case=sums_of_squares_dip())
+@example(case=(capped_block_moves()[0], 0.3, capped_block_moves()[2]))
+def test_the_wager_buffer_holds_the_reference_wagers(case):
+    """The wager buffer, which a single run writes only past its capped
+    prefix and where the block grew past the run of the top it holds,
+    equals the reference wagers over the whole grid after every step, with
+    the capped path gated as the engine gates it and taken on every grid."""
+    for width in capped_widths():
+        with width:
+            settle_and_check_wagers(*case)
+
+
+def test_the_wide_example_moves_the_capped_prefix_every_way():
+    """Under the engine's gate, the wide worked example's block grows
+    across the rate change, shrinks and regrows, is given up while the live
+    prefix is under ``CAPPED_WIDTH`` and forms again, and the fractional
+    charge ends the shortcut."""
+    config, _, plan = wide_block_moves()
+    seen = settle_and_check_wagers(config, None, plan)
+    moves = list(zip(seen, seen[1:]))
+    assert any(top < top_before and c >= c_before > 0
+               for (_, c_before, top_before, _), (_, c, top, _) in moves)
+    assert any(0 < c < c_before for (_, c_before, *_), (_, c, *_) in moves)
+    assert any(c > c_before > 0 for (_, c_before, *_), (_, c, *_) in moves)
+    gated = [t for t, (a, *_) in enumerate(seen) if a < CAPPED_WIDTH]
+    assert gated and all(seen[t][1] == 0 for t in gated)
+    assert any(c > 0 for _, c, *_ in seen[gated[-1] + 1:])
+    assert seen[-3][3] and not seen[-2][3]

@@ -18,6 +18,7 @@ from bpac.simulation import (LinearLoss, StreamSegment, SyntheticStreamSpec, Uni
 REPO = Path(__file__).resolve().parents[1]
 REGRET_STUDY = REPO / "scripts" / "regret_study.py"
 DIGEST_MATRIX = REPO / "scripts" / "digest_matrix.py"
+STEP_COST = REPO / "scripts" / "step_cost.py"
 
 
 def run_script(script: Path, *argv: str) -> subprocess.CompletedProcess:
@@ -135,3 +136,30 @@ def test_digest_matrix_refuses_a_glob_that_matches_nothing():
     assert run.returncode == 2
     assert run.stdout == ""
     assert "no case matches" in run.stderr
+
+
+def test_step_cost_times_both_trees():
+    """A small run prints the header and one line per grid, with this tree,
+    the ``--against`` tree and their ratio."""
+    src = str(Path(bpac.__file__).resolve().parents[1])
+    run = run_script(STEP_COST, "--grids=11,101", "--events=30", "--rounds=1", "--repeat=1",
+                     "--against", src)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == ("engine.step CPU time per call: 30 easy_hard events, "
+                        "best of 1 rounds of best-of-1")
+    assert lines[1].split() == ["G", "this", "against", "ratio"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["11", "101"]
+    assert all(row[2] == row[4] == "us" and float(row[1]) > 0 and float(row[5]) > 0
+               for row in rows)
+
+
+@pytest.mark.parametrize("flags", [("--grids", "1"), ("--events", "0"), ("--repeat", "x"),
+                                   ("--against", "nowhere")],
+                         ids=["grid", "events", "repeat", "against"])
+def test_step_cost_refuses_bad_input(flags):
+    run = run_script(STEP_COST, *flags)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr

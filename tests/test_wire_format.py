@@ -267,6 +267,27 @@ class TestMalformed:
         assert err.value.key == "<file>"
         assert str(err.value) == f"<file>: duplicate key {key!r} in one JSON object"
 
+    # Nesting past Python's recursion limit, in an array and in an object.
+    DEEP = [("[" * 100_000) + ("]" * 100_000), ('{"a": ' * 100_000) + "1" + ("}" * 100_000)]
+
+    @pytest.mark.parametrize("nested", DEEP, ids=["array", "object"])
+    def test_config_file_nested_too_deeply_is_keyed_file(self, tmp_path, nested):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"prior": {nested}}}')
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert [(v.code, v.key, v.message) for v in err.value.violations] == [
+            ("BadValue", "<file>", "not valid JSON: nested too deeply to parse")]
+
+    @pytest.mark.parametrize("nested", DEEP, ids=["array", "object"])
+    def test_spec_file_nested_too_deeply_is_keyed_file(self, tmp_path, nested):
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"segments": {nested}}}')
+        with pytest.raises(SpecError) as err:
+            load_stream_spec(path)
+        assert err.value.key == "<file>"
+        assert str(err.value) == "<file>: not valid JSON: nested too deeply to parse"
+
 
 class TestFuzz:
     @settings(max_examples=1000)
