@@ -47,11 +47,9 @@ from .engine import (
     step,
     update_account,
 )
-from .losses import graded_parts_loss, judge_margin_loss, zero_one_loss
 from .metrics import MetricAccumulator
 from .records import (
     TRAJECTORY_COLUMNS,
-    read_trajectory,
     write_summary_json,
     write_trajectory,
     write_wealth_snapshots,
@@ -79,9 +77,7 @@ from .simulation import (
     load_stream_spec,
     mc_safety,
     mean_loss_below,
-    oracle_risk,
     oracle_risk_grid,
-    oracle_threshold,
     pinned_threshold_study,
     regret_bound,
     regret_harness,

@@ -19,6 +19,9 @@ import numpy as np
 from .core import RouterConfig, StreamObservation, deployment_rate, validate_config
 from .engine import Decision, LossGate, OutOfOrderObservation, coin_generator, route
 
+# The ``ips_hoeff`` slack prices one threshold per step, or the whole grid.
+HOEFF_VARIANTS = ("per_point", "union_over_grid")
+
 
 @dataclass
 class MeanState:
@@ -48,7 +51,7 @@ class MeanState:
         for a config that fails ``validate_config``.
         """
         validate_config(config)
-        counts = {None: 0, "per_point": 1, "union_over_grid": config.grid.n}
+        counts = dict(zip((None, *HOEFF_VARIANTS), (0, 1, config.grid.n)))
         if variant not in counts:
             raise ValueError(f"unknown confidence variant {variant!r}")
         return cls(config=config, rho=deployment_rate(config.schedule),

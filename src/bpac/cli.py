@@ -22,6 +22,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from .baselines import HOEFF_VARIANTS
 from .core import (
     ConfigError,
     ConstantSchedule,
@@ -431,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def hoeff_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--hoeff-variant", default="per_point",
-                       choices=("per_point", "union_over_grid"),
+                       choices=HOEFF_VARIANTS,
                        help="the ips_hoeff slack: one threshold per step, or the whole grid")
 
     def method_flags(p: argparse.ArgumentParser, default: str = "bpac") -> None:

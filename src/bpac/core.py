@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from numbers import Real
 from pathlib import Path
 from typing import Any, Callable, Union
 
@@ -248,17 +249,31 @@ class StreamObservation:
 _OBSERVATION_SLOTS = slot_setters(StreamObservation)
 
 
+def _in_unit_interval(value: Any) -> bool:
+    """``value`` is a real number in (0, 1); a string or None is not."""
+    return isinstance(value, Real) and 0 < value < 1
+
+
+def _is_int(value: Any) -> bool:
+    """``value`` is an int and not a bool, as the JSON reader requires."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def config_violations(config: RouterConfig) -> list[Violation]:
-    """Collect every invariant violation; empty list means valid."""
+    """Collect every invariant violation; empty list means valid.
+
+    A config built in Python may hold any object in any field; one of the
+    wrong type is a violation too, never a ``TypeError`` or ``AttributeError``.
+    """
     out: list[Violation] = []
 
     if not isinstance(config.epsilon, (int, float)) or not config.epsilon > 0:
         out.append(Violation("BadValue", "epsilon", f"risk budget must be positive, got {config.epsilon!r}"))
-    if not 0 < config.alpha < 1:
+    if not _in_unit_interval(config.alpha):
         out.append(Violation("BadValue", "alpha", f"confidence level must lie in (0, 1), got {config.alpha!r}"))
-    if not 0 < config.betting_cap < 1:
+    if not _in_unit_interval(config.betting_cap):
         out.append(Violation("BadValue", "betting_cap", f"betting cap must lie in (0, 1), got {config.betting_cap!r}"))
-    if not isinstance(config.seed, int) or not 0 <= config.seed < MAX_SEED:
+    if not _is_int(config.seed) or not 0 <= config.seed < MAX_SEED:
         out.append(Violation("BadValue", "seed", f"seed must be an integer in [0, 2**64), got {config.seed!r}"))
     if not isinstance(config.selection_mode, SelectionMode):
         out.append(Violation("BadValue", "selection_mode", f"unknown selection mode {config.selection_mode!r}"))
@@ -273,7 +288,7 @@ def config_violations(config: RouterConfig) -> list[Violation]:
         except AttributeError:
             rates = ()
         for rho in rates:
-            if 0 < rho < 1 and config.epsilon >= 1 - rho:
+            if _in_unit_interval(rho) and config.epsilon >= 1 - rho:
                 out.append(Violation(
                     "EpsilonTooLarge", "epsilon",
                     f"risk budget {config.epsilon} must stay below 1 - rho = {1 - rho:.6g} "
@@ -292,7 +307,9 @@ def config_violations(config: RouterConfig) -> list[Violation]:
     return out
 
 
-def _grid_violations(grid: ThresholdGrid) -> list[Violation]:
+def _grid_violations(grid: Any) -> list[Violation]:
+    if not isinstance(grid, ThresholdGrid):
+        return [Violation("BadGrid", "grid", f"grid must be a ThresholdGrid, got {type(grid).__name__}")]
     out: list[Violation] = []
     v = grid.values
     if v.ndim != 1 or v.size < 2:
@@ -310,7 +327,11 @@ def _grid_violations(grid: ThresholdGrid) -> list[Violation]:
     return out
 
 
-def _prior_violations(prior: Prior, grid: ThresholdGrid) -> list[Violation]:
+def _prior_violations(prior: Any, grid: Any) -> list[Violation]:
+    if not isinstance(prior, Prior):
+        return [Violation("BadPrior", "prior", f"prior must be a Prior, got {type(prior).__name__}")]
+    if not isinstance(grid, ThresholdGrid):
+        return []  # the grid's own violation says why the masses cannot be matched
     out: list[Violation] = []
     m = prior.mass
     if m.ndim != 1 or m.size != grid.values.size:
@@ -327,13 +348,13 @@ def _prior_violations(prior: Prior, grid: ThresholdGrid) -> list[Violation]:
 def _schedule_violations(schedule: Any) -> list[Violation]:
     out: list[Violation] = []
     if isinstance(schedule, ConstantSchedule):
-        if not 0 < schedule.rho < 1:
+        if not _in_unit_interval(schedule.rho):
             out.append(Violation("BadSchedule", "schedule", f"exploration rate must lie in (0, 1), got {schedule.rho!r}"))
     elif isinstance(schedule, TwoStageSchedule):
         for name, rho in (("rho_warm", schedule.rho_warm), ("rho_deploy", schedule.rho_deploy)):
-            if not 0 < rho < 1:
+            if not _in_unit_interval(rho):
                 out.append(Violation("BadSchedule", "schedule", f"{name} must lie in (0, 1), got {rho!r}"))
-        if not isinstance(schedule.t_warm, int) or schedule.t_warm < 0:
+        if not _is_int(schedule.t_warm) or schedule.t_warm < 0:
             out.append(Violation("BadSchedule", "schedule", f"t_warm must be a non-negative integer, got {schedule.t_warm!r}"))
     else:
         out.append(Violation("BadSchedule", "schedule", f"unknown schedule type {type(schedule).__name__}"))

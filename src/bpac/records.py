@@ -28,12 +28,6 @@ TRAJECTORY_COLUMNS = [
     "weighted_risk", "mean_cond_risk", "method",
 ]
 
-_INT_COLUMNS = {"t", "xi"}
-
-
-class RecordFormatError(ValueError):
-    """Trajectory file does not match the expected layout."""
-
 
 def write_table(path: str | Path, columns: dict[str, Any],
                 comment: str | None = None) -> None:
@@ -65,26 +59,6 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
     columns = {name: [traj.method] * traj.horizon if name == "method"
                else getattr(traj, name) for name in TRAJECTORY_COLUMNS}
     write_table(path, columns, comment=f"config_hash={traj.config_hash}")
-
-
-def read_trajectory(path: str | Path) -> Trajectory:
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if len(lines) < 2 or not lines[0].startswith("# config_hash="):
-        raise RecordFormatError(f"{path}: missing config_hash header line")
-    config_hash = lines[0].split("=", 1)[1]
-    header = lines[1].split(",")
-    if header != TRAJECTORY_COLUMNS:
-        raise RecordFormatError(f"{path}: unexpected columns {header}")
-    rows = [line.split(",") for line in lines[2:] if line]
-    data: dict[str, Any] = {}
-    for j, name in enumerate(TRAJECTORY_COLUMNS):
-        if name == "method":
-            continue
-        dtype = np.int64 if name in _INT_COLUMNS else float
-        data[name] = np.array([dtype(row[j]) for row in rows], dtype=dtype)
-    method = rows[0][TRAJECTORY_COLUMNS.index("method")] if rows else ""
-    return Trajectory(method=method, seed=-1, config_hash=config_hash, **data)
 
 
 def write_wealth_snapshots(path: str | Path, traj: Trajectory,

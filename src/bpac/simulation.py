@@ -20,7 +20,7 @@ from typing import Any, Union
 
 import numpy as np
 
-from .baselines import MeanState, mean_step
+from .baselines import HOEFF_VARIANTS, MeanState, mean_step
 from .core import (
     ConstantSchedule,
     RouterConfig,
@@ -420,11 +420,6 @@ def _segment_risk(seg: StreamSegment, grid_values, rho: float):
     return (1.0 - rho) * mean_loss_below(seg.score, seg.loss, grid_values)
 
 
-def oracle_risk(spec: SyntheticStreamSpec, u: float, rho: float) -> float:
-    """True deployed risk of threshold u on a single-segment stream."""
-    return float(oracle_risk_grid(spec, u, rho))
-
-
 def oracle_risk_grid(spec: SyntheticStreamSpec, grid_values: np.ndarray,
                      rho: float) -> np.ndarray:
     """``_segment_risk`` of a single-segment stream; the weighted tracker covers the rest."""
@@ -432,18 +427,6 @@ def oracle_risk_grid(spec: SyntheticStreamSpec, grid_values: np.ndarray,
         raise NonStationarySpec(
             "oracle risk needs a single-segment stream; use the weighted tracker instead")
     return _segment_risk(spec.segments[0], grid_values, rho)
-
-
-def oracle_threshold(spec: SyntheticStreamSpec, epsilon: float, rho: float,
-                     grid: ThresholdGrid) -> float | None:
-    """Smallest grid threshold whose deployed risk exceeds the budget.
-
-    Returns None when even the top of the grid is safe, meaning no
-    deployment on this grid can violate.
-    """
-    risks = oracle_risk_grid(spec, grid.values, rho)
-    over = np.flatnonzero(risks > epsilon)
-    return float(grid.values[over[0]]) if over.size else None
 
 
 def _law_pieces(spec: SyntheticStreamSpec, schedule: Schedule, start: int, stop):
@@ -642,7 +625,7 @@ def _check_options(hoeff_variant, emit_wealth_every=0, workers=None) -> None:
     variant that is not "per_point" or "union_over_grid", a wealth-snapshot
     period that is not an integer >= 0 and a worker count that is neither
     None nor an integer >= 1."""
-    if hoeff_variant not in ("per_point", "union_over_grid"):
+    if hoeff_variant not in HOEFF_VARIANTS:
         raise ValueError(f"hoeff_variant must be 'per_point' or 'union_over_grid', "
                          f"got {hoeff_variant!r}")
     if not _is_count(emit_wealth_every, 0):

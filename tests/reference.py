@@ -1,4 +1,4 @@
-"""Reference arithmetic that only the tests use.
+"""Reference code that only the tests use.
 
 ``ips_payoff`` prices one threshold's payoff the way the engine's
 ``AccountTable.settle`` and ``_escalation_low`` must, written as one
@@ -13,15 +13,20 @@ from step to step, and ``live_prefix`` and ``capped_prefix`` for the live
 and the capped prefix a single run's ``AccountTable`` carries.
 ``StepRiskTracker`` looks up the segment, the rate and the risk vector at
 every step, where ``simulation.RiskTracker`` carries them a piece at a
-time.
+time. ``oracle_threshold`` reads the first unsafe grid point off
+``simulation.oracle_risk_grid``, and ``read_trajectory`` parses the
+trajectory CSV that ``records.write_trajectory`` writes.
 """
+
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate, special
 
 from bpac.core import rho_at
 from bpac.engine import ThresholdAccount
-from bpac.simulation import BetaScore, UniformScore, _segment_risk
+from bpac.records import TRAJECTORY_COLUMNS
+from bpac.simulation import BetaScore, Trajectory, UniformScore, _segment_risk, oracle_risk_grid
 
 
 def ips_payoff(loss, coin, pi, uncertainty, threshold: float, rho_min: float,
@@ -156,3 +161,41 @@ class StepRiskTracker:
         if w > 0.0:
             return float(self.weighted_risk_sum[index] / w)
         return float(self.risk_sum[index] / self.steps) if self.steps else 0.0
+
+
+def oracle_threshold(spec, epsilon: float, rho: float, grid) -> float | None:
+    """Smallest grid threshold whose deployed risk exceeds the budget.
+
+    Returns None when even the top of the grid is safe, meaning no
+    deployment on this grid can violate.
+    """
+    risks = oracle_risk_grid(spec, grid.values, rho)
+    over = np.flatnonzero(risks > epsilon)
+    return float(grid.values[over[0]]) if over.size else None
+
+
+_INT_COLUMNS = {"t", "xi"}
+
+
+class RecordFormatError(ValueError):
+    """Trajectory file does not match the expected layout."""
+
+
+def read_trajectory(path) -> Trajectory:
+    """The ``Trajectory`` a ``write_trajectory`` file holds; its seed reads -1."""
+    lines = Path(path).read_text().splitlines()
+    if len(lines) < 2 or not lines[0].startswith("# config_hash="):
+        raise RecordFormatError(f"{path}: missing config_hash header line")
+    config_hash = lines[0].split("=", 1)[1]
+    header = lines[1].split(",")
+    if header != TRAJECTORY_COLUMNS:
+        raise RecordFormatError(f"{path}: unexpected columns {header}")
+    rows = [line.split(",") for line in lines[2:] if line]
+    data = {}
+    for j, name in enumerate(TRAJECTORY_COLUMNS):
+        if name == "method":
+            continue
+        dtype = np.int64 if name in _INT_COLUMNS else float
+        data[name] = np.array([dtype(row[j]) for row in rows], dtype=dtype)
+    method = rows[0][TRAJECTORY_COLUMNS.index("method")] if rows else ""
+    return Trajectory(method=method, seed=-1, config_hash=config_hash, **data)

@@ -32,13 +32,13 @@ from bpac.engine import _escalation_low, payoff_bound
 from bpac.simulation import (
     easy_hard,
     mc_safety,
-    oracle_risk,
-    oracle_threshold,
+    oracle_risk_grid,
     pinned_threshold_study,
     regret_harness,
     run_replication,
     uniform_linear,
 )
+from reference import oracle_threshold
 
 EPSILON = 0.08
 ALPHA = 0.1
@@ -96,7 +96,7 @@ def test_criterion_03_supermartingale_at_unsafe_threshold():
     # both with three-sigma slack.
     u, n_reps, horizon = 0.6, 2000, 1000
     config = RouterConfig()
-    assert oracle_risk(uniform_linear(), u, rho=0.05) > EPSILON
+    assert oracle_risk_grid(uniform_linear(), u, rho=0.05) > EPSILON
     study = pinned_threshold_study(uniform_linear(), u, config, horizon,
                                    n_reps, base_seed=300)
     wealth = np.exp(study["log_wealth"])

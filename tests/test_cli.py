@@ -17,9 +17,9 @@ import pytest
 import bpac.cli
 import bpac.simulation
 from bpac.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
-from bpac.records import read_trajectory
 from bpac.simulation import UniformScore, generate_event, uniform_linear
 from bpac.traces import write_trace
+from reference import read_trajectory
 
 DIGEST_MATRIX = Path(__file__).resolve().parents[1] / "scripts" / "digest_matrix.py"
 

@@ -25,6 +25,7 @@ from bpac import (
     validate_config,
 )
 from bpac.core import config_violations, rate_pieces
+from bpac.simulation import run_replication, uniform_linear
 
 
 class TestSchedules:
@@ -191,6 +192,24 @@ class TestValidation:
         cfg = RouterConfig(epsilon=-2.0, alpha=7.0)
         keys = {v.key for v in config_violations(cfg)}
         assert {"epsilon", "alpha"} <= keys
+
+    @pytest.mark.parametrize("changes,code", [
+        ({"alpha": None}, "BadValue"),
+        ({"betting_cap": "0.5"}, "BadValue"),
+        ({"seed": True}, "BadValue"),
+        ({"grid": [0.0, 1.0]}, "BadGrid"),
+        ({"selection_mode": SelectionMode.MIXTURE, "prior": [0.5, 0.5]}, "BadPrior"),
+        ({"schedule": ConstantSchedule("0.5")}, "BadSchedule"),
+        ({"schedule": TwoStageSchedule(t_warm=True)}, "BadSchedule"),
+    ], ids=["alpha_none", "cap_text", "seed_bool", "grid_list", "prior_list", "rho_text",
+            "t_warm_bool"])
+    def test_a_field_of_the_wrong_type_is_a_violation(self, changes, code):
+        # A config built in Python skips the JSON reader's type checks, so
+        # validation must refuse what that reader would, with the same codes.
+        config = dataclasses.replace(RouterConfig(), **changes)
+        with pytest.raises(ConfigError) as err:
+            run_replication("bpac", config, uniform_linear(), 5, 1)
+        assert [v.code for v in err.value.violations] == [code]
 
 
 class TestWireFormat:

@@ -1,7 +1,15 @@
 """The public surface of ``bpac``, pinned so that any change to it shows up
-in review as a one-line diff here."""
+in review as a one-line diff here, and held to what an entry point reaches:
+the package's own modules, ``scripts/`` and ``perfbench/``, not the tests."""
+
+import ast
+from pathlib import Path
 
 import bpac
+
+REPO = Path(__file__).resolve().parents[1]
+ENTRY_POINTS = [path for pattern in ("src/bpac/*.py", "scripts/*.py", "perfbench/*.py")
+                for path in sorted(REPO.glob(pattern)) if path.name != "__init__.py"]
 
 PUBLIC = [
     "BetaScore",
@@ -52,22 +60,17 @@ PUBLIC = [
     "deployment_rate",
     "easy_hard",
     "generate_event",
-    "graded_parts_loss",
     "hoeff_slack",
-    "judge_margin_loss",
     "load_config",
     "load_stream_spec",
     "load_trace",
     "mc_safety",
     "mean_loss_below",
     "mean_step",
-    "oracle_risk",
     "oracle_risk_grid",
-    "oracle_threshold",
     "payoff_bound",
     "pinned_threshold_study",
     "propensity",
-    "read_trajectory",
     "regret_bound",
     "regret_harness",
     "replay_trace",
@@ -84,9 +87,29 @@ PUBLIC = [
     "write_trace",
     "write_trajectory",
     "write_wealth_snapshots",
-    "zero_one_loss",
 ]
 
 
 def test_public_names_are_pinned():
     assert sorted(bpac.__all__) == PUBLIC
+
+
+def reached_names(paths) -> set[str]:
+    """Every name the files load, take as an attribute or import, and every
+    string constant they hold: perfbench's tracer names its targets by string."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_public_name_is_reached_by_an_entry_point():
+    assert sorted(set(bpac.__all__) - reached_names(ENTRY_POINTS)) == []

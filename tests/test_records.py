@@ -11,15 +11,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bpac.core import RouterConfig, ThresholdGrid
-from bpac.records import (
-    RecordFormatError,
-    read_trajectory,
-    write_summary_json,
-    write_table,
-    write_trajectory,
-    write_wealth_snapshots,
-)
+from bpac.records import write_summary_json, write_table, write_trajectory, write_wealth_snapshots
 from bpac.simulation import run_replication, uniform_linear
+from reference import RecordFormatError, read_trajectory
 
 
 @pytest.fixture(scope="module")

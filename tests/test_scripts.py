@@ -19,11 +19,12 @@ REPO = Path(__file__).resolve().parents[1]
 REGRET_STUDY = REPO / "scripts" / "regret_study.py"
 DIGEST_MATRIX = REPO / "scripts" / "digest_matrix.py"
 STEP_COST = REPO / "scripts" / "step_cost.py"
+LOC = REPO / "scripts" / "loc.py"
 
 
-def run_script(script: Path, *argv: str) -> subprocess.CompletedProcess:
+def run_script(script: Path, *argv: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(bpac.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, str(script), *argv], env=env,
+    return subprocess.run([sys.executable, str(script), *argv], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -163,3 +164,39 @@ def test_step_cost_refuses_bad_input(flags):
     assert run.returncode == 2
     assert run.stdout == ""
     assert "Traceback" not in run.stderr
+
+
+def test_loc_counts_code_lines_and_their_change(tmp_path):
+    """Blank lines, comments and docstrings are not code; a multi-line
+    string that is not a docstring is. A module only one tree has counts 0
+    in the other."""
+    here, there = tmp_path / "here", tmp_path / "there"
+    for tree in (here, there):
+        (tree / "pkg").mkdir(parents=True)
+    (here / "pkg" / "mod.py").write_text(
+        '"""Module docstring,\non two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # a trailing comment\n"
+        "\n"
+        "def f():\n"
+        '    """Function docstring."""\n'
+        '    return """two\n'
+        'lines"""\n')
+    (there / "pkg" / "mod.py").write_text("X = 1\n")
+    (there / "pkg" / "gone.py").write_text("A = 1\nB = 2\n")
+
+    alone = run_script(LOC, "pkg", cwd=here)
+    assert alone.returncode == 0, alone.stderr
+    assert alone.stdout.splitlines() == ["      4  pkg/mod.py", "      4  total"]
+
+    against = run_script(LOC, "pkg", "--against", str(there), cwd=here)
+    assert against.returncode == 0, against.stderr
+    assert [line.split() for line in against.stdout.splitlines()] == [
+        ["against", "here", "change", "file"],
+        ["2", "0", "-2", "pkg/gone.py"],
+        ["1", "4", "+3", "pkg/mod.py"],
+        ["3", "4", "+1", "total"]]
+
+    missing = run_script(LOC, "nowhere", cwd=here)
+    assert (missing.returncode, missing.stdout) == (2, "")

@@ -63,9 +63,7 @@ from bpac.simulation import (
     load_stream_spec,
     mc_safety,
     mean_loss_below,
-    oracle_risk,
     oracle_risk_grid,
-    oracle_threshold,
     parse_method,
     pinned_threshold_study,
     regret_bound,
@@ -78,7 +76,8 @@ from bpac.simulation import (
     uniform_linear,
     wilson_interval,
 )
-from reference import StepRiskTracker, account_table, ips_payoff, quad_mean_loss_below
+from reference import (StepRiskTracker, account_table, ips_payoff, oracle_threshold,
+                       quad_mean_loss_below)
 
 
 class TestSpecs:
@@ -157,9 +156,9 @@ class OtherLoss:
 class TestOracle:
     def test_frozen_risk_values(self):
         spec = uniform_linear()
-        assert oracle_risk(spec, 0.4, rho=0.05) == pytest.approx(0.076, abs=1e-12)
-        assert oracle_risk(spec, 1.0, rho=0.05) == pytest.approx(0.475, abs=1e-12)
-        assert oracle_risk(spec, 0.0, rho=0.05) == 0.0
+        assert oracle_risk_grid(spec, 0.4, rho=0.05) == pytest.approx(0.076, abs=1e-12)
+        assert oracle_risk_grid(spec, 1.0, rho=0.05) == pytest.approx(0.475, abs=1e-12)
+        assert oracle_risk_grid(spec, 0.0, rho=0.05) == 0.0
 
     def test_frozen_boundary_threshold(self):
         spec = uniform_linear()
@@ -181,7 +180,7 @@ class TestOracle:
 
     def test_nonstationary_spec_rejected(self):
         with pytest.raises(NonStationarySpec):
-            oracle_risk(easy_hard(), 0.4, rho=0.05)
+            oracle_risk_grid(easy_hard(), 0.4, rho=0.05)
 
     @pytest.mark.parametrize("score,loss", [
         (UniformScore(), LinearLoss(kappa=1.0)),
