@@ -254,6 +254,11 @@ def _in_unit_interval(value: Any) -> bool:
     return isinstance(value, Real) and 0 < value < 1
 
 
+def _is_number(value: Any) -> bool:
+    """``value`` is an int or a float and not a bool, as the JSON reader requires."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_int(value: Any) -> bool:
     """``value`` is an int and not a bool, as the JSON reader requires."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -267,7 +272,7 @@ def config_violations(config: RouterConfig) -> list[Violation]:
     """
     out: list[Violation] = []
 
-    if not isinstance(config.epsilon, (int, float)) or not config.epsilon > 0:
+    if not _is_number(config.epsilon) or not config.epsilon > 0:
         out.append(Violation("BadValue", "epsilon", f"risk budget must be positive, got {config.epsilon!r}"))
     if not _in_unit_interval(config.alpha):
         out.append(Violation("BadValue", "alpha", f"confidence level must lie in (0, 1), got {config.alpha!r}"))
@@ -282,7 +287,7 @@ def config_violations(config: RouterConfig) -> list[Violation]:
 
     # The wealth process only has room to grow when epsilon leaves headroom
     # below the worst-case per-step payoff at every exploration rate.
-    if isinstance(config.epsilon, (int, float)) and config.epsilon > 0:
+    if _is_number(config.epsilon) and config.epsilon > 0:
         try:
             rates = config.schedule.emitted_rates()
         except AttributeError:

@@ -201,8 +201,16 @@ class TestValidation:
         ({"selection_mode": SelectionMode.MIXTURE, "prior": [0.5, 0.5]}, "BadPrior"),
         ({"schedule": ConstantSchedule("0.5")}, "BadSchedule"),
         ({"schedule": TwoStageSchedule(t_warm=True)}, "BadSchedule"),
+        ({"epsilon": "0.1"}, "BadValue"),
+        ({"epsilon": True}, "BadValue"),
+        ({"selection_mode": "mixture"}, "BadValue"),
+        ({"schedule": None}, "BadSchedule"),
+        ({"schedule": TwoStageSchedule(t_warm=5.0)}, "BadSchedule"),
+        ({"selection_mode": SelectionMode.MIXTURE, "prior": Prior.uniform(2),
+          "grid": (0.0, 1.0)}, "BadGrid"),
     ], ids=["alpha_none", "cap_text", "seed_bool", "grid_list", "prior_list", "rho_text",
-            "t_warm_bool"])
+            "t_warm_bool", "epsilon_text", "epsilon_bool", "mode_text", "schedule_none",
+            "t_warm_float", "grid_tuple_under_prior"])
     def test_a_field_of_the_wrong_type_is_a_violation(self, changes, code):
         # A config built in Python skips the JSON reader's type checks, so
         # validation must refuse what that reader would, with the same codes.

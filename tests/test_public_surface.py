@@ -113,3 +113,17 @@ def reached_names(paths) -> set[str]:
 
 def test_every_public_name_is_reached_by_an_entry_point():
     assert sorted(set(bpac.__all__) - reached_names(ENTRY_POINTS)) == []
+
+
+def test_a_name_is_reached_by_its_use_not_its_definition(tmp_path):
+    """A loaded name, an attribute, an import alias and a string constant
+    reach a name; a def, a class or an assignment target does not, or every
+    name would reach itself from the module that defines it."""
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from pkg import imported\n"
+        "def defined(): pass\n"
+        "class Klass: pass\n"
+        "assigned = 1\n"
+        "loaded(pkg.attribute, 'by_string')\n")
+    assert reached_names([module]) == {"imported", "loaded", "pkg", "attribute", "by_string"}

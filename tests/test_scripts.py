@@ -200,3 +200,14 @@ def test_loc_counts_code_lines_and_their_change(tmp_path):
 
     missing = run_script(LOC, "nowhere", cwd=here)
     assert (missing.returncode, missing.stdout) == (2, "")
+
+
+def test_loc_reads_one_file_and_refuses_an_against_that_is_no_directory(tmp_path):
+    (tmp_path / "one.py").write_text("A = 1\n\nB = 2  # two\n")
+    one = run_script(LOC, "one.py", cwd=tmp_path)
+    assert one.returncode == 0, one.stderr
+    assert one.stdout.splitlines() == ["      2  one.py", "      2  total"]
+
+    refused = run_script(LOC, "one.py", "--against", "one.py", cwd=tmp_path)
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert "not a directory" in refused.stderr
